@@ -3,8 +3,8 @@ inequalities and strongly convex minimization.
 
 The library provides: feasible-set projections and problem containers
 (core), seeded benchmark generators and text serialization (problems),
-classical steppers unified under one five-parameter rule plus a
-two-sequence minimization scheme (solvers), parameter-feasibility and
+one five-parameter stepper whose parameter masks are the classical methods,
+plus a two-sequence minimization scheme (solvers), parameter-feasibility and
 linear-rate certificates (certify), and merit/trace instrumentation with
 empirical contraction checks (harness). The viaccel console script fronts
 all of it.
@@ -32,9 +32,7 @@ from .problems import (LinearOperatorSpec, LogisticSpec, estimate_constants,
                        serialize_problem, solve_linear_reference,
                        write_problem)
 from .solvers import (METHODS, OptParams, OptState, StopRule, ViParams,
-                      ViState, run, step_extra_point, step_extragradient,
-                      step_heavy_ball, step_nesterov, step_ogda,
-                      step_opt_extra_point, step_opt_extra_point_simplified,
-                      step_vanilla, vi_state)
+                      ViState, run, step_extra_point, step_opt_extra_point,
+                      vi_state)
 
 __version__ = "0.1.0"

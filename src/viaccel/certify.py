@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .core import format_float
 from .solvers import OptParams, ViParams
 
 REGIME_VI_UNRESTRICTED = "vi-unrestricted"
@@ -67,27 +68,16 @@ class RateCertificate:
 
     def to_text(self) -> str:
         """Render as stable ``key = value`` lines."""
-        lines = [
-            f"regime = {self.regime}",
-            f"feasible = {'true' if self.feasible else 'false'}",
-            f"a = {_f(self.a)}",
-            f"b = {_f(self.b)}",
-            f"theta_lo = {_f(self.theta_lo)}",
-            f"theta_hi = {_f(self.theta_hi)}",
-            f"theta_default = {_f(self.theta_default)}",
-            f"rate = {_f(self.rate)}",
-            f"violated = {','.join(self.violated)}",
-            f"guideline_flags = {','.join(self.guideline_flags)}",
-        ]
+        lines = [f"regime = {self.regime}",
+                 f"feasible = {'true' if self.feasible else 'false'}"]
+        lines += [f"{k} = {format_float(getattr(self, k))}" for k in
+                  ("a", "b", "theta_lo", "theta_hi", "theta_default", "rate")]
+        lines += [f"violated = {','.join(self.violated)}",
+                  f"guideline_flags = {','.join(self.guideline_flags)}"]
         if self.s is not None:
-            lines.append(f"s = {_f(self.s)}")
-            lines.append(f"t = {_f(self.t)}")
-            lines.append(f"u = {_f(self.u)}")
+            lines += [f"{k} = {format_float(getattr(self, k))}"
+                      for k in ("s", "t", "u")]
         return "\n".join(lines) + "\n"
-
-
-def _f(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _eq(x: float, y: float) -> bool:

@@ -23,9 +23,8 @@ from . import harness as H
 from . import presets as PR
 from . import problems as P
 from . import solvers as S
-from .core import MonotoneProblem, SmoothObjective, gradient_problem
-
-_F = lambda x: format(float(x), ".17g")
+from .core import (MonotoneProblem, SmoothObjective, format_float,
+                   gradient_problem)
 
 VI_PARAM_KEYS = ("alpha", "beta", "gamma", "eta", "tau")
 OPT_PARAM_KEYS = tuple(f"t{i}" for i in range(1, 10)) + ("theta", "c", "delta")
@@ -104,7 +103,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):
-            value = _F(value)
+            value = format_float(value)
         lines.append(f"{key} = {value}")
 
     for k in sorted(cfg.problem):
@@ -556,7 +555,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, FileNotFoundError) as err:
+    except (ValueError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

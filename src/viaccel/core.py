@@ -1,11 +1,14 @@
 """Problem primitives: feasible sets, projections, and problem containers.
 
 Vectors are 1-D float64 numpy arrays. Every public entry point validates
-shape and finiteness once, then trusts the data.
+shape and finiteness once, then trusts the data: the feasible-set methods
+themselves do no checking, so a solver step that overflows reaches the
+caller's divergence guard instead of a validation error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,6 +29,16 @@ def as_vector(z, dim: Optional[int] = None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite entries")
     return v
+
+
+def format_float(x, missing: Optional[str] = None) -> str:
+    """Round-trip text for a float: 17 significant digits, '.' separator.
+
+    With ``missing`` given, None and nan render as that string instead.
+    """
+    if missing is not None and (x is None or math.isnan(x)):
+        return missing
+    return format(float(x), ".17g")
 
 
 class FeasibleSet:
@@ -54,7 +67,7 @@ class WholeSpace(FeasibleSet):
         self.dimension = int(dimension)
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        return as_vector(z, self.dimension)
+        return z
 
     def __repr__(self):
         return f"WholeSpace({self.dimension})"
@@ -69,7 +82,7 @@ class NonnegativeOrthant(FeasibleSet):
         self.dimension = int(dimension)
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(as_vector(z, self.dimension), 0.0)
+        return np.maximum(z, 0.0)
 
     def __repr__(self):
         return f"NonnegativeOrthant({self.dimension})"
@@ -86,7 +99,7 @@ class Box(FeasibleSet):
         self.dimension = self.lower.shape[0]
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        return np.clip(as_vector(z, self.dimension), self.lower, self.upper)
+        return np.clip(z, self.lower, self.upper)
 
     def __repr__(self):
         return f"Box(dim={self.dimension})"
@@ -103,7 +116,6 @@ class EuclideanBall(FeasibleSet):
         self.dimension = self.center.shape[0]
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        z = as_vector(z, self.dimension)
         d = z - self.center
         nd = np.linalg.norm(d)
         if nd <= self.radius:
@@ -251,6 +263,22 @@ def gradient_problem(objective: SmoothObjective) -> MonotoneProblem:
     )
 
 
+def vi_merits(problem: MonotoneProblem, z: np.ndarray,
+              fz: Optional[np.ndarray] = None) -> tuple:
+    """Merit pair (primary, natural residual) of a trusted vector z.
+
+    The natural residual is ||z - P(z - F(z))||. The primary merit is
+    ||F(z)|| on the whole space and the complementarity gap |z . F(z)| on
+    any other set. ``fz`` passes an already computed F(z).
+    """
+    if fz is None:
+        fz = problem.operator(z)
+    res = float(np.linalg.norm(z - problem.feasible_set.project(z - fz)))
+    if problem.feasible_set.unbounded_whole_space:
+        return float(np.linalg.norm(fz)), res
+    return float(abs(z @ fz)), res
+
+
 def natural_residual(problem: MonotoneProblem, z) -> float:
     """Fixed-point residual ||z - P(z - F(z))|| with unit step.
 
@@ -258,6 +286,4 @@ def natural_residual(problem: MonotoneProblem, z) -> float:
     feasible-set variant, which makes it a uniform stopping merit. When the
     problem is domain restricted, ``z`` must be feasible.
     """
-    z = as_vector(z, problem.dimension)
-    step = z - problem.operator(z)
-    return float(np.linalg.norm(z - problem.feasible_set.project(step)))
+    return vi_merits(problem, as_vector(z, problem.dimension))[1]

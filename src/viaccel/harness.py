@@ -16,19 +16,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import MonotoneProblem, SmoothObjective, as_vector, natural_residual
+from .core import (MonotoneProblem, SmoothObjective, as_vector, format_float,
+                   vi_merits)
 
 # Iterates whose norm passes this guard terminate a run as divergent.
 DIVERGENCE_NORM = 1e12
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return ""
-    return format(x, ".17g")
 
 
 @dataclass(frozen=True)
@@ -94,13 +86,7 @@ def merit(target, z) -> tuple:
         if target.optimal_value is not None:
             gap = float(target.value(x) - target.optimal_value)
         return gn, gap
-    prob: MonotoneProblem = target
-    z = as_vector(z, prob.dimension)
-    fz = prob.operator(z)
-    res = float(np.linalg.norm(z - prob.feasible_set.project(z - fz)))
-    if prob.feasible_set.unbounded_whole_space:
-        return float(np.linalg.norm(fz)), res
-    return float(abs(z @ fz)), res
+    return vi_merits(target, as_vector(z, target.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +448,13 @@ def _thin(records: Sequence[TraceRecord], thinning: int) -> list:
     return kept
 
 
+def _fields(r: TraceRecord, missing: str) -> list:
+    """The CSV_HEADER fields of a record as text, absent values as missing."""
+    return [str(r.k), *(format_float(v, missing) for v in (
+        r.merit_primary, r.merit_aux, r.dist_sq, r.potential)),
+        str(r.elapsed_ns)]
+
+
 def write_trace_csv(trace: IterateTrace, path, thinning: int = 1) -> None:
     """Write records as CSV: fixed header, one row per kept record.
 
@@ -470,36 +463,18 @@ def write_trace_csv(trace: IterateTrace, path, thinning: int = 1) -> None:
     """
     rows = [CSV_HEADER]
     for r in _thin(trace.records, thinning):
-        rows.append(",".join([
-            str(r.k), _fmt(r.merit_primary), _fmt(r.merit_aux),
-            _fmt(r.dist_sq), _fmt(r.potential), str(r.elapsed_ns),
-        ]))
+        rows.append(",".join(_fields(r, "")))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 
 
 def write_trace_jsonl(trace: IterateTrace, path, thinning: int = 1) -> None:
     """Write records as JSON Lines with the same fields and formatting."""
-    def jnum(x):
-        if x is None:
-            return "null"
-        x = float(x)
-        if math.isnan(x):
-            return "null"
-        return format(x, ".17g")
-
+    names = CSV_HEADER.split(",")
     lines = []
     for r in _thin(trace.records, thinning):
-        lines.append(
-            "{"
-            f"\"k\": {r.k}, "
-            f"\"merit_primary\": {jnum(r.merit_primary)}, "
-            f"\"merit_aux\": {jnum(r.merit_aux)}, "
-            f"\"dist_sq\": {jnum(r.dist_sq)}, "
-            f"\"potential\": {jnum(r.potential)}, "
-            f"\"elapsed_ns\": {r.elapsed_ns}"
-            "}"
-        )
+        lines.append("{" + ", ".join(f"\"{k}\": {v}" for k, v in
+                                     zip(names, _fields(r, "null"))) + "}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 

@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (FeasibleSet, MonotoneProblem, NonnegativeOrthant,
-                   SmoothObjective, WholeSpace)
+                   SmoothObjective, WholeSpace, format_float)
 from .harness import finite_diff_jacobian, power_iteration_norm
 
 FORMAT_HEADER = "vi-accel-problem v1"
@@ -27,10 +27,6 @@ FORMAT_HEADER = "vi-accel-problem v1"
 # block names parsed as vectors; everything else is a matrix
 _VECTOR_BLOCKS = {"solution", "minimizer", "offset", "linear", "diag",
                   "lower", "upper", "center"}
-
-
-def _f(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -383,7 +379,7 @@ def serialize_problem(obj: Union[MonotoneProblem, SmoothObjective]) -> str:
         elif isinstance(value, (int, np.integer)):
             lines.append(f"{name} = {int(value)}")
         elif isinstance(value, (float, np.floating)):
-            lines.append(f"{name} = {_f(value)}")
+            lines.append(f"{name} = {format_float(value)}")
         else:
             lines.append(f"{name} = {value}")
 
@@ -393,7 +389,7 @@ def serialize_problem(obj: Union[MonotoneProblem, SmoothObjective]) -> str:
         arr = np.asarray(arr, dtype=float)
         rows = [arr] if arr.ndim == 1 else list(arr)
         blocks.append(f"begin {name}")
-        blocks.extend(" ".join(_f(v) for v in row) for row in rows)
+        blocks.extend(" ".join(format_float(v) for v in row) for row in rows)
         blocks.append(f"end {name}")
 
     if isinstance(obj, MonotoneProblem):
@@ -451,7 +447,12 @@ def _parse_scalar(raw: str):
 
 
 def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
-    """Rebuild an instance from its v1 text form (inverse of serialize)."""
+    """Rebuild an instance from its v1 text form (inverse of serialize).
+
+    The header keys and every block the kind needs are checked, with array
+    shapes against n, before any operator is built; a malformed file raises
+    ValueError.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or lines[0] != FORMAT_HEADER:
@@ -494,15 +495,39 @@ def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
     cls = keys.get("class")
     kind = keys.get("kind")
     dim = keys.get("n")
-    mu, lip = keys.get("mu"), keys.get("lip")
     seed = keys.get("seed")
+    if cls not in ("monotone-vi", "smooth-objective"):
+        raise ValueError(f"unknown class {cls!r}")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"n must be a positive integer, got {dim!r}")
+
+    def number(name, v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{name} must be a number, got {v!r}")
+        return v
+
+    def block(name, *shape):  # None in shape matches any length
+        v = meta.get(name)
+        got = v.shape if isinstance(v, np.ndarray) else None
+        if got is None or len(got) != len(shape) or \
+                any(w not in (None, g) for w, g in zip(shape, got)):
+            raise ValueError(f"{kind} problem needs block meta.{name} of shape "
+                             f"{shape} for n = {dim}, got {got}")
+        return v
+
+    mu, lip = number("mu", keys.get("mu")), number("lip", keys.get("lip"))
     if cls == "monotone-vi":
         if kind == "linear-vi":
-            M, lin = _linear_vi_operator(meta["diag"], meta["skew"])
-            offset = meta["offset"]
+            M, lin = _linear_vi_operator(block("diag", dim), block("skew", dim, dim))
+            offset = block("offset", dim)
             op = lambda z, _lin=lin, _off=offset: _lin(z) + _off
         elif kind == "bilinear-saddle":
-            M = _bilinear_matrix(meta["bilinear"], meta["mu_x"], meta["mu_y"])
+            B = block("bilinear", None, None)
+            if sum(B.shape) != dim:
+                raise ValueError(f"block meta.bilinear has shape {B.shape}, "
+                                 f"whose sides must sum to n = {dim}")
+            M = _bilinear_matrix(B, number("meta.mu_x", meta.get("mu_x")),
+                                 number("meta.mu_y", meta.get("mu_y")))
             op = lambda z, _M=M: _M @ z
         else:
             raise ValueError(f"unknown problem kind {kind!r}")
@@ -519,20 +544,19 @@ def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
                                domain_restricted=bool(keys.get("domain_restricted",
                                                                False)),
                                kind=kind, seed=seed, meta=meta)
-    if cls == "smooth-objective":
-        if kind == "quadratic":
-            value, gradient = _quadratic_functions(meta["hessian"],
-                                                   meta["linear"])
-        elif kind == "logistic":
-            value, gradient = _logistic_functions(meta["data"], meta["lam"])
-        else:
-            raise ValueError(f"unknown objective kind {kind!r}")
-        return SmoothObjective(dimension=dim, value=value, gradient=gradient,
-                               mu=mu, lip=lip,
-                               minimizer=arrays.get("minimizer"),
-                               optimal_value=keys.get("optimal_value"),
-                               kind=kind, seed=seed, meta=meta)
-    raise ValueError(f"unknown class {cls!r}")
+    if kind == "quadratic":
+        value, gradient = _quadratic_functions(block("hessian", dim, dim),
+                                               block("linear", dim))
+    elif kind == "logistic":
+        value, gradient = _logistic_functions(block("data", None, dim),
+                                              number("meta.lam", meta.get("lam")))
+    else:
+        raise ValueError(f"unknown objective kind {kind!r}")
+    return SmoothObjective(dimension=dim, value=value, gradient=gradient,
+                           mu=mu, lip=lip,
+                           minimizer=arrays.get("minimizer"),
+                           optimal_value=keys.get("optimal_value"),
+                           kind=kind, seed=seed, meta=meta)
 
 
 def write_problem(path, obj) -> None:

@@ -1,17 +1,17 @@
 """First-order steppers and the instrumented run loop.
 
-All variational-inequality methods are single projected steps driven by a
-five-parameter rule
+Every variational-inequality method is one projected step of the
+five-parameter extra-point rule
 
     half = z + beta (z - z_prev) - eta F(z)            [projected if restricted]
     next = P( z - alpha F(half) + gamma (z - z_prev) - tau (F(z) - F(z_prev)) )
 
-with the classical methods as named specializations: vanilla projection
-(alpha only), extra-gradient (alpha, eta), past-gradient/optimistic steps
-(alpha, tau), heavy-ball (alpha, gamma), and the accelerated extrapolation
-method (alpha, beta with gamma = beta). The dedicated steppers below spell
-out their own update arithmetic instead of delegating to the general rule,
-so regressions in either are visible against the other.
+and the classical methods are parameter masks of it, applied once by run():
+vanilla projection keeps alpha only, extra-gradient (alpha, eta),
+past-gradient/optimistic steps (alpha, tau), heavy-ball (alpha, gamma), and
+the accelerated extrapolation method (alpha, beta) with gamma := beta and a
+half point that is never projected. The stepper skips every term whose
+coefficient is zero, so each mask performs exactly its method's arithmetic.
 
 The optimization scheme keeps two sequences (x, v) and nine coefficients;
 see step_opt_extra_point.
@@ -21,16 +21,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import MonotoneProblem, SmoothObjective, as_vector
+from .core import MonotoneProblem, SmoothObjective, as_vector, vi_merits
 from .harness import (DIVERGENCE_NORM, DivergenceError, IterateTrace,
                       TraceRecord, now_ns)
 
-VI_METHODS = ("vanilla", "extra-gradient", "ogda", "heavy-ball", "nesterov",
-              "extra-point")
+# The coefficients each named VI method keeps; run() zeroes the others.
+VI_MASKS = {
+    "vanilla": ("alpha",),
+    "extra-gradient": ("alpha", "eta"),
+    "ogda": ("alpha", "tau"),
+    "heavy-ball": ("alpha", "gamma"),
+    "nesterov": ("alpha", "beta"),
+    "extra-point": ("alpha", "beta", "gamma", "eta", "tau"),
+}
+VI_METHODS = tuple(VI_MASKS)
 OPT_METHODS = ("opt-extra-point",)
 METHODS = VI_METHODS + OPT_METHODS
 
@@ -127,95 +137,40 @@ def vi_state(problem: MonotoneProblem, z0) -> ViState:
     return ViState(z_curr=z0, z_prev=z0.copy(), f_curr=f0, f_prev=f0.copy())
 
 
-def _advance(problem: MonotoneProblem, state: ViState, z_new: np.ndarray,
-             z_half: Optional[np.ndarray]) -> ViState:
-    return ViState(z_curr=z_new, z_prev=state.z_curr,
-                   f_curr=problem.operator(z_new), f_prev=state.f_curr,
-                   z_half=z_half)
-
-
-def step_vanilla(problem: MonotoneProblem, state: ViState, alpha: float) -> ViState:
-    """Projected operator step z <- P(z - alpha F(z))."""
-    z_new = problem.feasible_set.project(state.z_curr - alpha * state.f_curr)
-    return _advance(problem, state, z_new, state.z_curr)
-
-
-def step_extragradient(problem: MonotoneProblem, state: ViState, alpha: float,
-                       eta: float, restricted: bool = False) -> ViState:
-    """Half step with eta, full projected step with alpha at the half point.
-
-    The restricted variant projects the half point as well; it is mandatory
-    when the operator is only defined on the feasible set.
-    """
-    if problem.domain_restricted and not restricted:
-        raise ValueError("domain-restricted problems need the projected half point")
-    half = state.z_curr - eta * state.f_curr
-    if restricted:
-        half = problem.feasible_set.project(half)
-    z_new = problem.feasible_set.project(state.z_curr - alpha * problem.operator(half))
-    return _advance(problem, state, z_new, half)
-
-
-def step_ogda(problem: MonotoneProblem, state: ViState, alpha: float,
-              tau: float) -> ViState:
-    """Operator step corrected by the most recent operator difference."""
-    z_new = problem.feasible_set.project(
-        state.z_curr - alpha * state.f_curr - tau * (state.f_curr - state.f_prev)
-    )
-    return _advance(problem, state, z_new, state.z_curr)
-
-
-def step_heavy_ball(problem: MonotoneProblem, state: ViState, alpha: float,
-                    gamma: float) -> ViState:
-    """Operator step plus momentum gamma (z - z_prev)."""
-    z_new = problem.feasible_set.project(
-        state.z_curr - alpha * state.f_curr + gamma * (state.z_curr - state.z_prev)
-    )
-    return _advance(problem, state, z_new, state.z_curr)
-
-
-def step_nesterov(problem: MonotoneProblem, state: ViState, alpha: float,
-                  beta: float) -> ViState:
-    """Extrapolate by beta, evaluate the operator there, keep the momentum.
-
-    The operator is evaluated at the unprojected extrapolated point, so this
-    stepper is unavailable on domain-restricted problems.
-    """
-    if problem.domain_restricted:
-        raise ValueError("extrapolation evaluates the operator off the set; "
-                         "unavailable on domain-restricted problems")
-    mom = beta * (state.z_curr - state.z_prev)
-    half = state.z_curr + mom
-    z_new = problem.feasible_set.project(
-        state.z_curr - alpha * problem.operator(half) + mom
-    )
-    return _advance(problem, state, z_new, half)
-
-
 def step_extra_point(problem: MonotoneProblem, state: ViState,
                      params: ViParams, restricted: bool = False) -> ViState:
     """One step of the general five-parameter rule.
 
-    With eta = beta = 0 the half point coincides with the current iterate
-    and the cached operator value is reused, which makes the named
-    specializations reproduce bit for bit.
+    Terms whose coefficient is zero are skipped; with eta = beta = 0 the
+    half point is the current iterate and its cached operator value is
+    reused. That makes the named specializations reproduce bit for bit.
+    Building an unprojected half point on a domain-restricted problem
+    raises ValueError.
     """
-    if problem.domain_restricted and not restricted:
-        raise ValueError("domain-restricted problems need the projected half point")
     al, be, ga, eta, ta = params.alpha, params.beta, params.gamma, params.eta, params.tau
-    zc, zp = state.z_curr, state.z_prev
+    zc, zp, fc = state.z_curr, state.z_prev, state.f_curr
     if eta == 0.0 and be == 0.0:
-        half = zc
-        f_half = state.f_curr
+        half, f_half = zc, fc
     else:
-        half = zc + be * (zc - zp) - eta * state.f_curr
+        if problem.domain_restricted and not restricted:
+            raise ValueError("domain-restricted problems need the projected "
+                             "half point")
+        half = zc
+        if be != 0.0:
+            half = half + be * (zc - zp)
+        if eta != 0.0:
+            half = half - eta * fc
         if restricted:
             half = problem.feasible_set.project(half)
         f_half = problem.operator(half)
-    z_new = problem.feasible_set.project(
-        zc - al * f_half + ga * (zc - zp) - ta * (state.f_curr - state.f_prev)
-    )
-    return _advance(problem, state, z_new, half)
+    step = zc - al * f_half
+    if ga != 0.0:
+        step = step + ga * (zc - zp)
+    if ta != 0.0:
+        step = step - ta * (fc - state.f_prev)
+    z_new = problem.feasible_set.project(step)
+    return ViState(z_curr=z_new, z_prev=zc, f_curr=problem.operator(z_new),
+                   f_prev=fc, z_half=half)
 
 
 def step_opt_extra_point(objective: SmoothObjective, state: OptState,
@@ -247,35 +202,6 @@ def step_opt_extra_point(objective: SmoothObjective, state: OptState,
     return OptState(x_curr=x_new, v_curr=v_new)
 
 
-def step_opt_extra_point_simplified(objective: SmoothObjective, state: OptState,
-                                    theta: float, delta: float) -> OptState:
-    """The reduced form of the default-parameter scheme with y = p.
-
-    Algebraically identical to step_opt_extra_point at the default
-    coefficient choice, using grad f(y) = (L / delta) (y - z) to eliminate
-    the gradient from the v update:
-
-        y  = (x + theta v) / (1 + theta)
-        z  = y - (delta / L) grad f(y)
-        x+ = y - (t4/L) grad f(z) - (t5/L)(grad f(z) - grad f(y)) + t6 (z - y)
-        v+ = (1 - theta) v + theta (mu delta - L) / (mu delta) y
-             + theta L / (mu delta) z
-    """
-    L, mu = objective.lip, objective.mu
-    den = (1.0 + delta) ** 2
-    t4, t5, t6 = (1.0 - delta) / den, 1.0 / den, 3.0 / den
-    x, v = state.x_curr, state.v_curr
-
-    y = (x + theta * v) / (1.0 + theta)
-    gy = objective.gradient(y)
-    z = y - (delta / L) * gy
-    gz = objective.gradient(z)
-    x_new = y - (t4 / L) * gz - (t5 / L) * (gz - gy) + t6 * (z - y)
-    v_new = (1.0 - theta) * v + (theta * (mu * delta - L) / (mu * delta)) * y \
-        + (theta * L / (mu * delta)) * z
-    return OptState(x_curr=x_new, v_curr=v_new)
-
-
 @dataclass(frozen=True)
 class StopRule:
     """Loop control: hard iteration cap plus optional residual tolerance.
@@ -294,77 +220,70 @@ class StopRule:
             raise ValueError("residual_tol must be nonnegative and finite")
 
 
-def _vi_merits(problem: MonotoneProblem, z: np.ndarray, fz: np.ndarray):
-    res = float(np.linalg.norm(z - problem.feasible_set.project(z - fz)))
-    if problem.feasible_set.unbounded_whole_space:
-        return float(np.linalg.norm(fz)), res, res
-    return float(abs(z @ fz)), res, res
+def _masked(method: str, params: ViParams) -> ViParams:
+    kept = {name: getattr(params, name) for name in VI_MASKS[method]}
+    if method == "nesterov":
+        kept["gamma"] = params.beta
+    return ViParams(**kept)
 
 
 def run(target, method: str, params, start, stop: StopRule,
-        potential: Optional[Callable] = None,
-        restricted: Optional[bool] = None) -> IterateTrace:
+        potential: Optional[Callable] = None) -> IterateTrace:
     """Drive one method and record a full per-iteration trace.
 
     target is a MonotoneProblem for the operator methods or a
-    SmoothObjective for "opt-extra-point". restricted selects the
-    projected-half-point variants of "extra-gradient" and "extra-point";
-    None picks them automatically on constrained or domain-restricted
-    problems. Divergent iterates (non-finite, or norm beyond
-    DIVERGENCE_NORM) raise DivergenceError carrying the partial trace.
+    SmoothObjective for "opt-extra-point". Operator methods step with their
+    parameter mask of step_extra_point; the half point is projected on
+    constrained or domain-restricted problems, except for "nesterov", whose
+    half point never is (it therefore refuses domain-restricted problems).
+    Divergent iterates (norm non-finite or beyond DIVERGENCE_NORM) raise
+    DivergenceError carrying the partial trace.
 
     Records are kept for every iteration; thinning is an export concern.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in OPT_METHODS:
-        if not isinstance(target, SmoothObjective):
-            raise ValueError(f"{method} expects a SmoothObjective")
-        return _run_opt(target, method, params, start, stop, potential)
-    if not isinstance(target, MonotoneProblem):
-        raise ValueError(f"{method} expects a MonotoneProblem")
-    return _run_vi(target, method, params, start, stop, potential, restricted)
+    opt = method in OPT_METHODS
+    expected = SmoothObjective if opt else MonotoneProblem
+    if not isinstance(target, expected):
+        raise ValueError(f"{method} expects a {expected.__name__}")
+    z0 = as_vector(start, target.dimension)
+    trace = IterateTrace(kind=target.kind, method=method, params=params,
+                         meta={"mu": target.mu, "lip": target.lip,
+                               "sigma": target.sigma, "seed": target.seed})
+    if opt:
+        f_star = trace.meta["f_star"] = target.optimal_value
+        reference, point = target.minimizer, attrgetter("x_curr")
+        step = partial(step_opt_extra_point, target, params=params, y_rule="p")
 
+        def merits(s: OptState) -> tuple:
+            gn = float(np.linalg.norm(target.gradient(s.x_curr)))
+            gap = None if f_star is None else float(target.value(s.x_curr) - f_star)
+            return gn, gap, gn
+    else:
+        fset = target.feasible_set
+        if not fset.contains(z0, tol=1e-12 * (1.0 + float(np.linalg.norm(z0)))):
+            raise ValueError("start point is not feasible")
+        if method == "extra-gradient" and params.eta <= 0.0:
+            raise ValueError("extra-gradient needs a positive half-step eta")
+        restricted = trace.meta["restricted"] = \
+            target.domain_restricted or not fset.unbounded_whole_space
+        reference, point = target.solution, attrgetter("z_curr")
+        step = partial(step_extra_point, target, params=_masked(method, params),
+                       restricted=restricted and method != "nesterov")
 
-def _run_vi(problem, method, params: ViParams, start, stop, potential,
-            restricted) -> IterateTrace:
-    fset = problem.feasible_set
-    z0 = as_vector(start, problem.dimension)
-    if not fset.contains(z0, tol=1e-12 * (1.0 + float(np.linalg.norm(z0)))):
-        raise ValueError("start point is not feasible")
-    if restricted is None:
-        restricted = problem.domain_restricted or not fset.unbounded_whole_space
+        def merits(s: ViState) -> tuple:
+            prim, res = vi_merits(target, s.z_curr, s.f_curr)
+            return prim, res, res
 
-    if method == "extra-gradient" and params.eta <= 0.0:
-        raise ValueError("extra-gradient needs a positive half-step eta")
-
-    def do_step(state: ViState) -> ViState:
-        if method == "vanilla":
-            return step_vanilla(problem, state, params.alpha)
-        if method == "extra-gradient":
-            return step_extragradient(problem, state, params.alpha, params.eta,
-                                      restricted=restricted)
-        if method == "ogda":
-            return step_ogda(problem, state, params.alpha, params.tau)
-        if method == "heavy-ball":
-            return step_heavy_ball(problem, state, params.alpha, params.gamma)
-        if method == "nesterov":
-            return step_nesterov(problem, state, params.alpha, params.beta)
-        return step_extra_point(problem, state, params, restricted=restricted)
-
-    trace = IterateTrace(kind=problem.kind, method=method, params=params,
-                         meta={"mu": problem.mu, "lip": problem.lip,
-                               "sigma": problem.sigma, "seed": problem.seed,
-                               "restricted": restricted})
-    zs = problem.solution
     t0 = now_ns()
-    state = vi_state(problem, z0)
+    state = OptState(x_curr=z0, v_curr=z0.copy()) if opt else vi_state(target, z0)
 
-    def record(k: int, state: ViState) -> float:
-        prim, aux, res = _vi_merits(problem, state.z_curr, state.f_curr)
+    def record(k: int, state) -> float:
+        prim, aux, res = merits(state)
         dsq = None
-        if zs is not None:
-            d = state.z_curr - zs
+        if reference is not None:
+            d = point(state) - reference
             dsq = float(d @ d)
         pot = float(potential(state)) if potential is not None else None
         trace.records.append(TraceRecord(k=k, merit_primary=prim,
@@ -373,68 +292,20 @@ def _run_vi(problem, method, params: ViParams, start, stop, potential,
                                          elapsed_ns=now_ns() - t0))
         return res
 
+    tol = stop.residual_tol
     res = record(0, state)
     for k in range(1, stop.max_iter + 1):
-        if stop.residual_tol > 0.0 and res <= stop.residual_tol:
-            trace.terminated_by = "tolerance"
+        if tol > 0.0 and res <= tol:
             break
-        state = do_step(state)
-        zn = float(np.linalg.norm(state.z_curr))
-        if not np.isfinite(zn) or zn > DIVERGENCE_NORM or \
-                not np.all(np.isfinite(state.z_curr)):
+        state = step(state)
+        # a non-finite entry makes the norm nan or inf, which fails the test
+        if not float(np.linalg.norm(point(state))) <= DIVERGENCE_NORM or \
+                (opt and not np.all(np.isfinite(state.v_curr))):
             trace.terminated_by = "divergence"
-            trace.final_point = state.z_curr
+            trace.final_point = point(state)
             raise DivergenceError(trace)
         res = record(k, state)
-    else:
-        if stop.residual_tol > 0.0 and res <= stop.residual_tol:
-            trace.terminated_by = "tolerance"
-    trace.final_point = state.z_curr
-    return trace
-
-
-def _run_opt(objective, method, params: OptParams, start, stop,
-             potential) -> IterateTrace:
-    x0 = as_vector(start, objective.dimension)
-    trace = IterateTrace(kind=objective.kind, method=method, params=params,
-                         meta={"mu": objective.mu, "lip": objective.lip,
-                               "sigma": objective.sigma, "seed": objective.seed,
-                               "f_star": objective.optimal_value})
-    xs = objective.minimizer
-    t0 = now_ns()
-    state = OptState(x_curr=x0, v_curr=x0.copy())
-
-    def record(k: int, state: OptState) -> float:
-        gn = float(np.linalg.norm(objective.gradient(state.x_curr)))
-        gap = None
-        if objective.optimal_value is not None:
-            gap = float(objective.value(state.x_curr) - objective.optimal_value)
-        dsq = None
-        if xs is not None:
-            d = state.x_curr - xs
-            dsq = float(d @ d)
-        pot = float(potential(state)) if potential is not None else None
-        trace.records.append(TraceRecord(k=k, merit_primary=gn, merit_aux=gap,
-                                         dist_sq=dsq, potential=pot,
-                                         elapsed_ns=now_ns() - t0))
-        return gn
-
-    res = record(0, state)
-    for k in range(1, stop.max_iter + 1):
-        if stop.residual_tol > 0.0 and res <= stop.residual_tol:
-            trace.terminated_by = "tolerance"
-            break
-        state = step_opt_extra_point(objective, state, params, y_rule="p")
-        xn = float(np.linalg.norm(state.x_curr))
-        if not np.isfinite(xn) or xn > DIVERGENCE_NORM or \
-                not np.all(np.isfinite(state.x_curr)) or \
-                not np.all(np.isfinite(state.v_curr)):
-            trace.terminated_by = "divergence"
-            trace.final_point = state.x_curr
-            raise DivergenceError(trace)
-        res = record(k, state)
-    else:
-        if stop.residual_tol > 0.0 and res <= stop.residual_tol:
-            trace.terminated_by = "tolerance"
-    trace.final_point = state.x_curr
+    if tol > 0.0 and res <= tol:
+        trace.terminated_by = "tolerance"
+    trace.final_point = point(state)
     return trace

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+import oracles
 import viaccel as va
 from viaccel import certify as C
 from viaccel import presets as PR
@@ -140,15 +141,15 @@ def test_criterion_06_unified_stepper_reproduces_named_methods():
         a = 1.0 / (2.0 * prob.lip)
         cases = [
             (va.ViParams(alpha=a),
-             lambda s: va.step_vanilla(prob, s, a)),
+             lambda s: oracles.step_vanilla(prob, s, a)),
             (va.ViParams(alpha=a, gamma=0.3),
-             lambda s: va.step_heavy_ball(prob, s, a, 0.3)),
+             lambda s: oracles.step_heavy_ball(prob, s, a, 0.3)),
             (va.ViParams(alpha=a, eta=0.8 * a),
-             lambda s: va.step_extragradient(prob, s, a, 0.8 * a)),
+             lambda s: oracles.step_extragradient(prob, s, a, 0.8 * a)),
             (va.ViParams(alpha=a, beta=0.3, gamma=0.3),
-             lambda s: va.step_nesterov(prob, s, a, 0.3)),
+             lambda s: oracles.step_nesterov(prob, s, a, 0.3)),
             (va.ViParams(alpha=a, tau=0.5 * a),
-             lambda s: va.step_ogda(prob, s, a, 0.5 * a)),
+             lambda s: oracles.step_ogda(prob, s, a, 0.5 * a)),
         ]
         z0 = np.ones(8)
         for prm, named in cases:
@@ -184,8 +185,8 @@ def test_criterion_07_accelerated_minimization_bounds():
     sb = va.OptState(x_curr=np.ones(20), v_curr=np.ones(20))
     for _ in range(100):
         sa = va.step_opt_extra_point(obj, sa, params, y_rule="p")
-        sb = va.step_opt_extra_point_simplified(obj, sb, params.theta,
-                                                params.delta)
+        sb = oracles.step_opt_extra_point_simplified(obj, sb, params.theta,
+                                                     params.delta)
         scale = max(1.0, float(np.linalg.norm(sa.x_curr)))
         ok &= float(np.linalg.norm(sa.x_curr - sb.x_curr)) <= 1e-12 * scale
         ok &= float(np.linalg.norm(sa.v_curr - sb.v_curr)) <= 1e-12 * scale

@@ -64,6 +64,27 @@ def test_missing_problem_file_returns_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_problem_path_that_is_a_directory_returns_two(tmp_path, capsys):
+    rc = main(["solve", "--problem", str(tmp_path),
+               "--method", "vanilla", "--alpha", "0.1"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_problem_file_missing_a_block_returns_two(tmp_path, capsys):
+    text = _gen(tmp_path).read_text()
+    start = text.index("begin meta.diag")
+    end = text.index("end meta.diag") + len("end meta.diag")
+    broken = tmp_path / "broken.txt"
+    broken.write_text(text[:start] + text[end:])
+    capsys.readouterr()
+    rc = main(["solve", "--problem", str(broken),
+               "--method", "vanilla", "--alpha", "0.1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in err and "meta.diag" in err
+
+
 def test_infeasible_certificate_returns_three(capsys):
     rc = main(["certify", "--regime", "vi-unrestricted", "--mu", "1",
                "--lip", "10", "--alpha", "0", "--eta", "0.025"])

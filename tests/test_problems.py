@@ -1,6 +1,7 @@
 """Seeded instance generators, reference solutions, and the text format."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,3 +267,33 @@ def test_parse_rejects_malformed_text():
     truncated = good[:good.rindex("end ")]
     with pytest.raises(ValueError):
         P.parse_problem(truncated)
+
+
+def test_parse_checks_required_blocks_and_their_shapes():
+    good = va.serialize_problem(va.gen_linear_vi(4, 0, 0.1)[0])
+    lines = good.splitlines()
+    skew = lines.index("begin meta.skew")
+    with pytest.raises(ValueError, match="meta.skew"):
+        P.parse_problem("\n".join(lines[:skew + 1] + lines[skew + 2:]))
+    with pytest.raises(ValueError, match="meta.offset"):
+        P.parse_problem(good.replace("begin meta.offset", "begin meta.other")
+                        .replace("end meta.offset", "end meta.other"))
+    with pytest.raises(ValueError, match="n must be"):
+        P.parse_problem(good.replace("n = 4", "n = zero"))
+    with pytest.raises(ValueError, match="mu must be"):
+        P.parse_problem(good.replace("\nmu = ", "\nmu_hat = "))
+    obj = va.serialize_problem(va.gen_logistic(3, 2, 0.005, 1))
+    with pytest.raises(ValueError, match="meta.lam"):
+        P.parse_problem(obj.replace("meta.lam = ", "meta.lambda = "))
+    with pytest.raises(ValueError, match="meta.data"):
+        P.parse_problem(obj.replace("n = 3", "n = 4"))
+    sad = va.serialize_problem(va.gen_bilinear_saddle(2, 3, 1))
+    with pytest.raises(ValueError, match="meta.bilinear"):
+        P.parse_problem(sad.replace("n = 5", "n = 6"))
+
+
+def test_readme_documents_the_written_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## File formats"):]
+    assert f"`{P.FORMAT_HEADER}`" in section
+    assert "end <kind>" not in readme

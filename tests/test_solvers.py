@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import viaccel as va
 from viaccel.solvers import METHODS, OPT_METHODS, VI_METHODS, Y_RULES
 
@@ -79,24 +80,24 @@ def test_vi_state_duplicates_start():
 def test_vanilla_step_examples():
     p = _identity()
     st = va.vi_state(p, np.array([1.0]))
-    assert va.step_vanilla(p, st, 0.5).z_curr[0] == 0.5
+    assert oracles.step_vanilla(p, st, 0.5).z_curr[0] == 0.5
     # orthant, F(z) = z - 2: from 0 the full step lands at 2, no clipping
     po = va.MonotoneProblem(dimension=1, operator=lambda z: z - 2.0,
                             feasible_set=va.NonnegativeOrthant(1),
                             mu=1.0, lip=1.0, solution=[2.0])
-    assert va.step_vanilla(po, va.vi_state(po, np.array([0.0])), 1.0).z_curr[0] == 2.0
+    assert oracles.step_vanilla(po, va.vi_state(po, np.array([0.0])), 1.0).z_curr[0] == 2.0
     # orthant, F(z) = z + 1: the step from 0 is clipped back to 0
     pc = va.MonotoneProblem(dimension=1, operator=lambda z: z + 1.0,
                             feasible_set=va.NonnegativeOrthant(1),
                             mu=1.0, lip=1.0, solution=[0.0])
-    assert va.step_vanilla(pc, va.vi_state(pc, np.array([0.0])), 1.0).z_curr[0] == 0.0
+    assert oracles.step_vanilla(pc, va.vi_state(pc, np.array([0.0])), 1.0).z_curr[0] == 0.0
 
 
 def test_extragradient_step_example():
     # half = 1 - 0.25 = 0.75, next = 1 - 0.25 * 0.75 = 13/16
     p = _identity()
     st = va.vi_state(p, np.array([1.0]))
-    out = va.step_extragradient(p, st, 0.25, 0.25)
+    out = oracles.step_extragradient(p, st, 0.25, 0.25)
     assert out.z_half[0] == 0.75
     assert out.z_curr[0] == 0.8125
 
@@ -106,7 +107,7 @@ def test_ogda_step_example():
     p = _identity()
     st = va.ViState(z_curr=np.array([1.0]), z_prev=np.array([2.0]),
                     f_curr=np.array([1.0]), f_prev=np.array([2.0]))
-    assert va.step_ogda(p, st, 0.5, 0.25).z_curr[0] == 0.75
+    assert oracles.step_ogda(p, st, 0.5, 0.25).z_curr[0] == 0.75
 
 
 def test_heavy_ball_step_example():
@@ -114,7 +115,7 @@ def test_heavy_ball_step_example():
     p = _identity()
     st = va.ViState(z_curr=np.array([1.0]), z_prev=np.array([0.0]),
                     f_curr=np.array([1.0]), f_prev=np.array([0.0]))
-    assert va.step_heavy_ball(p, st, 0.5, 0.1).z_curr[0] == 0.6
+    assert oracles.step_heavy_ball(p, st, 0.5, 0.1).z_curr[0] == 0.6
 
 
 def test_nesterov_step_example():
@@ -122,7 +123,7 @@ def test_nesterov_step_example():
     p = _identity()
     st = va.ViState(z_curr=np.array([1.0]), z_prev=np.array([0.0]),
                     f_curr=np.array([1.0]), f_prev=np.array([0.0]))
-    assert va.step_nesterov(p, st, 0.5, 0.2).z_curr[0] == pytest.approx(0.6, rel=1e-15)
+    assert oracles.step_nesterov(p, st, 0.5, 0.2).z_curr[0] == pytest.approx(0.6, rel=1e-15)
 
 
 def test_extra_point_step_example():
@@ -158,15 +159,15 @@ def test_extra_point_specializes_to_named_steppers_bitwise():
     prob, _ = va.gen_linear_vi(20, 1, 1e-2)
     cases = [
         (va.ViParams(alpha=0.02),
-         lambda s: va.step_vanilla(prob, s, 0.02)),
+         lambda s: oracles.step_vanilla(prob, s, 0.02)),
         (va.ViParams(alpha=0.02, gamma=0.3),
-         lambda s: va.step_heavy_ball(prob, s, 0.02, 0.3)),
+         lambda s: oracles.step_heavy_ball(prob, s, 0.02, 0.3)),
         (va.ViParams(alpha=0.02, tau=0.01),
-         lambda s: va.step_ogda(prob, s, 0.02, 0.01)),
+         lambda s: oracles.step_ogda(prob, s, 0.02, 0.01)),
         (va.ViParams(alpha=0.02, eta=0.02),
-         lambda s: va.step_extragradient(prob, s, 0.02, 0.02)),
+         lambda s: oracles.step_extragradient(prob, s, 0.02, 0.02)),
         (va.ViParams(alpha=0.02, beta=0.3, gamma=0.3),
-         lambda s: va.step_nesterov(prob, s, 0.02, 0.3)),
+         lambda s: oracles.step_nesterov(prob, s, 0.02, 0.3)),
     ]
     z0 = np.ones(20)
     for prm, named in cases:
@@ -176,6 +177,42 @@ def test_extra_point_specializes_to_named_steppers_bitwise():
             sa = va.step_extra_point(prob, sa, prm)
             sb = named(sb)
             assert np.array_equal(sa.z_curr, sb.z_curr)
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_run_matches_oracle_steppers_bitwise(constrained):
+    # every coefficient is nonzero, so run() must drop those outside each
+    # method's mask (and nesterov must take gamma from beta)
+    prob, _ = va.gen_linear_vi(20, 7, 1e-2, constrained=constrained)
+    a = 1.0 / (4.0 * prob.lip)
+    prm = va.ViParams(alpha=a, beta=0.3, gamma=0.2, eta=0.8 * a, tau=0.5 * a)
+    z0 = prob.feasible_set.project(np.ones(20))
+    for method in VI_METHODS[:-1]:
+        seen = []
+        tr = va.run(prob, method, prm, z0, va.StopRule(max_iter=300),
+                    potential=lambda s: seen.append(s) or 0.0)
+        step = oracles.oracle_step(method, prob, prm, restricted=constrained)
+        st = va.vi_state(prob, z0)
+        off_set = 0
+        for got in seen[1:]:
+            st = step(st)
+            assert np.array_equal(got.z_curr, st.z_curr), method
+            assert np.array_equal(got.z_half, st.z_half), method
+            off_set += int(st.z_half.min() < 0.0)
+        assert len(seen) == 301
+        assert np.array_equal(tr.final_point, st.z_curr)
+        if constrained and method == "nesterov":
+            assert off_set > 0  # the unprojected half point left the orthant
+
+
+def test_nesterov_run_refuses_domain_restricted_problems():
+    pr = va.MonotoneProblem(dimension=2, operator=lambda z: z.copy(),
+                            feasible_set=va.Box(np.zeros(2), np.ones(2)),
+                            mu=1.0, lip=1.0, solution=np.zeros(2),
+                            domain_restricted=True)
+    with pytest.raises(ValueError):
+        va.run(pr, "nesterov", va.ViParams(alpha=0.1, beta=0.1),
+               np.full(2, 0.5), va.StopRule(max_iter=3))
 
 
 def test_state_caches_match_fresh_operator_evaluations():
@@ -195,15 +232,19 @@ def test_domain_restricted_gating():
                             solution=np.zeros(2), domain_restricted=True)
     st = va.vi_state(pr, np.full(2, 0.5))
     with pytest.raises(ValueError):
-        va.step_nesterov(pr, st, 0.1, 0.1)
+        oracles.step_nesterov(pr, st, 0.1, 0.1)
     with pytest.raises(ValueError):
-        va.step_extragradient(pr, st, 0.1, 0.1, restricted=False)
-    out = va.step_extragradient(pr, st, 0.1, 0.1, restricted=True)
+        oracles.step_extragradient(pr, st, 0.1, 0.1, restricted=False)
+    out = oracles.step_extragradient(pr, st, 0.1, 0.1, restricted=True)
     assert box.contains(out.z_half, tol=0.0)
     # the projected variant also keeps the extra-point half step feasible
     prm = va.ViParams(alpha=0.1, beta=0.2, gamma=0.2, eta=0.1, tau=0.01)
     out2 = va.step_extra_point(pr, st, prm, restricted=True)
     assert box.contains(out2.z_half, tol=0.0)
+    # only a half point off the current iterate needs the projection
+    with pytest.raises(ValueError):
+        va.step_extra_point(pr, st, va.ViParams(alpha=0.1, beta=0.1, gamma=0.1))
+    va.step_extra_point(pr, st, va.ViParams(alpha=0.1, gamma=0.1, tau=0.01))
 
 
 def test_opt_step_worked_example_both_y_rules():
@@ -226,7 +267,7 @@ def test_simplified_opt_stepper_matches_generic():
     sb = va.OptState(x_curr=x0.copy(), v_curr=x0.copy())
     for _ in range(50):
         sa = va.step_opt_extra_point(obj, sa, prm, y_rule="p")
-        sb = va.step_opt_extra_point_simplified(obj, sb, theta, delta)
+        sb = oracles.step_opt_extra_point_simplified(obj, sb, theta, delta)
         scale = max(1.0, float(np.linalg.norm(sa.x_curr)))
         assert np.linalg.norm(sa.x_curr - sb.x_curr) <= 1e-12 * scale
         assert np.linalg.norm(sa.v_curr - sb.v_curr) <= 1e-12 * scale
@@ -285,6 +326,18 @@ def test_run_raises_divergence_with_partial_trace():
     trace = info.value.trace
     assert trace.terminated_by == "divergence"
     assert len(trace.records) >= 2  # the start plus at least one grown iterate
+
+
+def test_run_step_overflowing_to_inf_is_divergence():
+    # 2 - 1.7e308 * 2 overflows to -inf inside the step
+    prob = _identity(1, solution=np.zeros(1))
+    with np.errstate(over="ignore"), pytest.raises(va.DivergenceError) as info:
+        va.run(prob, "vanilla", va.ViParams(alpha=1.7e308), np.array([2.0]),
+               va.StopRule(max_iter=10))
+    assert info.value.trace.terminated_by == "divergence"
+    assert len(info.value.trace.records) == 1
+    with pytest.raises(ValueError):  # the boundary still validates input
+        va.project(va.WholeSpace(1), [np.inf])
 
 
 def test_run_records_meta_and_is_deterministic():
