@@ -341,10 +341,10 @@ def _start_point(target):
 
 
 def _iters_to_tol(trace: H.IterateTrace, tol: float):
-    for rec in trace.records:
-        if rec.merit_aux is not None and rec.merit_aux <= tol:
-            return rec.k
-    return None
+    """First k whose stop-rule merit is <= tol: the gradient norm for opt
+    runs, the natural residual for VI runs."""
+    merit = "merit_primary" if trace.method in S.OPT_METHODS else "merit_aux"
+    return next((r.k for r in trace.records if getattr(r, merit) <= tol), None)
 
 
 def _write_outputs(trace: H.IterateTrace, name: str, output: dict):
@@ -555,7 +555,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError) as err:
+    except (ValueError, TypeError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

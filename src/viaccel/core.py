@@ -31,6 +31,12 @@ def as_vector(z, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
+def norm2(z: np.ndarray) -> float:
+    """Euclidean norm of a trusted float64 array, bit-identical to np.linalg.norm."""
+    z = z.ravel(order="K")
+    return math.sqrt(z.dot(z))
+
+
 def format_float(x, missing: Optional[str] = None) -> str:
     """Round-trip text for a float: 17 significant digits, '.' separator.
 
@@ -117,7 +123,7 @@ class EuclideanBall(FeasibleSet):
 
     def project(self, z: np.ndarray) -> np.ndarray:
         d = z - self.center
-        nd = np.linalg.norm(d)
+        nd = norm2(d)
         if nd <= self.radius:
             return z
         return self.center + (self.radius / nd) * d
@@ -273,9 +279,9 @@ def vi_merits(problem: MonotoneProblem, z: np.ndarray,
     """
     if fz is None:
         fz = problem.operator(z)
-    res = float(np.linalg.norm(z - problem.feasible_set.project(z - fz)))
+    res = norm2(z - problem.feasible_set.project(z - fz))
     if problem.feasible_set.unbounded_whole_space:
-        return float(np.linalg.norm(fz)), res
+        return norm2(fz), res
     return float(abs(z @ fz)), res
 
 

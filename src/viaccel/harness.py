@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (MonotoneProblem, SmoothObjective, as_vector, format_float,
-                   vi_merits)
+                   norm2, vi_merits)
 
 # Iterates whose norm passes this guard terminate a run as divergent.
 DIVERGENCE_NORM = 1e12
@@ -377,14 +377,16 @@ def power_iteration_norm(op, dimension: Optional[int] = None, iters: int = 500,
     ``adjoint`` (v -> M^T v) and ``dimension`` are required. The estimate
     approaches ||M||_2 from below with relative error on the order of
     (s2/s1)^(2 iters) for leading singular values s1 > s2, so it is a
-    one-sided (never overshooting) bound up to roundoff.
+    one-sided (never overshooting) bound up to roundoff. The start vector
+    is seeded, so an operand always gives the same bits: gen_linear_vi
+    relies on that to end its scale bisection at a fixed point and to
+    reuse the last step's norm as lip.
     """
     if isinstance(op, np.ndarray):
         M = np.asarray(op, dtype=np.float64)
         if M.ndim != 2:
             raise ValueError("matrix operand must be 2-D")
-        apply_m = lambda v: M @ v
-        apply_t = lambda v: M.T @ v
+        apply_m, apply_t = M.dot, M.T.dot
         dimension = M.shape[1]
     else:
         if adjoint is None or dimension is None:
@@ -392,17 +394,17 @@ def power_iteration_norm(op, dimension: Optional[int] = None, iters: int = 500,
         apply_m, apply_t = op, adjoint
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dimension)
-    nv = np.linalg.norm(v)
+    nv = norm2(v)
     if nv == 0.0:
         return 0.0
     v /= nv
     for _ in range(iters):
         w = apply_t(apply_m(v))
-        nw = np.linalg.norm(w)
+        nw = norm2(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-    return float(np.linalg.norm(apply_m(v)))
+    return norm2(apply_m(v))
 
 
 def reference_minimum(objective: SmoothObjective, tol: float = 1e-12,
@@ -421,7 +423,7 @@ def reference_minimum(objective: SmoothObjective, tol: float = 1e-12,
     x = np.zeros(objective.dimension)
     state = OptState(x_curr=x, v_curr=x.copy())
     for k in range(max_iter):
-        if float(np.linalg.norm(objective.gradient(state.x_curr))) <= tol:
+        if norm2(objective.gradient(state.x_curr)) <= tol:
             return state.x_curr, float(objective.value(state.x_curr)), k
         state = step_opt_extra_point(objective, state, params,
                                      y_rule="grad-step")

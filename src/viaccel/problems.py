@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (FeasibleSet, MonotoneProblem, NonnegativeOrthant,
-                   SmoothObjective, WholeSpace, format_float)
+                   SmoothObjective, WholeSpace, format_float, norm2)
 from .harness import finite_diff_jacobian, power_iteration_norm
 
 FORMAT_HEADER = "vi-accel-problem v1"
@@ -66,7 +66,7 @@ class LogisticSpec:
 
 def _linear_vi_operator(diag: np.ndarray, skew: np.ndarray):
     M = np.diag(diag) + skew
-    return M, (lambda z: M @ z)
+    return M, M.dot
 
 
 def _bilinear_matrix(B: np.ndarray, mu_x: float, mu_y: float) -> np.ndarray:
@@ -84,7 +84,7 @@ def _quadratic_functions(M: np.ndarray, q: np.ndarray):
         return float(0.5 * (x @ (M @ x)) + q @ x)
 
     def gradient(x):
-        return M @ x + q
+        return M.dot(x) + q
 
     return value, gradient
 
@@ -115,8 +115,12 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
     (scaled mu is its exact minimum); the skew part has uniform [-1, 1]
     entries above the diagonal. A log-scale bisection picks the diagonal
     scale c so that mu / lip hits target_sigma, capped at 98% of the
-    largest ratio the shape admits. Constrained instances live on the
-    nonnegative orthant with a complementarity reference solution.
+    largest ratio the shape admits. Its 120 steps stop early once one
+    leaves the bracket unchanged: the update is deterministic, so the rest
+    could not move it. lip reuses the last step's norm when c is that
+    step's scale, so both shortcuts leave every bit as the full search
+    would. Constrained instances live on the nonnegative orthant with a
+    complementarity reference solution.
 
     Returns (MonotoneProblem, LinearOperatorSpec).
     """
@@ -137,18 +141,22 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
     skew = skew - skew.T
     offset = rng.uniform(-1.0, 1.0, n)
 
+    last = {}  # the last evaluated scale and its operator norm
+
     def sigma_of(c: float) -> float:
-        M = np.diag(c * diag0) + skew
-        return c / power_iteration_norm(M)
+        last.update(c=c, norm=power_iteration_norm(np.diag(c * diag0) + skew))
+        return c / last["norm"]
 
     goal = min(target_sigma, 0.98 * sigma_of(1e6))
     lo_c, hi_c = math.log(1e-12), math.log(1e6)
     for _ in range(120):
-        mid = 0.5 * (lo_c + hi_c)
+        mid, bracket = 0.5 * (lo_c + hi_c), (lo_c, hi_c)
         if sigma_of(math.exp(mid)) < goal:
             lo_c = mid
         else:
             hi_c = mid
+        if (lo_c, hi_c) == bracket:  # a fixed point: no later step moves it
+            break
     c = math.exp(0.5 * (lo_c + hi_c))
 
     diag = c * diag0
@@ -159,7 +167,7 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
         return lin(z) + offset
 
     mu = float(diag.min())
-    lip = power_iteration_norm(M)
+    lip = last["norm"] if c == last["c"] else power_iteration_norm(M)
     meta = {"diag": diag, "skew": skew, "offset": offset,
             "target_sigma": float(target_sigma), "constrained": bool(constrained)}
 
@@ -192,10 +200,10 @@ def solve_linear_reference(spec: LinearOperatorSpec, feasible_set: FeasibleSet,
     alpha = 1.0 / (4.0 * lip)
     z = np.zeros(len(q))
     for _ in range(1_000_000):
-        w = M @ z + q
-        res = float(np.linalg.norm(z - np.maximum(z - w, 0.0)))
+        w = M.dot(z) + q
+        res = norm2(z - np.maximum(z - w, 0.0))
         if res <= tol:
-            scale = 1.0 + float(np.linalg.norm(z)) + float(np.linalg.norm(w))
+            scale = 1.0 + norm2(z) + norm2(w)
             comp_tol = 1e-9 * scale
             if z.min(initial=0.0) < -comp_tol or w.min(initial=0.0) < -comp_tol \
                     or abs(float(z @ w)) > comp_tol:
@@ -203,7 +211,7 @@ def solve_linear_reference(spec: LinearOperatorSpec, feasible_set: FeasibleSet,
                                    "complementarity check")
             return z
         half = np.maximum(z - alpha * w, 0.0)
-        z = np.maximum(z - alpha * (M @ half + q), 0.0)
+        z = np.maximum(z - alpha * (M.dot(half) + q), 0.0)
     raise RuntimeError("complementarity reference solve did not converge")
 
 
@@ -231,7 +239,7 @@ def gen_quadratic(n: int, seed: int, target_sigma: float) -> SmoothObjective:
             v = G[i].copy()
             for j in range(i):
                 v -= (Q[j] @ v) * Q[j]
-            nv = np.linalg.norm(v)
+            nv = norm2(v)
             if nv < 1e-8:
                 ok = False
                 break
@@ -299,11 +307,7 @@ def gen_bilinear_saddle(nx: int, ny: int, seed: int, mu_x: float = 1.0,
     B = rng.uniform(-1.0, 1.0, (nx, ny))
     M = _bilinear_matrix(B, float(mu_x), float(mu_y))
     dim = nx + ny
-
-    def op(z):
-        return M @ z
-
-    return MonotoneProblem(dimension=dim, operator=op,
+    return MonotoneProblem(dimension=dim, operator=M.dot,
                            feasible_set=WholeSpace(dim),
                            mu=float(min(mu_x, mu_y)),
                            lip=power_iteration_norm(M),
@@ -352,7 +356,7 @@ def estimate_constants(target, trials: int = 200,
             continue
         df = op(u) - op(v)
         mu_hat = min(mu_hat, float(df @ du) / nd)
-        lip_hat = max(lip_hat, float(np.linalg.norm(df)) / math.sqrt(nd))
+        lip_hat = max(lip_hat, norm2(df) / math.sqrt(nd))
 
     J = finite_diff_jacobian(op, proj(np.zeros(dimension)))
     lip_hat = max(lip_hat, power_iteration_norm(J, iters=1000))
@@ -528,7 +532,7 @@ def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
                                  f"whose sides must sum to n = {dim}")
             M = _bilinear_matrix(B, number("meta.mu_x", meta.get("mu_x")),
                                  number("meta.mu_y", meta.get("mu_y")))
-            op = lambda z, _M=M: _M @ z
+            op = M.dot
         else:
             raise ValueError(f"unknown problem kind {kind!r}")
         fs_name = keys.get("feasible_set")

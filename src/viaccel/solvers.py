@@ -27,7 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import MonotoneProblem, SmoothObjective, as_vector, vi_merits
+from .core import (MonotoneProblem, SmoothObjective, as_vector, norm2,
+                   vi_merits)
 from .harness import (DIVERGENCE_NORM, DivergenceError, IterateTrace,
                       TraceRecord, now_ns)
 
@@ -257,7 +258,7 @@ def run(target, method: str, params, start, stop: StopRule,
         step = partial(step_opt_extra_point, target, params=params, y_rule="p")
 
         def merits(s: OptState) -> tuple:
-            gn = float(np.linalg.norm(target.gradient(s.x_curr)))
+            gn = norm2(target.gradient(s.x_curr))
             gap = None if f_star is None else float(target.value(s.x_curr) - f_star)
             return gn, gap, gn
     else:
@@ -299,7 +300,7 @@ def run(target, method: str, params, start, stop: StopRule,
             break
         state = step(state)
         # a non-finite entry makes the norm nan or inf, which fails the test
-        if not float(np.linalg.norm(point(state))) <= DIVERGENCE_NORM or \
+        if not norm2(point(state)) <= DIVERGENCE_NORM or \
                 (opt and not np.all(np.isfinite(state.v_curr))):
             trace.terminated_by = "divergence"
             trace.final_point = point(state)

@@ -1,12 +1,23 @@
-"""Reference steppers that spell out each named method's own arithmetic.
+"""Reference implementations that spell out the plain arithmetic.
 
 The library runs every variational-inequality method as a parameter mask
 of solvers.step_extra_point, and the minimization scheme through the
 generic nine-coefficient step. These hand-written updates exist only to
 cross-check that: the tests compare the library against them bit for bit
 (or to roundoff, for the reduced minimization form).
+
+The generator oracles keep the full 120-step scale search of the linear-VI
+generator, a power iteration through np.linalg.norm and the matmul
+operator, and the orthant reference solve written the same way. The library
+stops the search at its fixed point and uses ndarray.dot and core.norm2;
+the tests require identical instance text.
 """
 
+import math
+
+import numpy as np
+
+from viaccel.core import MonotoneProblem, NonnegativeOrthant, WholeSpace
 from viaccel.solvers import OptState, ViState
 
 
@@ -113,3 +124,82 @@ def oracle_step(method, problem, params, restricted):
         "heavy-ball": lambda s: step_heavy_ball(problem, s, p.alpha, p.gamma),
         "nesterov": lambda s: step_nesterov(problem, s, p.alpha, p.beta),
     }[method]
+
+
+def power_iteration_norm(op, dimension=None, iters=500, seed=0, adjoint=None):
+    """Spectral-norm estimate via power iteration on M^T M, as plain numpy."""
+    if isinstance(op, np.ndarray):
+        M = np.asarray(op, dtype=np.float64)
+        apply_m = lambda v: M @ v
+        apply_t = lambda v: M.T @ v
+        dimension = M.shape[1]
+    else:
+        apply_m, apply_t = op, adjoint
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dimension)
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return 0.0
+    v /= nv
+    for _ in range(iters):
+        w = apply_t(apply_m(v))
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+    return float(np.linalg.norm(apply_m(v)))
+
+
+def solve_linear_reference(M, q, fset, lip, tol=1e-12):
+    """Whole-space solve, or projected half steps on the orthant to tol."""
+    if isinstance(fset, WholeSpace):
+        return np.linalg.solve(M, -q)
+    alpha = 1.0 / (4.0 * lip)
+    z = np.zeros(len(q))
+    for _ in range(1_000_000):
+        w = M @ z + q
+        if float(np.linalg.norm(z - np.maximum(z - w, 0.0))) <= tol:
+            return z
+        half = np.maximum(z - alpha * w, 0.0)
+        z = np.maximum(z - alpha * (M @ half + q), 0.0)
+    raise RuntimeError("complementarity reference solve did not converge")
+
+
+def gen_linear_vi(n, seed, target_sigma, constrained=False):
+    """The linear-VI generator with every one of its 120 bisection steps."""
+    rng = np.random.default_rng(seed)
+    span = min(2.0, math.log10(1.0 / target_sigma)) if target_sigma < 1.0 else 0.0
+    u = rng.uniform(0.0, 1.0, n)
+    lo, hi = u.min(), u.max()
+    expo = (u - lo) / (hi - lo) * span if hi > lo else np.zeros(n)
+    diag0 = 10.0 ** expo
+    T = rng.uniform(-1.0, 1.0, (n, n))
+    skew = np.triu(T, 1)
+    skew = skew - skew.T
+    offset = rng.uniform(-1.0, 1.0, n)
+
+    def sigma_of(c):
+        return c / power_iteration_norm(np.diag(c * diag0) + skew)
+
+    goal = min(target_sigma, 0.98 * sigma_of(1e6))
+    lo_c, hi_c = math.log(1e-12), math.log(1e6)
+    for _ in range(120):
+        mid = 0.5 * (lo_c + hi_c)
+        if sigma_of(math.exp(mid)) < goal:
+            lo_c = mid
+        else:
+            hi_c = mid
+    c = math.exp(0.5 * (lo_c + hi_c))
+
+    diag = c * diag0
+    M = np.diag(diag) + skew
+    lip = power_iteration_norm(M)
+    fset = NonnegativeOrthant(n) if constrained else WholeSpace(n)
+    return MonotoneProblem(
+        dimension=n, operator=lambda z: M @ z + offset, feasible_set=fset,
+        mu=float(diag.min()), lip=lip,
+        solution=solve_linear_reference(M, offset, fset, lip),
+        kind="linear-vi", seed=seed,
+        meta={"diag": diag, "skew": skew, "offset": offset,
+              "target_sigma": float(target_sigma),
+              "constrained": bool(constrained)})

@@ -295,3 +295,40 @@ def test_config_serialization_formats_floats_stably():
     text = serialize_config(cfg)
     assert "method.1.alpha = 0.33333333333333331" in text
     assert parse_config(text).methods[0].params["alpha"] == 1.0 / 3.0
+
+
+def test_runtime_error_from_a_reference_solve_returns_two(tmp_path, monkeypatch,
+                                                          capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("complementarity reference solve did not converge")
+
+    monkeypatch.setattr(va.problems, "solve_linear_reference", fail)
+    rc = main(["generate", "--kind", "linear-vi", "--n", "4", "--constrained",
+               "--out", str(tmp_path / "p.txt")])
+    assert rc == 2
+    assert "error: complementarity reference solve" in capsys.readouterr().err
+
+
+def _table_row(out, method):
+    header, *rows = out.splitlines()
+    return next(dict(zip(header.split(), r.split())) for r in rows
+                if r.split()[0] == method)
+
+
+def test_compare_iters_at_tol_follows_the_opt_stop_rule(tmp_path, capsys):
+    rc = main(["compare", "--kind", "quadratic", "--n", "8", "--seed", "2",
+               "--sigma", "0.05", "--methods", "opt-extra-point",
+               "--preset", "table", "--tol", "1e-8", "--out-dir", str(tmp_path)])
+    row = _table_row(capsys.readouterr().out, "opt-extra-point")
+    last = (tmp_path / "opt-extra-point.csv").read_text().splitlines()[-1]
+    assert rc == 0 and row["status"] == "tolerance"
+    assert row["iters@tol"] == last.split(",")[0]
+
+
+def test_compare_iters_at_tol_is_filled_on_logistic_instances(tmp_path, capsys):
+    rc = main(["compare", "--kind", "logistic", "--n", "5", "--seed", "3",
+               "--num-samples", "20", "--methods", "opt-extra-point",
+               "--preset", "table", "--tol", "1e-8", "--out-dir", str(tmp_path)])
+    row = _table_row(capsys.readouterr().out, "opt-extra-point")
+    assert rc == 0 and row["status"] == "tolerance"
+    assert row["iters@tol"].isdigit()

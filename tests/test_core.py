@@ -181,3 +181,15 @@ def test_problem_is_callable():
     p = va.MonotoneProblem(dimension=2, operator=lambda z: 2.0 * z,
                            feasible_set=va.WholeSpace(2), mu=2.0, lip=2.0)
     assert np.array_equal(p(np.array([1.0, -1.0])), [2.0, -2.0])
+
+
+def test_norm2_matches_linalg_norm_bit_for_bit():
+    from viaccel.core import norm2
+    x = np.random.default_rng(5).standard_normal(41)
+    cases = [x, x[::2], x[::-1], np.zeros(7), np.array([-3.5]),
+             np.array([1e200, -1e200]), np.array([1.0, np.nan, 2.0])]
+    with np.errstate(over="ignore"):
+        for v in cases:
+            got, want = norm2(v), np.linalg.norm(v)
+            assert np.float64(got).tobytes() == want.tobytes()
+        assert norm2(np.array([1e200, -1e200])) == np.inf

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import viaccel as va
 import viaccel.certify as C
 from viaccel.harness import (CSV_HEADER, IterateTrace, TraceRecord,
@@ -355,3 +356,14 @@ def test_jsonl_round_trip_with_nulls(tmp_path):
         assert obj["merit_primary"] == rec.merit_primary
         assert obj["potential"] is None
         assert obj["dist_sq"] == rec.dist_sq
+
+
+def test_power_iteration_norm_matches_the_plain_loop_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for shape in ((3, 3), (20, 20), (200, 200), (30, 7), (7, 30)):
+        M = rng.uniform(-1.0, 1.0, shape)
+        assert va.power_iteration_norm(M) == oracles.power_iteration_norm(M)
+    sq = rng.standard_normal((12, 12))
+    kw = dict(dimension=12, adjoint=lambda v: sq.T @ v)
+    assert va.power_iteration_norm(lambda v: sq @ v, **kw) == \
+        oracles.power_iteration_norm(lambda v: sq @ v, **kw)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import viaccel as va
 import viaccel.problems as P
 
@@ -47,6 +48,25 @@ def test_linear_vi_operator_matches_its_spec():
         z = rng.standard_normal(10)
         assert np.allclose(prob.operator(z), spec.m @ z + spec.q,
                            rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n,seed,sigma,constrained", [
+    (2, 0, 1.0, False), (2, 1, 1e-1, True), (3, 7, 1e-2, True),
+    (5, 1, 1e-3, False), (5, 202, 1e-2, True), (20, 101, 1e-2, False),
+    (20, 202, 1e-2, True)])
+def test_linear_vi_matches_the_full_scale_search(n, seed, sigma, constrained):
+    want = P.serialize_problem(oracles.gen_linear_vi(n, seed, sigma, constrained))
+    got = P.serialize_problem(va.gen_linear_vi(n, seed, sigma, constrained)[0])
+    assert got == want
+
+
+def test_linear_vi_scale_search_stops_at_its_fixed_point(monkeypatch):
+    calls = []
+    norm = P.power_iteration_norm
+    monkeypatch.setattr(P, "power_iteration_norm",
+                        lambda *a, **kw: calls.append(1) or norm(*a, **kw))
+    va.gen_linear_vi(20, 101, 1e-2)
+    assert len(calls) <= 64  # the full 120-step search makes 122
 
 
 def test_linear_vi_input_validation():
@@ -250,6 +270,31 @@ def test_objective_round_trips_bit_exactly():
             assert np.array_equal(obj.gradient(x), back.gradient(x))
         assert obj.mu == back.mu and obj.lip == back.lip
         assert text == va.serialize_problem(back)
+
+
+def test_linear_operators_equal_the_plain_matvec_bit_for_bit(tmp_path):
+    def plain(obj):
+        m = obj.meta
+        if obj.kind == "linear-vi":
+            return lambda z: (np.diag(m["diag"]) + m["skew"]) @ z + m["offset"]
+        if obj.kind == "quadratic":
+            return lambda z: m["hessian"] @ z + m["linear"]
+        M = P._bilinear_matrix(m["bilinear"], m["mu_x"], m["mu_y"])
+        return lambda z: M @ z
+
+    instances = [va.gen_linear_vi(20, 3, 1e-2)[0],
+                 va.gen_linear_vi(7, 4, 5e-2, constrained=True)[0],
+                 va.gen_bilinear_saddle(6, 9, 5), va.gen_quadratic(15, 6, 1e-2)]
+    rng = np.random.default_rng(21)
+    for i, obj in enumerate(instances):
+        path = tmp_path / f"instance{i}.txt"
+        va.write_problem(path, obj)
+        want = plain(obj)
+        for inst in (obj, va.read_problem(path)):
+            apply = getattr(inst, "operator", None) or inst.gradient
+            for _ in range(3):
+                z = rng.standard_normal(obj.dimension)
+                assert np.array_equal(apply(z), want(z))
 
 
 def test_file_round_trip(tmp_path):
