@@ -28,6 +28,13 @@ from .core import (MonotoneProblem, SmoothObjective, format_float,
 
 VI_PARAM_KEYS = ("alpha", "beta", "gamma", "eta", "tau")
 OPT_PARAM_KEYS = tuple(f"t{i}" for i in range(1, 10)) + ("theta", "c", "delta")
+# the keys each flat config section takes; method.<i>.* is parsed apart
+SECTION_KEYS = {
+    "problem": ("file", "kind", "n", "seed", "target_sigma", "constrained",
+                "num_samples", "lam", "nx", "ny", "mu_x", "mu_y"),
+    "stop": ("max_iter", "tol"),
+    "output": ("directory", "formats", "thinning"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +58,7 @@ class ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    problem, stop, output = {}, {}, {}
+    sections = {name: {} for name in SECTION_KEYS}
     methods = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -62,12 +69,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split(" = ", 1))
         value = P._parse_scalar(value)
         parts = key.split(".")
-        if parts[0] == "problem" and len(parts) == 2:
-            problem[parts[1]] = value
-        elif parts[0] == "stop" and len(parts) == 2:
-            stop[parts[1]] = value
-        elif parts[0] == "output" and len(parts) == 2:
-            output[parts[1]] = value
+        if len(parts) == 2 and parts[1] in SECTION_KEYS.get(parts[0], ()):
+            sections[parts[0]][parts[1]] = value
         elif parts[0] == "method" and len(parts) == 3:
             idx = int(parts[1])
             spec = methods.setdefault(idx, MethodSpec(name=""))
@@ -92,8 +95,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for spec in specs:
         if not spec.name:
             raise ValueError("every method entry needs a name")
-    return ExperimentConfig(problem=problem, methods=specs, stop=stop,
-                            output=output)
+    return ExperimentConfig(methods=specs, **sections)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -128,23 +130,29 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:
     """Instantiate the problem section of a config."""
     if "file" in spec:
-        return P.read_problem(spec["file"])
+        return P.read_problem(str(spec["file"]))
+
+    def need(key):
+        if key not in spec:
+            raise ValueError(f"config needs problem.{key}")
+        return spec[key]
+
     kind = spec.get("kind")
     if kind == "linear-vi":
-        problem, _ = P.gen_linear_vi(int(spec["n"]), int(spec["seed"]),
-                                     float(spec["target_sigma"]),
+        problem, _ = P.gen_linear_vi(int(need("n")), int(need("seed")),
+                                     float(need("target_sigma")),
                                      constrained=bool(spec.get("constrained",
                                                                False)))
         return problem
     if kind == "quadratic":
-        return P.gen_quadratic(int(spec["n"]), int(spec["seed"]),
-                               float(spec["target_sigma"]))
+        return P.gen_quadratic(int(need("n")), int(need("seed")),
+                               float(need("target_sigma")))
     if kind == "logistic":
-        return P.gen_logistic(int(spec["n"]), int(spec["num_samples"]),
-                              float(spec["lam"]), int(spec["seed"]))
+        return P.gen_logistic(int(need("n")), int(need("num_samples")),
+                              float(need("lam")), int(need("seed")))
     if kind == "bilinear-saddle":
-        return P.gen_bilinear_saddle(int(spec["nx"]), int(spec["ny"]),
-                                     int(spec["seed"]),
+        return P.gen_bilinear_saddle(int(need("nx")), int(need("ny")),
+                                     int(need("seed")),
                                      mu_x=float(spec.get("mu_x", 1.0)),
                                      mu_y=float(spec.get("mu_y", 1.0)))
     raise ValueError(f"unknown problem kind {kind!r}")
@@ -159,64 +167,75 @@ def _vi_regime(problem: MonotoneProblem) -> str:
     return C.REGIME_VI_UNRESTRICTED
 
 
+def assemble_params(regime: str, preset: Optional[str], params: dict,
+                    mu: float, lip: float):
+    """The one path from a preset token or coefficient entries to step
+    parameters; returns (params, from_defaults).
+
+    No step coefficients (opt may still pass delta) means the paper
+    defaults. A preset takes no coefficients, except delta with
+    paper-default in the opt regime. Explicit VI coefficients need alpha;
+    explicit opt coefficients need t1..t9, theta and c, with delta
+    defaulting to t3. The table preset resolves to None here: its entries
+    depend on the method and the instance (presets.table_preset).
+    """
+    opt = regime == C.REGIME_OPT
+    unknown = set(params) - set(OPT_PARAM_KEYS if opt else VI_PARAM_KEYS)
+    if unknown:
+        raise ValueError(f"the {regime} regime does not take "
+                         f"{', '.join(sorted(unknown))}")
+    if preset is not None and preset not in PR.PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; "
+                         f"expected one of {PR.PRESETS}")
+    steps = set(params) - {"delta"}
+    taken = steps if preset == PR.PAPER_DEFAULT else params
+    if preset is not None and taken:
+        raise ValueError(f"preset {preset} takes no coefficients, got "
+                         f"{', '.join(sorted(params))}")
+    if preset == PR.TABLE:
+        return None, False
+    if not steps:
+        return C.default_params(regime, mu, lip,
+                                delta=params.get("delta", 0.5)), True
+    if not opt:
+        if "alpha" not in params:
+            raise ValueError("explicit VI coefficients need --alpha "
+                             "(or a preset)")
+        return S.ViParams(**params), False
+    missing = [k for k in OPT_PARAM_KEYS[:11] if k not in params]
+    if missing:
+        raise ValueError(f"explicit opt coefficients need t1..t9, theta, c "
+                         f"(missing {', '.join(missing)}) or a preset")
+    return S.OptParams(t=tuple(params[f"t{i}"] for i in range(1, 10)),
+                       theta=params["theta"], c=params["c"],
+                       delta=params.get("delta", params["t3"])), False
+
+
 def build_method(spec: MethodSpec, target):
     """Resolve (run_target, params, certificate-regime) for one method.
 
     Operator methods on an objective run against its gradient problem.
-    The returned regime is non-None only for paper-default extra-point
-    runs, which carry a provable certificate.
+    The returned regime is non-None only for extra-point and
+    opt-extra-point runs at the paper defaults, which carry a provable
+    certificate.
     """
     if spec.name not in S.METHODS:
         raise ValueError(f"unknown method {spec.name!r}; "
                          f"expected one of {S.METHODS}")
-    is_opt = spec.name in S.OPT_METHODS
-    if is_opt:
+    if spec.name in S.OPT_METHODS:
         if not isinstance(target, SmoothObjective):
             raise ValueError(f"{spec.name} needs a smooth objective")
-        run_target = target
+        run_target, regime = target, C.REGIME_OPT
     else:
         run_target = gradient_problem(target) \
             if isinstance(target, SmoothObjective) else target
-
-    regime = None
-    if spec.preset == PR.TABLE:
+        regime = _vi_regime(run_target)
+    params, from_defaults = assemble_params(regime, spec.preset, spec.params,
+                                            run_target.mu, run_target.lip)
+    if params is None:
         params = PR.table_preset(spec.name, target)
-    elif spec.preset == PR.PAPER_DEFAULT:
-        if is_opt:
-            regime = C.REGIME_OPT
-            params = C.default_params(regime, target.mu, target.lip,
-                                      delta=spec.params.get("delta", 0.5))
-        else:
-            regime = _vi_regime(run_target)
-            params = C.default_params(regime, run_target.mu, run_target.lip)
-            if spec.name != "extra-point":
-                regime = None  # certificate only covers the full scheme
-    elif spec.preset is not None:
-        raise ValueError(f"unknown preset {spec.preset!r}; "
-                         f"expected one of {PR.PRESETS}")
-    elif is_opt:
-        if set(spec.params) <= {"delta"}:
-            regime = C.REGIME_OPT
-            params = C.default_params(regime, target.mu, target.lip,
-                                      delta=spec.params.get("delta", 0.5))
-        else:
-            missing = [k for k in OPT_PARAM_KEYS[:11] if k not in spec.params]
-            if missing:
-                raise ValueError(f"opt-extra-point needs t1..t9, theta, c "
-                                 f"(missing {', '.join(missing)}) or a preset")
-            params = S.OptParams(
-                t=tuple(spec.params[f"t{i}"] for i in range(1, 10)),
-                theta=spec.params["theta"], c=spec.params["c"],
-                delta=spec.params.get("delta", spec.params["t3"]))
-    else:
-        vi_kwargs = {k: v for k, v in spec.params.items() if k in VI_PARAM_KEYS}
-        extra = set(spec.params) - set(vi_kwargs)
-        if extra:
-            raise ValueError(f"{spec.name} does not take {sorted(extra)}")
-        if "alpha" not in vi_kwargs:
-            raise ValueError(f"{spec.name} needs --alpha (or a preset)")
-        params = S.ViParams(**vi_kwargs)
-    return run_target, params, regime
+    certified = from_defaults and spec.name in ("extra-point",) + S.OPT_METHODS
+    return run_target, params, regime if certified else None
 
 
 def _certified_potential(run_target, params, regime):
@@ -238,7 +257,10 @@ def _certified_potential(run_target, params, regime):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_generate(args) -> int:
+def _problem_spec(args) -> dict:
+    """The config problem section that the problem flags describe."""
+    if getattr(args, "problem", None):
+        return {"file": args.problem}
     spec = {"kind": args.kind, "seed": args.seed}
     if args.kind in ("linear-vi", "quadratic"):
         spec.update(n=args.n, target_sigma=args.sigma,
@@ -247,7 +269,11 @@ def cmd_generate(args) -> int:
         spec.update(n=args.n, num_samples=args.num_samples, lam=args.lam)
     else:
         spec.update(nx=args.nx, ny=args.ny, mu_x=args.mu_x, mu_y=args.mu_y)
-    obj = build_problem(spec)
+    return spec
+
+
+def cmd_generate(args) -> int:
+    obj = build_problem(_problem_spec(args))
 
     out = args.out
     if out is None:
@@ -267,28 +293,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _certify_params(args):
-    if args.regime == C.REGIME_OPT:
-        if args.t is not None:
-            tvals = [float(v) for v in args.t.split(",")]
-            if len(tvals) != 9:
-                raise ValueError("--t needs nine comma-separated values")
-            if args.theta is None or args.c is None:
-                raise ValueError("explicit opt parameters need --theta and --c")
-            return S.OptParams(t=tuple(tvals), theta=args.theta, c=args.c,
-                               delta=args.delta if args.delta is not None
-                               else tvals[2])
-        return C.default_params(C.REGIME_OPT, args.mu, args.lip,
-                                delta=args.delta if args.delta is not None else 0.5)
-    if args.preset == PR.PAPER_DEFAULT or not any(
-            getattr(args, k) is not None for k in VI_PARAM_KEYS):
-        return C.default_params(args.regime, args.mu, args.lip)
-    return S.ViParams(**{k: (getattr(args, k) if getattr(args, k) is not None
-                             else 0.0) for k in VI_PARAM_KEYS})
-
-
 def cmd_certify(args) -> int:
-    params = _certify_params(args)
+    params, _ = assemble_params(args.regime, args.preset, _flag_params(args),
+                                args.mu, args.lip)
     cert = C.certify(args.regime, args.mu, args.lip, params)
     if cert.feasible and args.theta_default is not None:
         if args.regime == C.REGIME_OPT:
@@ -352,7 +359,6 @@ def _write_outputs(trace: H.IterateTrace, name: str, output: dict):
     formats = str(output.get("formats", "csv"))
     thinning = int(output.get("thinning", 1))
     os.makedirs(directory, exist_ok=True)
-    written = []
     for fmt in (f.strip() for f in formats.split(",")):
         if fmt == "csv":
             path = os.path.join(directory, f"{name}.csv")
@@ -362,8 +368,6 @@ def _write_outputs(trace: H.IterateTrace, name: str, output: dict):
             H.write_trace_jsonl(trace, path, thinning=thinning)
         else:
             raise ValueError(f"unknown trace format {fmt!r}")
-        written.append(path)
-    return written
 
 
 def _summarize(results, stop_defaults: dict) -> bool:
@@ -395,51 +399,8 @@ def _summarize(results, stop_defaults: dict) -> bool:
     return failed
 
 
-def cmd_solve(args) -> int:
-    target = P.read_problem(args.problem)
-    spec = MethodSpec(name=args.method, preset=args.preset,
-                      params=_flag_params(args), max_iter=args.max_iter,
-                      tol=args.tol)
-    output = {"directory": args.out_dir, "formats": args.formats,
-              "thinning": args.thinning}
-    trace, cert, report, error = _run_one(target, spec, {})
-    _write_outputs(trace, spec.name, output)
-    failed = _summarize([(spec.name, trace, cert, report, error)],
-                        {"tol": spec.tol if spec.tol is not None else 1e-6})
-    return 4 if args.strict and failed else 0
-
-
-def cmd_compare(args) -> int:
-    if args.config:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-    else:
-        if not args.methods:
-            raise ValueError("compare needs --config or --methods")
-        problem = {"kind": args.kind, "seed": args.seed}
-        if args.problem:
-            problem = {"file": args.problem}
-        elif args.kind in ("linear-vi", "quadratic"):
-            problem.update(n=args.n, target_sigma=args.sigma,
-                           constrained=args.constrained)
-        elif args.kind == "logistic":
-            problem.update(n=args.n, num_samples=args.num_samples,
-                           lam=args.lam)
-        elif args.kind == "bilinear-saddle":
-            problem.update(nx=args.nx, ny=args.ny, mu_x=args.mu_x,
-                           mu_y=args.mu_y)
-        else:
-            raise ValueError(f"unknown problem kind {args.kind!r}")
-        cfg = ExperimentConfig(
-            problem=problem,
-            methods=[MethodSpec(name=m.strip(), preset=args.preset)
-                     for m in args.methods.split(",")],
-            stop={"max_iter": args.max_iter, "tol": args.tol},
-            output={"directory": args.out_dir, "formats": args.formats,
-                    "thinning": args.thinning})
-    if args.out_dir != ".":
-        cfg.output["directory"] = args.out_dir
-
+def _run_experiment(cfg: ExperimentConfig, strict: bool) -> int:
+    """Build the problem, then run, write and summarize every method."""
     target = build_problem(cfg.problem)
     results = []
     for spec in cfg.methods:
@@ -447,21 +408,49 @@ def cmd_compare(args) -> int:
         _write_outputs(trace, spec.name, cfg.output)
         results.append((spec.name, trace, cert, report, error))
     failed = _summarize(results, cfg.stop)
-    return 4 if args.strict and failed else 0
+    return 4 if strict and failed else 0
+
+
+def _flag_config(args, problem: dict, methods: list) -> ExperimentConfig:
+    return ExperimentConfig(
+        problem=problem, methods=methods,
+        stop={"max_iter": args.max_iter, "tol": args.tol},
+        output={"directory": args.out_dir, "formats": args.formats,
+                "thinning": args.thinning})
+
+
+def cmd_solve(args) -> int:
+    spec = MethodSpec(name=args.method, preset=args.preset,
+                      params=_flag_params(args))
+    return _run_experiment(_flag_config(args, {"file": args.problem}, [spec]),
+                           args.strict)
+
+
+def cmd_compare(args) -> int:
+    if args.config:
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
+        if args.out_dir != ".":
+            cfg.output["directory"] = args.out_dir
+    elif args.methods:
+        cfg = _flag_config(args, _problem_spec(args),
+                           [MethodSpec(name=m.strip(), preset=args.preset)
+                            for m in args.methods.split(",")])
+    else:
+        raise ValueError("compare needs --config or --methods")
+    return _run_experiment(cfg, args.strict)
 
 
 def _flag_params(args) -> dict:
-    params = {}
-    for key in VI_PARAM_KEYS + ("delta", "theta", "c"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if getattr(args, "t", None) is not None:
+    """The coefficient flags as config entries; --t gives t1..t9."""
+    params = {key: getattr(args, key)
+              for key in VI_PARAM_KEYS + OPT_PARAM_KEYS[9:]
+              if getattr(args, key) is not None}
+    if args.t is not None:
         tvals = [float(v) for v in args.t.split(",")]
         if len(tvals) != 9:
             raise ValueError("--t needs nine comma-separated values")
-        for i, v in enumerate(tvals, start=1):
-            params[f"t{i}"] = v
+        params.update((f"t{i}", v) for i, v in enumerate(tvals, start=1))
     return params
 
 
@@ -555,7 +544,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, RuntimeError) as err:
+    except (ValueError, TypeError, OverflowError, OSError,
+            RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -179,10 +179,17 @@ def step_opt_extra_point(objective: SmoothObjective, state: OptState,
     """One step of the nine-coefficient two-sequence minimization scheme.
 
     p mixes the sequences with (t1, t2); y is either p itself or one
-    gradient step from p (y_rule "p" or "grad-step"; both keep the anchor
-    alignment the analysis needs); z takes a t3-scaled gradient step from y;
-    the new x combines gradients at z and y with the t4..t6 weights; the new
-    v is the (t7, t8, t9) convex-plus-gradient update.
+    gradient step from p (y_rule "p" or "grad-step"); z takes a t3-scaled
+    gradient step from y; the new x combines gradients at z and y with the
+    t4..t6 weights; the new v is the (t7, t8, t9) convex-plus-gradient
+    update.
+
+    The two y-rules do not certify alike. With y = p, the rule run() uses,
+    the paper-default certificate fails at step 0 on
+    gen_quadratic(12, 2, 1e-2) from x0 = v0 = 1: the potential
+    f(x) - f* + c ||v - x*||^2 shrinks by 0.972 against the certified rate
+    0.9. "grad-step" keeps every ratio of the first 30 steps from that
+    start at or below 0.819.
     """
     if y_rule not in Y_RULES:
         raise ValueError(f"y_rule must be one of {Y_RULES}")

@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, outputs, and experiment configs."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import viaccel as va
-from viaccel.cli import (ExperimentConfig, MethodSpec, main, parse_config,
-                         serialize_config)
+from viaccel.cli import (ExperimentConfig, MethodSpec, build_method,
+                         build_problem, main, parse_config, serialize_config)
 
 CONFIG_TEXT = """\
 # comparison on a constrained instance
@@ -332,3 +334,166 @@ def test_compare_iters_at_tol_is_filled_on_logistic_instances(tmp_path, capsys):
     row = _table_row(capsys.readouterr().out, "opt-extra-point")
     assert rc == 0 and row["status"] == "tolerance"
     assert row["iters@tol"].isdigit()
+
+
+# --- parameter resolution -----------------------------------------------------------
+
+OPT_T = (0.8, 0.2, 0.5, 0.2, 0.4, 1.3, 0.75, 0.25, 0.25)
+EXPLICIT = {
+    "vi": {"alpha": 0.01, "beta": 0.02, "tau": 0.003},
+    "opt": {**{f"t{i}": v for i, v in enumerate(OPT_T, start=1)},
+            "theta": 0.25, "c": 0.5},
+}
+
+
+@pytest.fixture(scope="module")
+def resolver_targets():
+    return {
+        "free": va.gen_linear_vi(4, 1, 0.05)[0],
+        "orthant": va.gen_linear_vi(4, 1, 0.05, constrained=True)[0],
+        "quadratic": va.gen_quadratic(4, 2, 0.05),
+    }
+
+
+@pytest.mark.parametrize("case", ["table", "paper-default", "none", "explicit"])
+@pytest.mark.parametrize("method", va.METHODS)
+def test_build_method_resolves_presets_defaults_and_coefficients(
+        method, case, resolver_targets):
+    opt = method == "opt-extra-point"
+    cases = [("quadratic", va.REGIME_OPT)] if opt else [
+        ("free", va.REGIME_VI_UNRESTRICTED), ("orthant", va.REGIME_VI_RESTRICTED)]
+    for kind, regime in cases:
+        target = resolver_targets[kind]
+        explicit = EXPLICIT["opt" if opt else "vi"]
+        spec = MethodSpec(name=method,
+                          preset=case if case in va.PRESETS else None,
+                          params=dict(explicit) if case == "explicit" else {})
+        _, params, got_regime = build_method(spec, target)
+        if case == "table":
+            want, want_regime = va.table_preset(method, target), None
+        elif case == "explicit":
+            want_regime = None
+            want = va.OptParams(t=OPT_T, theta=0.25, c=0.5, delta=OPT_T[2]) \
+                if opt else va.ViParams(**explicit)
+        else:
+            want = va.default_params(regime, target.mu, target.lip)
+            certified = method in ("extra-point", "opt-extra-point")
+            want_regime = regime if certified else None
+        assert params == want, (kind, case)
+        assert got_regime == want_regime, (kind, case)
+
+
+def test_opt_paper_default_takes_delta(resolver_targets):
+    target = resolver_targets["quadratic"]
+    for preset in (None, "paper-default"):
+        spec = MethodSpec(name="opt-extra-point", preset=preset,
+                          params={"delta": 0.3})
+        _, params, regime = build_method(spec, target)
+        assert params == va.default_params(va.REGIME_OPT, target.mu,
+                                           target.lip, delta=0.3)
+        assert regime == va.REGIME_OPT
+
+
+@pytest.mark.parametrize("argv", [
+    ["--regime", "opt", "--theta", "0.5"],
+    ["--regime", "opt", "--alpha", "0.01"],
+    ["--regime", "vi-unrestricted", "--t", "1,2,3,4,5,6,7,8,9"],
+    ["--regime", "vi-unrestricted", "--delta", "0.3"],
+    ["--regime", "vi-unrestricted", "--beta", "0.01"],
+    ["--regime", "vi-restricted", "--preset", "paper-default",
+     "--alpha", "0.01"],
+    ["--regime", "opt", "--preset", "paper-default",
+     "--t", ",".join(map(str, OPT_T)), "--theta", "0.25", "--c", "0.5"],
+])
+def test_certify_rejects_coefficients_it_would_not_use(argv, capsys):
+    rc = main(["certify", "--mu", "1", "--lip", "16", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_preset_with_coefficients_returns_two(tmp_path, capsys):
+    prob_path = _gen(tmp_path)
+    capsys.readouterr()
+    for preset in ("table", "paper-default"):
+        rc = main(["solve", "--problem", str(prob_path), "--method",
+                   "extra-point", "--preset", preset, "--alpha", "0.01",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "takes no coefficients" in capsys.readouterr().err
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CONFIG_TEXT + "method.1.alpha = 0.01\n")
+    assert main(["compare", "--config", str(cfg_path)]) == 2
+
+
+def _csv_without_elapsed(path):
+    return [row.rsplit(",", 1)[0] for row in path.read_text().splitlines()]
+
+
+def test_solve_without_coefficients_runs_certified_paper_default(tmp_path,
+                                                                 capsys):
+    prob_path = _gen(tmp_path, sigma="0.3")
+    outputs = {}
+    for name, preset in (("bare", []), ("preset", ["--preset", "paper-default"])):
+        capsys.readouterr()
+        rc = main(["solve", "--problem", str(prob_path), "--method",
+                   "extra-point", *preset, "--max-iter", "300", "--strict",
+                   "--out-dir", str(tmp_path / name)])
+        assert rc == 0
+        outputs[name] = (capsys.readouterr().out,
+                         _csv_without_elapsed(tmp_path / name / "extra-point.csv"))
+    assert outputs["bare"] == outputs["preset"]
+    assert "e-" in outputs["bare"][0].splitlines()[1].split()[-1]  # certified
+
+
+def test_compare_without_preset_runs_paper_default(tmp_path, capsys):
+    rc = main(["compare", "--n", "6", "--methods", "vanilla,extra-point",
+               "--max-iter", "50", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "vanilla.csv").exists()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the paper-default opt run from x0 = v0 = 1 with y = p contracts the "
+    "potential by 0.972 at step 0 against the certified rate 0.9"))
+def test_opt_paper_default_certificate_holds_on_quadratic_n12_seed2(tmp_path,
+                                                                   capsys):
+    path = tmp_path / "quad.txt"
+    va.write_problem(path, va.gen_quadratic(12, 2, 1e-2))
+    rc = main(["solve", "--problem", str(path), "--method", "opt-extra-point",
+               "--preset", "paper-default", "--max-iter", "200", "--strict",
+               "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+
+
+# --- config keys ----------------------------------------------------------------------
+
+def test_config_missing_a_generator_key_returns_two(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CONFIG_TEXT.replace("problem.n = 8\n", ""))
+    rc = main(["compare", "--config", str(cfg_path)])
+    assert rc == 2
+    assert "problem.n" in capsys.readouterr().err
+    for kind, need in (("quadratic", "target_sigma"), ("logistic", "lam"),
+                       ("bilinear-saddle", "nx")):
+        with pytest.raises(ValueError, match=f"problem.{need}"):
+            build_problem({"kind": kind, "n": 3, "seed": 0, "num_samples": 2})
+
+
+@pytest.mark.parametrize("key", ["stop.tolerance", "output.dir",
+                                 "problem.size", "problem.sigma"])
+def test_config_rejects_unknown_section_keys(key):
+    with pytest.raises(ValueError, match="unknown config key"):
+        parse_config(f"method.1.name = vanilla\n{key} = 1\n")
+
+
+def test_readme_config_example_parses_to_what_it_says():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### compare"):]
+    start = section.index("```text\n") + len("```text\n")
+    cfg = parse_config(section[start:section.index("```", start)])
+    assert cfg.stop == {"max_iter": 3000, "tol": 1e-6}
+    assert cfg.output == {"directory": "runs", "formats": "csv"}
+    assert [(m.name, m.preset) for m in cfg.methods] == [
+        ("vanilla", "table"), ("extra-point", "paper-default")]
