@@ -18,15 +18,15 @@ from .certify import (REGIME_OPT, REGIME_VI_RESTRICTED,
 from .core import (Box, EuclideanBall, FeasibleSet, MonotoneProblem,
                    NonnegativeOrthant, SmoothObjective, WholeSpace,
                    as_vector, gradient_problem, natural_residual, project)
-from .harness import (ContractionReport, DivergenceError, IterateTrace,
-                      TraceRecord, check_contraction, finite_diff_grad,
+from .harness import (TRACE_FIELDS, ContractionReport, DivergenceError,
+                      IterateTrace, check_contraction, finite_diff_grad,
                       finite_diff_jacobian, merit, ogda_potential,
                       opt_potential, power_iteration_norm, reference_minimum,
                       vi_distance_potential, write_trace_csv,
                       write_trace_jsonl)
 from .presets import (OPT_TUNED_FIRST_ORDER, PAPER_DEFAULT, PRESETS,
                       TABLE, VI_TUNED, table_preset)
-from .problems import (LinearOperatorSpec, LogisticSpec, estimate_constants,
+from .problems import (LinearOperatorSpec, estimate_constants,
                        gen_bilinear_saddle, gen_linear_vi, gen_logistic,
                        gen_quadratic, parse_problem, read_problem,
                        serialize_problem, solve_linear_reference,

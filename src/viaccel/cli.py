@@ -28,10 +28,18 @@ from .core import (MonotoneProblem, SmoothObjective, format_float,
 
 VI_PARAM_KEYS = ("alpha", "beta", "gamma", "eta", "tau")
 OPT_PARAM_KEYS = tuple(f"t{i}" for i in range(1, 10)) + ("theta", "c", "delta")
+# the generator keys each problem kind takes beside problem.kind
+KIND_KEYS = {
+    "linear-vi": ("n", "seed", "target_sigma", "constrained"),
+    "quadratic": ("n", "seed", "target_sigma"),
+    "logistic": ("n", "num_samples", "lam", "seed"),
+    "bilinear-saddle": ("nx", "ny", "seed", "mu_x", "mu_y"),
+}
+OPTIONAL_KIND_KEYS = ("constrained", "mu_x", "mu_y")
 # the keys each flat config section takes; method.<i>.* is parsed apart
 SECTION_KEYS = {
-    "problem": ("file", "kind", "n", "seed", "target_sigma", "constrained",
-                "num_samples", "lam", "nx", "ny", "mu_x", "mu_y"),
+    "problem": ("file", "kind", *dict.fromkeys(
+        key for keys in KIND_KEYS.values() for key in keys)),
     "stop": ("max_iter", "tol"),
     "output": ("directory", "formats", "thinning"),
 }
@@ -128,34 +136,41 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:
-    """Instantiate the problem section of a config."""
+    """Instantiate the problem section of a config: problem.file alone, or a
+    kind with the keys its generator takes (all but the optional ones)."""
+    kind = spec.get("kind")
+    if "file" in spec:
+        source, takes = "problem.file", ("file",)
+    elif kind in KIND_KEYS:
+        source, takes = f"problem kind {kind}", ("kind",) + KIND_KEYS[kind]
+        for key in takes:
+            if key not in spec and key not in OPTIONAL_KIND_KEYS:
+                raise ValueError(f"config needs problem.{key}")
+    else:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    extra = sorted(set(spec) - set(takes))
+    if extra:
+        raise ValueError(f"{source} does not take "
+                         f"{', '.join('problem.' + k for k in extra)}")
+
     if "file" in spec:
         return P.read_problem(str(spec["file"]))
-
-    def need(key):
-        if key not in spec:
-            raise ValueError(f"config needs problem.{key}")
-        return spec[key]
-
-    kind = spec.get("kind")
     if kind == "linear-vi":
-        problem, _ = P.gen_linear_vi(int(need("n")), int(need("seed")),
-                                     float(need("target_sigma")),
+        problem, _ = P.gen_linear_vi(int(spec["n"]), int(spec["seed"]),
+                                     float(spec["target_sigma"]),
                                      constrained=bool(spec.get("constrained",
                                                                False)))
         return problem
     if kind == "quadratic":
-        return P.gen_quadratic(int(need("n")), int(need("seed")),
-                               float(need("target_sigma")))
+        return P.gen_quadratic(int(spec["n"]), int(spec["seed"]),
+                               float(spec["target_sigma"]))
     if kind == "logistic":
-        return P.gen_logistic(int(need("n")), int(need("num_samples")),
-                              float(need("lam")), int(need("seed")))
-    if kind == "bilinear-saddle":
-        return P.gen_bilinear_saddle(int(need("nx")), int(need("ny")),
-                                     int(need("seed")),
-                                     mu_x=float(spec.get("mu_x", 1.0)),
-                                     mu_y=float(spec.get("mu_y", 1.0)))
-    raise ValueError(f"unknown problem kind {kind!r}")
+        return P.gen_logistic(int(spec["n"]), int(spec["num_samples"]),
+                              float(spec["lam"]), int(spec["seed"]))
+    return P.gen_bilinear_saddle(int(spec["nx"]), int(spec["ny"]),
+                                 int(spec["seed"]),
+                                 mu_x=float(spec.get("mu_x", 1.0)),
+                                 mu_y=float(spec.get("mu_y", 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +277,10 @@ def _problem_spec(args) -> dict:
     if getattr(args, "problem", None):
         return {"file": args.problem}
     spec = {"kind": args.kind, "seed": args.seed}
+    if args.kind == "linear-vi" or args.constrained:
+        spec["constrained"] = args.constrained  # other kinds refuse it
     if args.kind in ("linear-vi", "quadratic"):
-        spec.update(n=args.n, target_sigma=args.sigma,
-                    constrained=args.constrained)
+        spec.update(n=args.n, target_sigma=args.sigma)
     elif args.kind == "logistic":
         spec.update(n=args.n, num_samples=args.num_samples, lam=args.lam)
     else:
@@ -314,24 +330,26 @@ def cmd_certify(args) -> int:
     return 0 if cert.feasible else 3
 
 
-def _stop_for(spec: MethodSpec, stop_defaults: dict) -> S.StopRule:
+def _resolve(target, spec: MethodSpec, stop_defaults: dict) -> tuple:
+    """Everything one configured method needs to run, checked before any
+    method runs: (run_target, params, cert, potential, stop, atol)."""
+    run_target, params, regime = build_method(spec, target)
+    cert, potential = _certified_potential(run_target, params, regime)
+    atol = 0.0
+    if regime == C.REGIME_OPT and cert is not None and potential is not None:
+        atol = 1e-12 * (1.0 + abs(run_target.optimal_value))
     max_iter = spec.max_iter if spec.max_iter is not None else \
         int(stop_defaults.get("max_iter", 20000))
     tol = spec.tol if spec.tol is not None else \
         float(stop_defaults.get("tol", 1e-6))
-    return S.StopRule(max_iter=max_iter, residual_tol=tol)
+    return (run_target, params, cert, potential,
+            S.StopRule(max_iter=max_iter, residual_tol=tol), atol)
 
 
-def _run_one(target, spec: MethodSpec, stop_defaults: dict):
-    """Run one configured method; returns (trace, cert, report, error)."""
-    run_target, params, regime = build_method(spec, target)
-    cert, potential = _certified_potential(run_target, params, regime)
-    stop = _stop_for(spec, stop_defaults)
-    atol = 0.0
-    if regime == C.REGIME_OPT and cert is not None and potential is not None:
-        atol = 1e-12 * (1.0 + abs(run_target.optimal_value))
+def _run_one(name: str, run_target, params, cert, potential, stop, atol):
+    """Run one resolved method; returns (trace, cert, report, error)."""
     try:
-        trace = S.run(run_target, spec.name, params, _start_point(run_target),
+        trace = S.run(run_target, name, params, _start_point(run_target),
                       stop, potential=potential)
     except H.DivergenceError as err:
         return err.trace, cert, None, "diverged"
@@ -347,67 +365,61 @@ def _start_point(target):
     return target.feasible_set.project(np.ones(target.dimension))
 
 
-def _iters_to_tol(trace: H.IterateTrace, tol: float):
-    """First k whose stop-rule merit is <= tol: the gradient norm for opt
-    runs, the natural residual for VI runs."""
-    merit = "merit_primary" if trace.method in S.OPT_METHODS else "merit_aux"
-    return next((r.k for r in trace.records if getattr(r, merit) <= tol), None)
+TRACE_WRITERS = {"csv": H.write_trace_csv, "jsonl": H.write_trace_jsonl}
 
 
-def _write_outputs(trace: H.IterateTrace, name: str, output: dict):
-    directory = str(output.get("directory", "."))
-    formats = str(output.get("formats", "csv"))
-    thinning = int(output.get("thinning", 1))
-    os.makedirs(directory, exist_ok=True)
-    for fmt in (f.strip() for f in formats.split(",")):
-        if fmt == "csv":
-            path = os.path.join(directory, f"{name}.csv")
-            H.write_trace_csv(trace, path, thinning=thinning)
-        elif fmt == "jsonl":
-            path = os.path.join(directory, f"{name}.jsonl")
-            H.write_trace_jsonl(trace, path, thinning=thinning)
-        else:
+def _output_plan(output: dict) -> tuple:
+    """(directory, formats, thinning) of an output section, validated."""
+    formats = [f.strip() for f in str(output.get("formats", "csv")).split(",")]
+    for fmt in formats:
+        if fmt not in TRACE_WRITERS:
             raise ValueError(f"unknown trace format {fmt!r}")
+    thinning = int(output.get("thinning", 1))
+    if thinning < 1:
+        raise ValueError("thinning must be a positive integer")
+    return str(output.get("directory", ".")), formats, thinning
 
 
-def _summarize(results, stop_defaults: dict) -> bool:
+def _summarize(results) -> bool:
     """Print the comparison table; True when any run diverged or broke
     its certificate (the --strict failure condition)."""
-    tol = float(stop_defaults.get("tol", 1e-6))
     print(f"{'method':<18} {'status':<10} {'iters@tol':>10} "
           f"{'merit_primary':>14} {'merit_aux':>14} {'max_violation':>14}")
     failed = False
     for name, trace, cert, report, error in results:
-        last = trace.records[-1]
-        if error:
-            status, iters = error, ""
-            failed = True
-        else:
-            hit = _iters_to_tol(trace, tol)
-            status = trace.terminated_by
-            iters = "" if hit is None else str(hit)
+        status = error or trace.terminated_by
+        failed |= error is not None
+        iters = str(trace.iterations) if status == "tolerance" else ""
         viol = ""
         if report is not None:
             viol = f"{report.max_violation:.3e}"
-            if not report.ok:
-                failed = True
+            failed |= not report.ok
         elif cert is not None and not cert.feasible:
             status += "/uncert"
-        aux = "" if last.merit_aux is None else f"{last.merit_aux:.6e}"
+        aux = trace.column("merit_aux")[-1]
+        aux = "" if aux is None else f"{aux:.6e}"
         print(f"{name:<18} {status:<10} {iters:>10} "
-              f"{last.merit_primary:>14.6e} {aux:>14} {viol:>14}")
+              f"{trace.column('merit_primary')[-1]:>14.6e} {aux:>14} "
+              f"{viol:>14}")
     return failed
 
 
 def _run_experiment(cfg: ExperimentConfig, strict: bool) -> int:
-    """Build the problem, then run, write and summarize every method."""
+    """Build the problem and resolve every method and the output section,
+    then run, write and summarize each method."""
     target = build_problem(cfg.problem)
+    runs = [(spec.name, _resolve(target, spec, cfg.stop))
+            for spec in cfg.methods]
+    directory, formats, thinning = _output_plan(cfg.output)
+    os.makedirs(directory, exist_ok=True)
     results = []
-    for spec in cfg.methods:
-        trace, cert, report, error = _run_one(target, spec, cfg.stop)
-        _write_outputs(trace, spec.name, cfg.output)
-        results.append((spec.name, trace, cert, report, error))
-    failed = _summarize(results, cfg.stop)
+    for name, plan in runs:
+        trace, cert, report, error = _run_one(name, *plan)
+        for fmt in formats:
+            TRACE_WRITERS[fmt](trace, os.path.join(directory, f"{name}.{fmt}"),
+                               thinning=thinning)
+        results.append((name, trace, cert, report, error))
+    failed = _summarize(results)
     return 4 if strict and failed else 0
 
 

@@ -285,6 +285,14 @@ def vi_merits(problem: MonotoneProblem, z: np.ndarray,
     return float(abs(z @ fz)), res
 
 
+def objective_merits(objective: SmoothObjective, x: np.ndarray) -> tuple:
+    """Merit pair (||grad f(x)||, f(x) - f*) of a trusted vector x; the gap
+    is None when the objective records no optimal value."""
+    gn = norm2(objective.gradient(x))
+    fs = objective.optimal_value
+    return gn, None if fs is None else float(objective.value(x) - fs)
+
+
 def natural_residual(problem: MonotoneProblem, z) -> float:
     """Fixed-point residual ||z - P(z - F(z))|| with unit step.
 

@@ -12,53 +12,59 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .core import (MonotoneProblem, SmoothObjective, as_vector, format_float,
-                   norm2, vi_merits)
+                   norm2, objective_merits, vi_merits)
 
 # Iterates whose norm passes this guard terminate a run as divergent.
 DIVERGENCE_NORM = 1e12
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    k: int
-    merit_primary: float
-    merit_aux: Optional[float]
-    dist_sq: Optional[float]
-    potential: Optional[float]
-    elapsed_ns: int
+# The per-iteration fields of a trace, in column and export order.
+TRACE_FIELDS = ("k", "merit_primary", "merit_aux", "dist_sq", "potential",
+                "elapsed_ns")
 
 
 @dataclass
 class IterateTrace:
-    """Per-iteration record of one solver run.
+    """Per-iteration record of one solver run, one list per TRACE_FIELDS entry.
 
-    records[i].k counts iterations (k = 0 is the start point). dist_sq and
-    potential are present only when the problem carries a known solution.
-    terminated_by is one of "tolerance", "max-iter", "divergence".
-    meta carries the problem constants needed by downstream checks
-    (mu, lip, sigma, and f_star when known). Iterates are deterministic for
-    identical inputs; elapsed_ns is wall-clock and is not.
+    column("k") counts iterations (k = 0 is the start point). dist_sq is
+    None unless the problem carries a known solution, potential None unless
+    the run was given one. terminated_by is one of "tolerance", "max-iter",
+    "divergence". meta carries the problem constants needed by downstream
+    checks (mu, lip, sigma, and f_star when known). Iterates are
+    deterministic for identical inputs; elapsed_ns is wall-clock and is not.
     """
 
     kind: str
     method: str
     params: object
-    records: list = field(default_factory=list)
+    columns: dict = field(init=False)
     terminated_by: str = "max-iter"
     final_point: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.columns = {name: [] for name in TRACE_FIELDS}
+        # bound once: run() appends a row every iteration
+        self._appends = tuple(col.append for col in self.columns.values())
+
     @property
     def iterations(self) -> int:
-        return self.records[-1].k if self.records else 0
+        k = self.column("k")
+        return k[-1] if k else 0
 
     def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.records]
+        return self.columns[name]
+
+    def append(self, *row) -> None:
+        """Add one iteration's values, in TRACE_FIELDS order."""
+        for add, value in zip(self._appends, row):
+            add(value)
 
 
 class DivergenceError(RuntimeError):
@@ -79,14 +85,10 @@ def merit(target, z) -> tuple:
     residual). Objectives report (||grad f(x)||, f(x) - f*) with the second
     entry None when no optimal value is known.
     """
+    z = as_vector(z, target.dimension)
     if isinstance(target, SmoothObjective):
-        x = as_vector(z, target.dimension)
-        gn = float(np.linalg.norm(target.gradient(x)))
-        gap = None
-        if target.optimal_value is not None:
-            gap = float(target.value(x) - target.optimal_value)
-        return gn, gap
-    return vi_merits(target, as_vector(z, target.dimension))
+        return objective_merits(target, z)
+    return vi_merits(target, z)
 
 
 # ---------------------------------------------------------------------------
@@ -436,47 +438,41 @@ def reference_minimum(objective: SmoothObjective, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # trace export
 
-CSV_HEADER = "k,merit_primary,merit_aux,dist_sq,potential,elapsed_ns"
+CSV_HEADER = ",".join(TRACE_FIELDS)
 
 
-def _thin(records: Sequence[TraceRecord], thinning: int) -> list:
+def _rows(trace: IterateTrace, thinning: int, missing: str) -> Iterator:
+    """Every thinning-th row of a trace plus its last, as TRACE_FIELDS text;
+    absent values render as missing. Rows are made one at a time, so a long
+    trace is never held twice as text."""
     if thinning < 1:
         raise ValueError("thinning must be a positive integer")
-    if thinning == 1 or len(records) <= 1:
-        return list(records)
-    kept = [r for i, r in enumerate(records) if i % thinning == 0]
-    if records[-1] is not kept[-1]:
-        kept.append(records[-1])
-    return kept
-
-
-def _fields(r: TraceRecord, missing: str) -> list:
-    """The CSV_HEADER fields of a record as text, absent values as missing."""
-    return [str(r.k), *(format_float(v, missing) for v in (
-        r.merit_primary, r.merit_aux, r.dist_sq, r.potential)),
-        str(r.elapsed_ns)]
+    cols = [trace.column(name) for name in TRACE_FIELDS]
+    last = len(cols[0]) - 1
+    kept = list(range(0, last + 1, thinning))
+    if kept and kept[-1] != last:
+        kept.append(last)
+    for i in kept:
+        yield [str(col[i]) if isinstance(col[i], int) else
+               format_float(col[i], missing) for col in cols]
 
 
 def write_trace_csv(trace: IterateTrace, path, thinning: int = 1) -> None:
-    """Write records as CSV: fixed header, one row per kept record.
+    """Write a trace as CSV: the CSV_HEADER line, then one row per kept
+    iteration.
 
     Floats carry 17 significant digits ('.' decimal separator), empty
     fields stand for absent optionals, rows end with a single newline.
     """
-    rows = [CSV_HEADER]
-    for r in _thin(trace.records, thinning):
-        rows.append(",".join(_fields(r, "")))
+    rows = [CSV_HEADER] + [",".join(r) for r in _rows(trace, thinning, "")]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 
 
 def write_trace_jsonl(trace: IterateTrace, path, thinning: int = 1) -> None:
-    """Write records as JSON Lines with the same fields and formatting."""
-    names = CSV_HEADER.split(",")
-    lines = []
-    for r in _thin(trace.records, thinning):
-        lines.append("{" + ", ".join(f"\"{k}\": {v}" for k, v in
-                                     zip(names, _fields(r, "null"))) + "}")
+    """Write a trace as JSON Lines with the same fields and formatting."""
+    lines = ["{" + ", ".join(f"\"{k}\": {v}" for k, v in zip(TRACE_FIELDS, r))
+             + "}" for r in _rows(trace, thinning, "null")]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 

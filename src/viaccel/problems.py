@@ -47,20 +47,6 @@ class LinearOperatorSpec:
             raise ValueError("q_diag entries must be strictly positive")
 
 
-@dataclass(frozen=True)
-class LogisticSpec:
-    """Raw description of a ridge-regularized logit loss: sample rows + lam."""
-
-    samples: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        if self.samples.ndim != 2 or self.samples.shape[0] < 1:
-            raise ValueError("samples must be a nonempty matrix of rows")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError("lam must be positive and finite")
-
-
 # ---------------------------------------------------------------------------
 # operator builders shared by generators and the parser (bit-exact round trip)
 

@@ -28,9 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (MonotoneProblem, SmoothObjective, as_vector, norm2,
-                   vi_merits)
-from .harness import (DIVERGENCE_NORM, DivergenceError, IterateTrace,
-                      TraceRecord, now_ns)
+                   objective_merits, vi_merits)
+from .harness import DIVERGENCE_NORM, DivergenceError, IterateTrace, now_ns
 
 # The coefficients each named VI method keeps; run() zeroes the others.
 VI_MASKS = {
@@ -247,7 +246,7 @@ def run(target, method: str, params, start, stop: StopRule,
     Divergent iterates (norm non-finite or beyond DIVERGENCE_NORM) raise
     DivergenceError carrying the partial trace.
 
-    Records are kept for every iteration; thinning is an export concern.
+    Every iteration is recorded; thinning is an export concern.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -260,14 +259,13 @@ def run(target, method: str, params, start, stop: StopRule,
                          meta={"mu": target.mu, "lip": target.lip,
                                "sigma": target.sigma, "seed": target.seed})
     if opt:
-        f_star = trace.meta["f_star"] = target.optimal_value
+        trace.meta["f_star"] = target.optimal_value
         reference, point = target.minimizer, attrgetter("x_curr")
         step = partial(step_opt_extra_point, target, params=params, y_rule="p")
+        stop_merit = 0  # the gradient norm
 
         def merits(s: OptState) -> tuple:
-            gn = norm2(target.gradient(s.x_curr))
-            gap = None if f_star is None else float(target.value(s.x_curr) - f_star)
-            return gn, gap, gn
+            return objective_merits(target, s.x_curr)
     else:
         fset = target.feasible_set
         if not fset.contains(z0, tol=1e-12 * (1.0 + float(np.linalg.norm(z0)))):
@@ -279,26 +277,23 @@ def run(target, method: str, params, start, stop: StopRule,
         reference, point = target.solution, attrgetter("z_curr")
         step = partial(step_extra_point, target, params=_masked(method, params),
                        restricted=restricted and method != "nesterov")
+        stop_merit = 1  # the natural residual
 
         def merits(s: ViState) -> tuple:
-            prim, res = vi_merits(target, s.z_curr, s.f_curr)
-            return prim, res, res
+            return vi_merits(target, s.z_curr, s.f_curr)
 
     t0 = now_ns()
     state = OptState(x_curr=z0, v_curr=z0.copy()) if opt else vi_state(target, z0)
 
     def record(k: int, state) -> float:
-        prim, aux, res = merits(state)
+        pair = merits(state)
         dsq = None
         if reference is not None:
             d = point(state) - reference
             dsq = float(d @ d)
         pot = float(potential(state)) if potential is not None else None
-        trace.records.append(TraceRecord(k=k, merit_primary=prim,
-                                         merit_aux=aux, dist_sq=dsq,
-                                         potential=pot,
-                                         elapsed_ns=now_ns() - t0))
-        return res
+        trace.append(k, *pair, dsq, pot, now_ns() - t0)
+        return pair[stop_merit]
 
     tol = stop.residual_tol
     res = record(0, state)

@@ -261,6 +261,34 @@ def test_compare_without_methods_or_config_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("methods, extra", [
+    ("vanilla,opt-extra-point", []),
+    ("vanilla,extra-point", ["--formats", "csv,bogus"]),
+    ("vanilla,extra-point", ["--thinning", "0"]),
+])
+def test_compare_validates_the_whole_experiment_before_running(
+        methods, extra, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["compare", "--kind", "linear-vi", "--n", "8", "--seed", "1",
+               "--sigma", "0.05", "--methods", methods, "--preset", "table",
+               "--out-dir", str(out), *extra])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()  # no method ran, so no trace was written
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "bilinear-saddle"])
+@pytest.mark.parametrize("command", ["generate", "compare"])
+def test_constrained_flag_on_another_kind_returns_two(command, kind, tmp_path,
+                                                      capsys):
+    rc = main([command, "--kind", kind, "--n", "4", "--constrained",
+               *(["--out", str(tmp_path / "p.txt")] if command == "generate"
+                 else ["--methods", "vanilla", "--out-dir", str(tmp_path)])])
+    assert rc == 2
+    assert "problem.constrained" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- experiment configs ------------------------------------------------------------
 
 def test_config_round_trip_is_identity():
@@ -325,6 +353,24 @@ def test_compare_iters_at_tol_follows_the_opt_stop_rule(tmp_path, capsys):
     last = (tmp_path / "opt-extra-point.csv").read_text().splitlines()[-1]
     assert rc == 0 and row["status"] == "tolerance"
     assert row["iters@tol"] == last.split(",")[0]
+
+
+def test_compare_iters_at_tol_reads_each_method_tolerance(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        "problem.kind = linear-vi\nproblem.n = 8\nproblem.seed = 1\n"
+        "problem.target_sigma = 0.05\nmethod.1.name = extra-point\n"
+        "method.1.preset = table\nmethod.1.tol = 0.001\n"
+        "method.2.name = vanilla\nmethod.2.preset = table\n"
+        "method.2.max_iter = 5\n")
+    rc = main(["compare", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    row = _table_row(out, "extra-point")
+    assert rc == 0 and row["status"] == "tolerance"
+    assert row["iters@tol"] == "189"
+    vanilla = next(ln for ln in out.splitlines() if ln.startswith("vanilla "))
+    assert vanilla.split()[1] == "max-iter"
+    assert vanilla[30:40].strip() == ""  # blank unless stopped by tolerance
 
 
 def test_compare_iters_at_tol_is_filled_on_logistic_instances(tmp_path, capsys):
@@ -479,6 +525,23 @@ def test_config_missing_a_generator_key_returns_two(tmp_path, capsys):
                        ("bilinear-saddle", "nx")):
         with pytest.raises(ValueError, match=f"problem.{need}"):
             build_problem({"kind": kind, "n": 3, "seed": 0, "num_samples": 2})
+
+
+def test_config_with_another_kinds_problem_keys_returns_two(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CONFIG_TEXT + "problem.lam = 0.3\nproblem.nx = 4\n")
+    out = tmp_path / "out"
+    rc = main(["compare", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert rc == 2
+    assert "problem.lam, problem.nx" in capsys.readouterr().err
+    assert not out.exists()
+    for spec in ({"kind": "quadratic", "n": 3, "seed": 0, "target_sigma": 0.1,
+                  "constrained": False},
+                 {"kind": "logistic", "n": 3, "seed": 0, "num_samples": 2,
+                  "lam": 0.1, "mu_x": 1.0},
+                 {"file": "p.txt", "kind": "linear-vi"}):
+        with pytest.raises(ValueError, match="does not take"):
+            build_problem(spec)
 
 
 @pytest.mark.parametrize("key", ["stop.tolerance", "output.dir",

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import oracles
 import viaccel as va
 import viaccel.certify as C
-from viaccel.harness import (CSV_HEADER, IterateTrace, TraceRecord,
+from viaccel.harness import (CSV_HEADER, TRACE_FIELDS, IterateTrace,
                              restricted_recursion_terms,
                              unrestricted_recursion_terms)
 
@@ -31,8 +32,7 @@ def _synthetic_trace(potentials, method="vanilla", meta=None):
     tr = IterateTrace(kind="custom", method=method,
                       params=va.ViParams(alpha=0.1), meta=meta or {})
     for k, p in enumerate(potentials):
-        tr.records.append(TraceRecord(k=k, merit_primary=1.0, merit_aux=None,
-                                      dist_sq=None, potential=p, elapsed_ns=0))
+        tr.append(k, 1.0, None, None, p, 0)
     return tr
 
 
@@ -158,8 +158,7 @@ def test_check_contraction_skips_thinned_pairs():
     tr = IterateTrace(kind="custom", method="vanilla",
                       params=va.ViParams(alpha=0.1))
     for k, p in ((0, 1.0), (2, 0.5)):
-        tr.records.append(TraceRecord(k=k, merit_primary=1.0, merit_aux=None,
-                                      dist_sq=None, potential=p, elapsed_ns=0))
+        tr.append(k, 1.0, None, None, p, 0)
     report = va.check_contraction(tr, _manual_cert(0.9))
     assert report.checked_steps == 0
     assert report.ok
@@ -174,7 +173,7 @@ def test_check_contraction_endpoint_bounds_for_past_gradient():
                 potential=va.ogda_potential(prob))
     # The potential contracts up to float noise that is absolute in the starting
     # value, so anchor the tolerance there; ratios jitter once V hits ~1e-29.
-    atol = 1e-9 * tr.records[0].potential
+    atol = 1e-9 * tr.column("potential")[0]
     report = va.check_contraction(tr, _manual_cert(1.0 / (1.0 + prob.sigma)),
                                   atol=atol)
     assert report.endpoint_excess is not None
@@ -317,12 +316,9 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     rows = list(csv.DictReader(path.open()))
     header = path.open().readline().strip()
     assert header == CSV_HEADER
-    assert len(rows) == len(tr.records)
-    for row, rec in zip(rows, tr.records):
-        assert int(row["k"]) == rec.k
-        assert float(row["merit_primary"]) == rec.merit_primary
-        assert float(row["potential"]) == rec.potential
-        assert float(row["dist_sq"]) == rec.dist_sq
+    assert len(rows) == tr.iterations + 1
+    for name in ("k", "merit_primary", "potential", "dist_sq"):
+        assert [float(row[name]) for row in rows] == tr.column(name)
 
 
 def test_csv_thinning_keeps_first_stride_and_last(tmp_path):
@@ -350,12 +346,21 @@ def test_jsonl_round_trip_with_nulls(tmp_path):
     path = tmp_path / "trace.jsonl"
     va.write_trace_jsonl(tr, path)
     lines = [json.loads(ln) for ln in path.read_text().splitlines()]
-    assert len(lines) == len(tr.records)
-    for obj, rec in zip(lines, tr.records):
-        assert obj["k"] == rec.k
-        assert obj["merit_primary"] == rec.merit_primary
-        assert obj["potential"] is None
-        assert obj["dist_sq"] == rec.dist_sq
+    assert len(lines) == tr.iterations + 1
+    for name in ("k", "merit_primary", "dist_sq"):
+        assert [obj[name] for obj in lines] == tr.column(name)
+    assert all(obj["potential"] is None for obj in lines)
+
+
+def test_readme_documents_the_written_trace_fields(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(ln for ln in readme.splitlines()
+                if ln.startswith("- **Trace CSV**"))
+    assert line.split("`")[1] == CSV_HEADER == ",".join(TRACE_FIELDS)
+    path = tmp_path / "trace.jsonl"
+    va.write_trace_jsonl(_small_trace(), path)
+    for ln in path.read_text().splitlines():
+        assert tuple(json.loads(ln)) == TRACE_FIELDS
 
 
 def test_power_iteration_norm_matches_the_plain_loop_bit_for_bit():

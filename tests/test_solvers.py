@@ -302,8 +302,7 @@ def test_run_zero_iterations_records_the_start():
     prob = _identity(1, solution=np.zeros(1))
     tr = va.run(prob, "vanilla", va.ViParams(alpha=0.5), np.ones(1),
                 va.StopRule(max_iter=0))
-    assert len(tr.records) == 1
-    assert tr.records[0].k == 0
+    assert tr.column("k") == [0]
     assert tr.terminated_by == "max-iter"
     assert tr.final_point[0] == 1.0
 
@@ -314,8 +313,8 @@ def test_run_terminates_on_tolerance():
     tr = va.run(prob, "vanilla", va.ViParams(alpha=0.5), np.ones(1),
                 va.StopRule(max_iter=100, residual_tol=1e-6))
     assert tr.terminated_by == "tolerance"
-    assert len(tr.records) == 21
-    assert tr.records[-1].merit_primary <= 1e-6
+    assert tr.column("k") == list(range(21))
+    assert tr.column("merit_primary")[-1] <= 1e-6
 
 
 def test_run_raises_divergence_with_partial_trace():
@@ -325,7 +324,7 @@ def test_run_raises_divergence_with_partial_trace():
                va.StopRule(max_iter=1000))
     trace = info.value.trace
     assert trace.terminated_by == "divergence"
-    assert len(trace.records) >= 2  # the start plus at least one grown iterate
+    assert len(trace.column("k")) >= 2  # the start plus at least one grown iterate
 
 
 def test_run_step_overflowing_to_inf_is_divergence():
@@ -335,7 +334,7 @@ def test_run_step_overflowing_to_inf_is_divergence():
         va.run(prob, "vanilla", va.ViParams(alpha=1.7e308), np.array([2.0]),
                va.StopRule(max_iter=10))
     assert info.value.trace.terminated_by == "divergence"
-    assert len(info.value.trace.records) == 1
+    assert info.value.trace.column("k") == [0]
     with pytest.raises(ValueError):  # the boundary still validates input
         va.project(va.WholeSpace(1), [np.inf])
 
@@ -348,8 +347,7 @@ def test_run_records_meta_and_is_deterministic():
     assert tr1.meta["mu"] == prob.mu and tr1.meta["lip"] == prob.lip
     assert tr1.meta["sigma"] == prob.sigma and tr1.meta["seed"] == prob.seed
     assert np.array_equal(tr1.final_point, tr2.final_point)
-    assert [r.merit_primary for r in tr1.records] == \
-           [r.merit_primary for r in tr2.records]
+    assert tr1.column("merit_primary") == tr2.column("merit_primary")
     assert tr1.iterations == 50
 
 
@@ -358,8 +356,9 @@ def test_run_opt_records_gap_and_distance():
     prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
     tr = va.run(obj, "opt-extra-point", prm, np.ones(8), va.StopRule(max_iter=40))
     assert tr.meta["f_star"] == obj.optimal_value
-    first, last = tr.records[0], tr.records[-1]
-    assert last.merit_primary < first.merit_primary  # gradient norm fell
-    assert last.merit_aux < first.merit_aux          # value gap fell
-    assert last.dist_sq < first.dist_sq
-    assert last.merit_aux >= -1e-12 * (1.0 + abs(obj.optimal_value))
+    gn, gap, dsq = (tr.column(name) for name in
+                    ("merit_primary", "merit_aux", "dist_sq"))
+    assert gn[-1] < gn[0]    # gradient norm fell
+    assert gap[-1] < gap[0]  # value gap fell
+    assert dsq[-1] < dsq[0]
+    assert gap[-1] >= -1e-12 * (1.0 + abs(obj.optimal_value))
