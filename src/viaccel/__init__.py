@@ -19,9 +19,9 @@ from .core import (Box, EuclideanBall, FeasibleSet, MonotoneProblem,
                    NonnegativeOrthant, SmoothObjective, WholeSpace,
                    as_vector, gradient_problem, natural_residual, project)
 from .harness import (TRACE_FIELDS, ContractionReport, DivergenceError,
-                      IterateTrace, check_contraction, finite_diff_grad,
-                      finite_diff_jacobian, merit, ogda_potential,
-                      opt_potential, power_iteration_norm, reference_minimum,
+                      IterateTrace, check_contraction, finite_diff_jacobian,
+                      merit, ogda_potential, opt_potential,
+                      power_iteration_norm, reference_minimum,
                       vi_distance_potential, write_trace_csv,
                       write_trace_jsonl)
 from .presets import (OPT_TUNED_FIRST_ORDER, PAPER_DEFAULT, PRESETS,

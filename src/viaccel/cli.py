@@ -11,6 +11,7 @@ the identity on the parsed form. All randomness flows from explicit seeds.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -28,21 +29,43 @@ from .core import (MonotoneProblem, SmoothObjective, format_float,
 
 VI_PARAM_KEYS = ("alpha", "beta", "gamma", "eta", "tau")
 OPT_PARAM_KEYS = tuple(f"t{i}" for i in range(1, 10)) + ("theta", "c", "delta")
-# the generator keys each problem kind takes beside problem.kind
-KIND_KEYS = {
-    "linear-vi": ("n", "seed", "target_sigma", "constrained"),
-    "quadratic": ("n", "seed", "target_sigma"),
-    "logistic": ("n", "num_samples", "lam", "seed"),
-    "bilinear-saddle": ("nx", "ny", "seed", "mu_x", "mu_y"),
+# Each problem kind's generator and its config keys with their types, in the
+# generator's parameter order; a key whose parameter has a default there is
+# optional and, when not given, takes that default.
+KINDS = {
+    "linear-vi": (P.gen_linear_vi, dict(n=int, seed=int, target_sigma=float,
+                                        constrained=bool)),
+    "quadratic": (P.gen_quadratic, dict(n=int, seed=int, target_sigma=float)),
+    "logistic": (P.gen_logistic, dict(n=int, num_samples=int, lam=float,
+                                      seed=int)),
+    "bilinear-saddle": (P.gen_bilinear_saddle, dict(nx=int, ny=int, seed=int,
+                                                    mu_x=float, mu_y=float)),
 }
-OPTIONAL_KIND_KEYS = ("constrained", "mu_x", "mu_y")
+# The value of a key that is not given. Stop and output keys default in
+# configs and flags alike, problem keys only as flags (a config names its
+# problem in full); a kind's key without an entry takes its generator's.
+DEFAULTS = {"kind": "linear-vi", "n": 20, "seed": 0, "target_sigma": 1e-2,
+            "num_samples": 2, "lam": 0.005, "nx": 10, "ny": 10,
+            "max_iter": 20000, "tol": 1e-6,
+            "directory": ".", "formats": "csv", "thinning": 1}
 # the keys each flat config section takes; method.<i>.* is parsed apart
 SECTION_KEYS = {
     "problem": ("file", "kind", *dict.fromkeys(
-        key for keys in KIND_KEYS.values() for key in keys)),
+        key for _, types in KINDS.values() for key in types)),
     "stop": ("max_iter", "tol"),
     "output": ("directory", "formats", "thinning"),
 }
+# the type of each key's value where it is not text
+KEY_TYPES = dict(max_iter=int, tol=float, thinning=int, **{
+    key: typ for _, types in KINDS.values() for key, typ in types.items()})
+# the flags whose option string is not --<config key>
+OPTIONS = {"file": "--problem", "target_sigma": "--sigma",
+           "directory": "--out-dir"}
+
+
+def option(key: str) -> str:
+    """The flag that sets a config key (or another argument dest)."""
+    return OPTIONS.get(key, "--" + key.replace("_", "-"))
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +106,9 @@ def parse_config(text: str) -> ExperimentConfig:
             idx = int(parts[1])
             spec = methods.setdefault(idx, MethodSpec(name=""))
             fld = parts[2]
-            if fld == "name":
-                spec.name = str(value)
-            elif fld == "preset":
-                spec.preset = str(value)
-            elif fld == "max_iter":
-                spec.max_iter = int(value)
-            elif fld == "tol":
-                spec.tol = float(value)
+            if fld in ("name", "preset", "max_iter", "tol"):
+                typ = {"max_iter": int, "tol": float}.get(fld, str)
+                setattr(spec, fld, typ(value))
             elif fld in VI_PARAM_KEYS or fld in OPT_PARAM_KEYS:
                 spec.params[fld] = float(value)
             else:
@@ -100,9 +118,8 @@ def parse_config(text: str) -> ExperimentConfig:
     specs = [methods[i] for i in sorted(methods)]
     if not specs:
         raise ValueError("config needs at least one method.<i>.name entry")
-    for spec in specs:
-        if not spec.name:
-            raise ValueError("every method entry needs a name")
+    if not all(spec.name for spec in specs):
+        raise ValueError("every method entry needs a name")
     return ExperimentConfig(methods=specs, **sections)
 
 
@@ -128,10 +145,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             emit(f"method.{i}.max_iter", spec.max_iter)
         if spec.tol is not None:
             emit(f"method.{i}.tol", spec.tol)
-    for k in sorted(cfg.stop):
-        emit(f"stop.{k}", cfg.stop[k])
-    for k in sorted(cfg.output):
-        emit(f"output.{k}", cfg.output[k])
+    for section in ("stop", "output"):
+        for k, value in sorted(getattr(cfg, section).items()):
+            emit(f"{section}.{k}", value)
     return "\n".join(lines) + "\n"
 
 
@@ -141,11 +157,13 @@ def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:
     kind = spec.get("kind")
     if "file" in spec:
         source, takes = "problem.file", ("file",)
-    elif kind in KIND_KEYS:
-        source, takes = f"problem kind {kind}", ("kind",) + KIND_KEYS[kind]
-        for key in takes:
-            if key not in spec and key not in OPTIONAL_KIND_KEYS:
+    elif kind in KINDS:
+        gen, types = KINDS[kind]
+        params = dict(zip(types, inspect.signature(gen).parameters.values()))
+        for key, param in params.items():
+            if key not in spec and param.default is param.empty:
                 raise ValueError(f"config needs problem.{key}")
+        source, takes = f"problem kind {kind}", ("kind", *types)
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
     extra = sorted(set(spec) - set(takes))
@@ -155,22 +173,10 @@ def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:
 
     if "file" in spec:
         return P.read_problem(str(spec["file"]))
-    if kind == "linear-vi":
-        problem, _ = P.gen_linear_vi(int(spec["n"]), int(spec["seed"]),
-                                     float(spec["target_sigma"]),
-                                     constrained=bool(spec.get("constrained",
-                                                               False)))
-        return problem
-    if kind == "quadratic":
-        return P.gen_quadratic(int(spec["n"]), int(spec["seed"]),
-                               float(spec["target_sigma"]))
-    if kind == "logistic":
-        return P.gen_logistic(int(spec["n"]), int(spec["num_samples"]),
-                              float(spec["lam"]), int(spec["seed"]))
-    return P.gen_bilinear_saddle(int(spec["nx"]), int(spec["ny"]),
-                                 int(spec["seed"]),
-                                 mu_x=float(spec.get("mu_x", 1.0)),
-                                 mu_y=float(spec.get("mu_y", 1.0)))
+    made = gen(**{param.name: types[key](spec[key])
+                  for key, param in params.items() if key in spec})
+    # gen_linear_vi returns (problem, operator spec)
+    return made[0] if isinstance(made, tuple) else made
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +278,21 @@ def _certified_potential(run_target, params, regime):
 # ---------------------------------------------------------------------------
 # commands
 
+def _given(args, keys) -> dict:
+    """The attributes among keys that are set (flags that were given), as
+    config entries."""
+    return {key: getattr(args, key) for key in keys
+            if getattr(args, key, None) is not None}
+
+
 def _problem_spec(args) -> dict:
-    """The config problem section that the problem flags describe."""
-    if getattr(args, "problem", None):
-        return {"file": args.problem}
-    spec = {"kind": args.kind, "seed": args.seed}
-    if args.kind == "linear-vi" or args.constrained:
-        spec["constrained"] = args.constrained  # other kinds refuse it
-    if args.kind in ("linear-vi", "quadratic"):
-        spec.update(n=args.n, target_sigma=args.sigma)
-    elif args.kind == "logistic":
-        spec.update(n=args.n, num_samples=args.num_samples, lam=args.lam)
-    else:
-        spec.update(nx=args.nx, ny=args.ny, mu_x=args.mu_x, mu_y=args.mu_y)
-    return spec
+    """The config problem section of the problem flags given; the kind's
+    keys not given take their flag defaults."""
+    spec = _given(args, SECTION_KEYS["problem"])
+    if "file" in spec:
+        return spec
+    types = KINDS[spec.setdefault("kind", DEFAULTS["kind"])][1]
+    return {**{key: DEFAULTS[key] for key in types if key in DEFAULTS}, **spec}
 
 
 def cmd_generate(args) -> int:
@@ -293,13 +300,11 @@ def cmd_generate(args) -> int:
 
     out = args.out
     if out is None:
-        out = f"{args.kind}-n{obj.dimension}-seed{args.seed}.problem"
+        out = f"{obj.kind}-n{obj.dimension}-seed{obj.seed}.problem"
     P.write_problem(out, obj)
 
-    if isinstance(obj, SmoothObjective):
-        mu_hat, lip_hat = P.estimate_constants(gradient_problem(obj))
-    else:
-        mu_hat, lip_hat = P.estimate_constants(obj)
+    mu_hat, lip_hat = P.estimate_constants(
+        gradient_problem(obj) if isinstance(obj, SmoothObjective) else obj)
     print(f"wrote {out}")
     print(f"          {'recorded':>14}  {'estimated':>14}")
     print(f"mu        {obj.mu:14.8g}  {mu_hat:14.8g}")
@@ -310,6 +315,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if (args.gap is None) != (args.tol is None):
+        raise ValueError("--gap and --tol go together")
     params, _ = assemble_params(args.regime, args.preset, _flag_params(args),
                                 args.mu, args.lip)
     cert = C.certify(args.regime, args.mu, args.lip, params)
@@ -324,13 +331,13 @@ def cmd_certify(args) -> int:
                 f"[{cert.theta_lo:g}, {cert.theta_hi:g})")
         cert = replace(cert, theta_default=td, rate=1.0 - (cert.a - td))
     sys.stdout.write(cert.to_text())
-    if cert.feasible and args.gap is not None and args.tol is not None:
+    if cert.feasible and args.gap is not None:
         bound = C.iteration_bound(cert, args.gap, args.tol)
         print(f"iteration_bound = {bound}")
     return 0 if cert.feasible else 3
 
 
-def _resolve(target, spec: MethodSpec, stop_defaults: dict) -> tuple:
+def _resolve(target, spec: MethodSpec, stop: dict) -> tuple:
     """Everything one configured method needs to run, checked before any
     method runs: (run_target, params, cert, potential, stop, atol)."""
     run_target, params, regime = build_method(spec, target)
@@ -338,12 +345,10 @@ def _resolve(target, spec: MethodSpec, stop_defaults: dict) -> tuple:
     atol = 0.0
     if regime == C.REGIME_OPT and cert is not None and potential is not None:
         atol = 1e-12 * (1.0 + abs(run_target.optimal_value))
-    max_iter = spec.max_iter if spec.max_iter is not None else \
-        int(stop_defaults.get("max_iter", 20000))
-    tol = spec.tol if spec.tol is not None else \
-        float(stop_defaults.get("tol", 1e-6))
+    stop = {**DEFAULTS, **stop, **_given(spec, SECTION_KEYS["stop"])}
     return (run_target, params, cert, potential,
-            S.StopRule(max_iter=max_iter, residual_tol=tol), atol)
+            S.StopRule(max_iter=int(stop["max_iter"]),
+                       residual_tol=float(stop["tol"])), atol)
 
 
 def _run_one(name: str, run_target, params, cert, potential, stop, atol):
@@ -370,14 +375,15 @@ TRACE_WRITERS = {"csv": H.write_trace_csv, "jsonl": H.write_trace_jsonl}
 
 def _output_plan(output: dict) -> tuple:
     """(directory, formats, thinning) of an output section, validated."""
-    formats = [f.strip() for f in str(output.get("formats", "csv")).split(",")]
+    output = {**DEFAULTS, **output}
+    formats = [f.strip() for f in str(output["formats"]).split(",")]
     for fmt in formats:
         if fmt not in TRACE_WRITERS:
             raise ValueError(f"unknown trace format {fmt!r}")
-    thinning = int(output.get("thinning", 1))
+    thinning = int(output["thinning"])
     if thinning < 1:
         raise ValueError("thinning must be a positive integer")
-    return str(output.get("directory", ".")), formats, thinning
+    return str(output["directory"]), formats, thinning
 
 
 def _summarize(results) -> bool:
@@ -423,41 +429,41 @@ def _run_experiment(cfg: ExperimentConfig, strict: bool) -> int:
     return 4 if strict and failed else 0
 
 
-def _flag_config(args, problem: dict, methods: list) -> ExperimentConfig:
-    return ExperimentConfig(
-        problem=problem, methods=methods,
-        stop={"max_iter": args.max_iter, "tol": args.tol},
-        output={"directory": args.out_dir, "formats": args.formats,
-                "thinning": args.thinning})
+def _flag_config(args, methods: list) -> ExperimentConfig:
+    return ExperimentConfig(problem=_problem_spec(args), methods=methods,
+                            stop=_given(args, SECTION_KEYS["stop"]),
+                            output=_given(args, SECTION_KEYS["output"]))
 
 
 def cmd_solve(args) -> int:
     spec = MethodSpec(name=args.method, preset=args.preset,
                       params=_flag_params(args))
-    return _run_experiment(_flag_config(args, {"file": args.problem}, [spec]),
-                           args.strict)
+    return _run_experiment(_flag_config(args, [spec]), args.strict)
 
 
 def cmd_compare(args) -> int:
-    if args.config:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-        if args.out_dir != ".":
-            cfg.output["directory"] = args.out_dir
-    elif args.methods:
-        cfg = _flag_config(args, _problem_spec(args),
-                           [MethodSpec(name=m.strip(), preset=args.preset)
-                            for m in args.methods.split(",")])
-    else:
-        raise ValueError("compare needs --config or --methods")
+    if args.config is None:
+        if args.methods is None:
+            raise ValueError("compare needs --config or --methods")
+        return _run_experiment(
+            _flag_config(args, [MethodSpec(name=m.strip(), preset=args.preset)
+                                for m in args.methods.split(",")]),
+            args.strict)
+    others = _given(args, ("methods", "preset", *SECTION_KEYS["problem"],
+                           *SECTION_KEYS["stop"], *SECTION_KEYS["output"][1:]))
+    if others:
+        raise ValueError(f"--config takes only --out-dir and --strict, not "
+                         f"{', '.join(map(option, others))}")
+    with open(args.config) as fh:
+        cfg = parse_config(fh.read())
+    if args.directory is not None:
+        cfg.output["directory"] = args.directory
     return _run_experiment(cfg, args.strict)
 
 
 def _flag_params(args) -> dict:
     """The coefficient flags as config entries; --t gives t1..t9."""
-    params = {key: getattr(args, key)
-              for key in VI_PARAM_KEYS + OPT_PARAM_KEYS[9:]
-              if getattr(args, key) is not None}
+    params = _given(args, VI_PARAM_KEYS + OPT_PARAM_KEYS[9:])
     if args.t is not None:
         tvals = [float(v) for v in args.t.split(",")]
         if len(tvals) != 9:
@@ -469,38 +475,28 @@ def _flag_params(args) -> dict:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_problem_flags(sp):
-    sp.add_argument("--kind", default="linear-vi",
-                    choices=["linear-vi", "quadratic", "logistic",
-                             "bilinear-saddle"])
-    sp.add_argument("--n", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--sigma", type=float, default=1e-2)
-    sp.add_argument("--constrained", action="store_true")
-    sp.add_argument("--num-samples", dest="num_samples", type=int, default=2)
-    sp.add_argument("--lam", type=float, default=0.005)
-    sp.add_argument("--nx", type=int, default=10)
-    sp.add_argument("--ny", type=int, default=10)
-    sp.add_argument("--mu-x", dest="mu_x", type=float, default=1.0)
-    sp.add_argument("--mu-y", dest="mu_y", type=float, default=1.0)
+def _add_key_flags(sp, keys):
+    """One flag per config key, unset unless given; help names the kinds
+    that take it and its default."""
+    for key in keys:
+        kinds = [kind for kind, (_, types) in KINDS.items() if key in types]
+        text = "default: " + str(DEFAULTS.get(key, "the generator's"))
+        typ = KEY_TYPES.get(key, str)
+        kw = {"action": "store_true"} if typ is bool else {"type": typ}
+        if key == "kind":
+            kw["choices"] = list(KINDS)
+        sp.add_argument(option(key), dest=key, default=None, **kw,
+                        help=f"{', '.join(kinds)}; {text}" if kinds else text)
 
 
 def _add_vi_param_flags(sp):
-    for key in VI_PARAM_KEYS:
-        sp.add_argument(f"--{key}", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--t", type=str, default=None,
-                    help="nine comma-separated opt coefficients")
-    sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--c", type=float, default=None)
+    for key in VI_PARAM_KEYS + OPT_PARAM_KEYS[9:]:
+        sp.add_argument(f"--{key}", type=float)
+    sp.add_argument("--t", help="nine comma-separated opt coefficients")
 
 
 def _add_output_flags(sp):
-    sp.add_argument("--out-dir", default=".")
-    sp.add_argument("--formats", default="csv")
-    sp.add_argument("--thinning", type=int, default=1)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=20000)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    _add_key_flags(sp, SECTION_KEYS["output"] + SECTION_KEYS["stop"])
     sp.add_argument("--strict", action="store_true")
 
 
@@ -513,40 +509,39 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate and serialize an instance")
-    _add_problem_flags(g)
-    g.add_argument("--out", default=None)
+    _add_key_flags(g, SECTION_KEYS["problem"][1:])
+    g.add_argument("--out", help="default: <kind>-n<n>-seed<seed>.problem")
     g.set_defaults(func=cmd_generate)
 
     ce = sub.add_parser("certify", help="check parameter feasibility and rate")
     ce.add_argument("--regime", required=True, choices=list(C.REGIMES))
     ce.add_argument("--mu", type=float, required=True)
     ce.add_argument("--lip", type=float, required=True)
-    ce.add_argument("--preset", default=None, choices=[PR.PAPER_DEFAULT])
+    ce.add_argument("--preset", choices=[PR.PAPER_DEFAULT])
     _add_vi_param_flags(ce)
-    ce.add_argument("--theta-default", dest="theta_default", type=float,
-                    default=None,
+    ce.add_argument("--theta-default", type=float,
                     help="override the momentum weight inside the certified "
                          "window (VI regimes)")
-    ce.add_argument("--gap", type=float, default=None)
-    ce.add_argument("--tol", type=float, default=None)
+    ce.add_argument("--gap", type=float,
+                    help="with --tol: print iteration_bound")
+    ce.add_argument("--tol", type=float, help="with --gap")
     ce.set_defaults(func=cmd_certify)
 
     so = sub.add_parser("solve", help="run one method on a problem file")
-    so.add_argument("--problem", required=True)
+    so.add_argument("--problem", dest="file", required=True)
     so.add_argument("--method", required=True, choices=list(S.METHODS))
-    so.add_argument("--preset", default=None, choices=list(PR.PRESETS))
+    so.add_argument("--preset", choices=list(PR.PRESETS))
     _add_vi_param_flags(so)
     _add_output_flags(so)
     so.set_defaults(func=cmd_solve)
 
     cp = sub.add_parser("compare", help="run several methods and summarize")
-    cp.add_argument("--config", default=None)
-    cp.add_argument("--problem", default=None,
-                    help="problem file (overrides generator flags)")
-    cp.add_argument("--methods", default=None,
-                    help="comma-separated method names")
-    cp.add_argument("--preset", default=None, choices=list(PR.PRESETS))
-    _add_problem_flags(cp)
+    cp.add_argument("--config", help="takes only --out-dir and --strict")
+    cp.add_argument("--problem", dest="file",
+                    help="problem file; takes no generator flags")
+    cp.add_argument("--methods", help="comma-separated method names")
+    cp.add_argument("--preset", choices=list(PR.PRESETS))
+    _add_key_flags(cp, SECTION_KEYS["problem"][1:])
     _add_output_flags(cp)
     cp.set_defaults(func=cmd_compare)
     return ap

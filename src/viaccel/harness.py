@@ -3,7 +3,7 @@
 This module owns the trace data model (per-iteration merits, distances,
 potentials, timings), the contraction checker that compares measured decay
 against a certificate, the plain-text trace exports, and the oracles used to
-cross-examine analytic constants: central finite differences and power
+cross-examine analytic constants: a central-difference Jacobian and power
 iteration.
 """
 
@@ -254,109 +254,7 @@ def check_contraction(trace: IterateTrace, cert, rtol: float = 1e-9,
 
 
 # ---------------------------------------------------------------------------
-# recursion audits: printed one-step bounds evaluated on measured points
-
-def unrestricted_recursion_terms(params, mu: float, lip: float,
-                                 operator: Callable, z_prev, z_curr, z_half,
-                                 z_next, z_star) -> dict:
-    """Evaluate the one-step distance bound of the free-half-point scheme.
-
-    Given the points produced by one step (z_half, z_next) from history
-    (z_prev, z_curr), returns the measured left side ||z_next - z*||^2 and
-    the printed right side, whose coefficients multiply ||z_curr - z*||^2,
-    ||z_prev - z*||^2 and ||z_curr - z_half||^2 plus three operator cross
-    terms. The inequality holds for any nonnegative parameters with
-    eta > 0 on whole-space problems.
-    """
-    al, be, ga, eta, ta = params.alpha, params.beta, params.gamma, params.eta, params.tau
-    L = lip
-    r = al / eta
-    e = ga - al * be / eta
-    abs1 = abs(-al * be / eta - r * e)
-    abs2 = abs(-2.0 * al * be / eta - 2.0 * r * e)
-
-    c_curr = 1.0 - al * mu + 3.0 * ga + ta * L * (3.0 + 2.0 * ta * L + 2.0 * r + 2.0 * al * L) \
-        + 2.0 * e * e + abs2
-    c_prev = 2.0 * e * e + ga + 2.0 * ta * L * (1.0 + ta * L + r + al * L) + abs2
-    c_half = al * al * L * L + al * al / (eta * eta) + al * ta * L / eta - 2.0 * r \
-        + 2.0 * al * mu + al * ta * L * L + abs1
-
-    f_curr = operator(z_curr)
-    f_prev = operator(z_prev)
-    f_half = operator(z_half)
-
-    dc = z_curr - z_star
-    dp = z_prev - z_star
-    dh = z_curr - z_half
-    dn = z_next - z_star
-    dcp = z_curr - z_prev
-
-    cross1 = (-2.0 * al + 2.0 * al * al / eta) * float((f_half - f_curr) @ dh)
-    cross2 = -2.0 * al * e * float((f_half - f_curr) @ dcp)
-    cross3 = -2.0 * ta * e * float((f_curr - f_prev) @ dcp)
-
-    rhs = c_curr * float(dc @ dc) + c_prev * float(dp @ dp) \
-        + c_half * float(dh @ dh) + cross1 + cross2 + cross3
-    lhs = float(dn @ dn)
-    return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs}
-
-
-def restricted_recursion_terms(params, mu: float, lip: float,
-                               operator: Callable, z_prev, z_curr, z_half,
-                               z_next, z_star) -> dict:
-    """Evaluate the one-step distance bound of the projected-half-point scheme.
-
-    The printed inequality bounds (1 - tau L) ||z_next - z*||^2 by distance
-    terms plus two nonpositive-coefficient proximity terms and the step-size
-    mismatch term 2 (eta - alpha) F(z_curr) . (z_next - z_half). Holds for
-    any nonnegative parameters when both half and full points are projected
-    onto the feasible set.
-    """
-    al, be, ga, eta, ta = params.alpha, params.beta, params.gamma, params.eta, params.tau
-    L = lip
-    g_b = abs(ga - be)
-
-    f_curr = operator(z_curr)
-
-    dc = z_curr - z_star
-    dp = z_prev - z_star
-    dn = z_next - z_star
-    dnh = z_next - z_half
-    dhc = z_half - z_curr
-
-    lhs = (1.0 - ta * L) * float(dn @ dn)
-    rhs = (1.0 - al * mu + 4.0 * ga + 2.0 * g_b + 2.0 * ta * L) * float(dc @ dc) \
-        + (2.0 * ga + 2.0 * g_b + 2.0 * ta * L) * float(dp @ dp) \
-        + (al * L + g_b - 1.0) * float(dnh @ dnh) \
-        + (al * L + 2.0 * al * mu + 2.0 * ga - 1.0) * float(dhc @ dhc) \
-        + 2.0 * (eta - al) * float(f_curr @ dnh)
-    return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs}
-
-
-# ---------------------------------------------------------------------------
 # oracles
-
-def finite_diff_grad(fn, point, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with O(step^2) truncation error.
-
-    ``fn`` is a scalar function of a vector, or an objective whose ``value``
-    is differentiated. Entry i is (fn(x + step e_i) - fn(x - step e_i)) /
-    (2 step). The usual accuracy sweet spot trades the O(step^2) truncation
-    term against the eps/step rounding term, so step near 1e-6 suits
-    unit-scale functions.
-    """
-    if isinstance(fn, SmoothObjective):
-        fn = fn.value
-    x = as_vector(point)
-    if not (step > 0):
-        raise ValueError("step must be positive")
-    g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * step)
-    return g
-
 
 def finite_diff_jacobian(op: Callable, point, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of a vector map, column by column."""

@@ -17,8 +17,6 @@ import oracles
 import viaccel as va
 from viaccel import certify as C
 from viaccel import presets as PR
-from viaccel.harness import (restricted_recursion_terms,
-                             unrestricted_recursion_terms)
 
 
 def _verdict(num: int, label: str, ok: bool) -> None:
@@ -198,8 +196,9 @@ def test_criterion_08_one_step_recursion_audits():
     rng = np.random.default_rng(5)
     ok = True
     for constrained, regime, terms in (
-            (False, C.REGIME_VI_UNRESTRICTED, unrestricted_recursion_terms),
-            (True, C.REGIME_VI_RESTRICTED, restricted_recursion_terms)):
+            (False, C.REGIME_VI_UNRESTRICTED,
+             oracles.unrestricted_recursion_terms),
+            (True, C.REGIME_VI_RESTRICTED, oracles.restricted_recursion_terms)):
         prob, _ = va.gen_linear_vi(5, 4, 0.05, constrained=constrained)
         draws = []
         while len(draws) < 20:
@@ -233,7 +232,7 @@ def test_criterion_09_gradient_oracle_matches_finite_differences():
     for _ in range(50):
         x = rng.standard_normal(15)
         g = obj.gradient(x)
-        fd = va.finite_diff_grad(obj, x)
+        fd = oracles.finite_diff_grad(obj, x)
         ok &= float(np.linalg.norm(fd - g)) <= 1e-6 * float(np.linalg.norm(g))
     _verdict(9, "closed-form regularized-logistic gradient matches central "
                 "differences to 1e-6 relative at 50 points", ok)

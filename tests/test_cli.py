@@ -1,13 +1,17 @@
 """Command-line surface: exit codes, outputs, and experiment configs."""
 
+import inspect
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import viaccel as va
-from viaccel.cli import (ExperimentConfig, MethodSpec, build_method,
-                         build_problem, main, parse_config, serialize_config)
+from viaccel.cli import (DEFAULTS, KINDS, SECTION_KEYS, ExperimentConfig,
+                         MethodSpec, build_method, build_problem, main,
+                         option, parse_config, serialize_config)
 
 CONFIG_TEXT = """\
 # comparison on a constrained instance
@@ -112,11 +116,12 @@ def test_generate_writes_a_parseable_deterministic_file(tmp_path, capsys):
 
 
 def test_generate_other_kinds(tmp_path):
-    for kind, extra in (("quadratic", []),
-                        ("logistic", ["--num-samples", "2", "--lam", "0.005"]),
+    for kind, extra in (("quadratic", ["--n", "6"]),
+                        ("logistic", ["--n", "6", "--num-samples", "2",
+                                      "--lam", "0.005"]),
                         ("bilinear-saddle", ["--nx", "3", "--ny", "4"])):
         path = tmp_path / f"{kind}.txt"
-        rc = main(["generate", "--kind", kind, "--n", "6", "--seed", "0",
+        rc = main(["generate", "--kind", kind, "--seed", "0",
                    "--out", str(path), *extra])
         assert rc == 0
         assert va.read_problem(path).kind == kind
@@ -141,6 +146,15 @@ def test_certify_opt_regime_reference_rate(capsys):
     assert rc == 0
     assert "rate = 0.75" in out
     assert "iteration_bound = 65" in out  # ceil(ln(1e8) / ln(4/3))
+
+
+@pytest.mark.parametrize("bound_flags", [["--gap", "1.0"], ["--tol", "1e-8"]])
+def test_certify_gap_and_tol_go_together(bound_flags, capsys):
+    rc = main(["certify", "--regime", "opt", "--mu", "1", "--lip", "16",
+               *bound_flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and "--gap and --tol" in captured.err
 
 
 def test_certify_momentum_weight_override(capsys):
@@ -560,3 +574,86 @@ def test_readme_config_example_parses_to_what_it_says():
     assert cfg.output == {"directory": "runs", "formats": "csv"}
     assert [(m.name, m.preset) for m in cfg.methods] == [
         ("vanilla", "table"), ("extra-point", "paper-default")]
+
+
+def test_compare_config_honours_out_dir_even_when_it_is_the_cwd(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(CONFIG_TEXT.replace(
+        "stop.max_iter = 3000", "stop.max_iter = 20") + "output.directory = cfg\n")
+    assert main(["compare", "--config", "exp.cfg", "--out-dir", "."]) == 0
+    assert (tmp_path / "vanilla.csv").exists()
+    assert not (tmp_path / "cfg").exists()
+
+
+# --- README contract ------------------------------------------------------------------
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_commands():
+    """Each viaccel command of the README's sh blocks, with the exit code its
+    comment documents: 3 where the comment says it exits 3, else 0."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S):
+        comment = ""
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("#"):
+                comment += line
+            elif line.startswith("viaccel "):
+                commands.append((shlex.split(line)[1:],
+                                 3 if "exits 3" in comment else 0))
+                comment = ""
+    return commands
+
+
+def test_readme_cli_examples_give_their_documented_exit_codes(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    section = README[README.index("### compare"):]
+    start = section.index("```text\n") + len("```text\n")
+    (tmp_path / "experiment.txt").write_text(
+        section[start:section.index("```", start)])
+    commands = _readme_commands()
+    assert {argv[0] for argv, _ in commands} == {
+        "generate", "certify", "solve", "compare"}
+    assert 3 in {code for _, code in commands}
+    for argv, code in commands:
+        assert main(argv) == code, argv
+
+
+def test_readme_names_each_kinds_flags_and_defaults():
+    sentence = README.split("Kinds: ")[1].split(". ")[0]
+    flags = {kind: re.findall(r"`(--[a-z-]+)`", group)
+             for kind, group in re.findall(r"`([a-z-]+)` \(([^)]*)\)",
+                                           sentence)}
+    assert flags == {kind: [option(key) for key in types]
+                     for kind, (_, types) in KINDS.items()}
+    documented = {}
+    for listing in re.findall(r"takes (?:its|the same) default: (.*?)(?:;|\.\s)",
+                              README, re.S):
+        documented.update(re.findall(r"`(--[a-z-]+) ([^`]+)`", listing))
+    assert documented == {option(key): str(value)
+                          for key, value in DEFAULTS.items()}
+
+
+def test_readme_config_keys_are_the_tables_keys():
+    paragraph = README[README.index("Each section takes only its own keys"):]
+    paragraph = " ".join(paragraph[:paragraph.index("\n\n")].split())
+    generator = paragraph.split("the generator keys ")[1].split(";")[0]
+    assert tuple(re.findall(r"`(\w+)`", generator)) == \
+        SECTION_KEYS["problem"][1:]
+    for section in ("stop", "output"):
+        assert tuple(re.findall(rf"`{section}\.(\w+)`", paragraph)) == \
+            SECTION_KEYS[section]
+    listing = paragraph.split("its generator's keys (")[1].split(")")[0]
+    for entry in listing.split("; "):
+        kind, keys = entry.split(": ")
+        required, _, optional = keys.partition("optional ")
+        gen, types = KINDS[kind.strip("`")]
+        defaults = {key: param.default is not param.empty for key, param in
+                    zip(types, inspect.signature(gen).parameters.values())}
+        assert re.findall(r"`(\w+)`", required) == \
+            [k for k in types if not defaults[k]]
+        assert re.findall(r"`(\w+)`", optional) == \
+            [k for k in types if defaults[k]]

@@ -11,9 +11,7 @@ import pytest
 import oracles
 import viaccel as va
 import viaccel.certify as C
-from viaccel.harness import (CSV_HEADER, TRACE_FIELDS, IterateTrace,
-                             restricted_recursion_terms,
-                             unrestricted_recursion_terms)
+from viaccel.harness import CSV_HEADER, TRACE_FIELDS, IterateTrace
 
 
 def _quad_objective():
@@ -207,7 +205,7 @@ def test_unrestricted_recursion_bound_holds_on_stepper_output():
         st = va.ViState(z_curr=zc, z_prev=zp, f_curr=prob.operator(zc),
                         f_prev=prob.operator(zp))
         out = va.step_extra_point(prob, st, params)
-        terms = unrestricted_recursion_terms(
+        terms = oracles.unrestricted_recursion_terms(
             params, prob.mu, prob.lip, prob.operator,
             zp, zc, out.z_half, out.z_curr, prob.solution)
         scale = 1.0 + abs(terms["lhs"]) + abs(terms["rhs"])
@@ -224,7 +222,7 @@ def test_restricted_recursion_bound_holds_on_stepper_output():
         st = va.ViState(z_curr=zc, z_prev=zp, f_curr=prob.operator(zc),
                         f_prev=prob.operator(zp))
         out = va.step_extra_point(prob, st, params, restricted=True)
-        terms = restricted_recursion_terms(
+        terms = oracles.restricted_recursion_terms(
             params, prob.mu, prob.lip, prob.operator,
             zp, zc, out.z_half, out.z_curr, prob.solution)
         scale = 1.0 + abs(terms["lhs"]) + abs(terms["rhs"])
@@ -234,13 +232,14 @@ def test_restricted_recursion_bound_holds_on_stepper_output():
 # --- numeric oracles -------------------------------------------------------------
 
 def test_finite_diff_grad_on_callable_and_objective():
-    fd = va.finite_diff_grad(lambda x: 0.5 * float(x @ x), np.array([1.0, 2.0]))
+    fd = oracles.finite_diff_grad(lambda x: 0.5 * float(x @ x),
+                                  np.array([1.0, 2.0]))
     assert np.allclose(fd, [1.0, 2.0], rtol=0, atol=1e-9)
-    assert np.array_equal(va.finite_diff_grad(lambda x: 7.0, np.ones(3)),
+    assert np.array_equal(oracles.finite_diff_grad(lambda x: 7.0, np.ones(3)),
                           np.zeros(3))
     obj = va.gen_quadratic(6, 0, 0.1)
     x = np.linspace(-1, 1, 6)
-    assert np.allclose(va.finite_diff_grad(obj, x), obj.gradient(x),
+    assert np.allclose(oracles.finite_diff_grad(obj, x), obj.gradient(x),
                        rtol=1e-7, atol=1e-7)
 
 
