@@ -68,6 +68,19 @@ def option(key: str) -> str:
     return OPTIONS.get(key, "--" + key.replace("_", "-"))
 
 
+def _typed(key: str, value, typ):
+    """A config entry as typ: an int key takes an integer, a bool key true
+    or false, a float key a number (a bool is neither), a text key anything;
+    anything else raises ValueError naming the key."""
+    if typ is str:
+        return str(value)
+    kinds = (int, float) if typ is float else typ
+    if isinstance(value, bool) != (typ is bool) or not isinstance(value, kinds):
+        name = {int: "an integer", bool: "true or false", float: "a number"}
+        raise ValueError(f"{key} must be {name[typ]}, got {value!r}")
+    return typ(value)
+
+
 # ---------------------------------------------------------------------------
 # experiment config
 
@@ -107,10 +120,9 @@ def parse_config(text: str) -> ExperimentConfig:
             spec = methods.setdefault(idx, MethodSpec(name=""))
             fld = parts[2]
             if fld in ("name", "preset", "max_iter", "tol"):
-                typ = {"max_iter": int, "tol": float}.get(fld, str)
-                setattr(spec, fld, typ(value))
+                setattr(spec, fld, _typed(key, value, KEY_TYPES.get(fld, str)))
             elif fld in VI_PARAM_KEYS or fld in OPT_PARAM_KEYS:
-                spec.params[fld] = float(value)
+                spec.params[fld] = _typed(key, value, float)
             else:
                 raise ValueError(f"unknown method field {fld!r}")
         else:
@@ -173,7 +185,7 @@ def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:
 
     if "file" in spec:
         return P.read_problem(str(spec["file"]))
-    made = gen(**{param.name: types[key](spec[key])
+    made = gen(**{param.name: _typed(f"problem.{key}", spec[key], types[key])
                   for key, param in params.items() if key in spec})
     # gen_linear_vi returns (problem, operator spec)
     return made[0] if isinstance(made, tuple) else made
@@ -347,8 +359,8 @@ def _resolve(target, spec: MethodSpec, stop: dict) -> tuple:
         atol = 1e-12 * (1.0 + abs(run_target.optimal_value))
     stop = {**DEFAULTS, **stop, **_given(spec, SECTION_KEYS["stop"])}
     return (run_target, params, cert, potential,
-            S.StopRule(max_iter=int(stop["max_iter"]),
-                       residual_tol=float(stop["tol"])), atol)
+            S.StopRule(max_iter=_typed("stop.max_iter", stop["max_iter"], int),
+                       residual_tol=_typed("stop.tol", stop["tol"], float)), atol)
 
 
 def _run_one(name: str, run_target, params, cert, potential, stop, atol):
@@ -380,7 +392,7 @@ def _output_plan(output: dict) -> tuple:
     for fmt in formats:
         if fmt not in TRACE_WRITERS:
             raise ValueError(f"unknown trace format {fmt!r}")
-    thinning = int(output["thinning"])
+    thinning = _typed("output.thinning", output["thinning"], int)
     if thinning < 1:
         raise ValueError("thinning must be a positive integer")
     return str(output["directory"]), formats, thinning

@@ -279,10 +279,12 @@ def vi_merits(problem: MonotoneProblem, z: np.ndarray,
     """
     if fz is None:
         fz = problem.operator(z)
-    res = norm2(z - problem.feasible_set.project(z - fz))
-    if problem.feasible_set.unbounded_whole_space:
+    fset = problem.feasible_set
+    d = z - fset.project(z - fz)
+    res = math.sqrt(d.dot(d))  # norm2(d): d is a fresh contiguous array
+    if fset.unbounded_whole_space:
         return norm2(fz), res
-    return float(abs(z @ fz)), res
+    return float(abs(z.dot(fz))), res
 
 
 def objective_merits(objective: SmoothObjective, x: np.ndarray) -> tuple:

@@ -50,8 +50,6 @@ class IterateTrace:
 
     def __post_init__(self):
         self.columns = {name: [] for name in TRACE_FIELDS}
-        # bound once: run() appends a row every iteration
-        self._appends = tuple(col.append for col in self.columns.values())
 
     @property
     def iterations(self) -> int:
@@ -63,8 +61,8 @@ class IterateTrace:
 
     def append(self, *row) -> None:
         """Add one iteration's values, in TRACE_FIELDS order."""
-        for add, value in zip(self._appends, row):
-            add(value)
+        for col, value in zip(self.columns.values(), row):
+            col.append(value)
 
 
 class DivergenceError(RuntimeError):
@@ -103,7 +101,7 @@ def vi_distance_potential(problem: MonotoneProblem, theta: float) -> Callable:
     def phi(state) -> float:
         d1 = state.z_curr - zs
         d0 = state.z_prev - zs
-        return float(d1 @ d1 + theta * (d0 @ d0))
+        return float(d1.dot(d1) + theta * d0.dot(d0))
 
     return phi
 
@@ -130,8 +128,8 @@ def ogda_potential(problem: MonotoneProblem) -> Callable:
     def phi(state) -> float:
         d = state.z_curr - zs
         dz = state.z_curr - state.z_prev
-        return float(d @ d + c1 * (d @ (state.f_prev - state.f_curr))
-                     + c2 * (dz @ dz))
+        return float(d.dot(d) + c1 * d.dot(state.f_prev - state.f_curr)
+                     + c2 * dz.dot(dz))
 
     return phi
 
@@ -145,7 +143,7 @@ def opt_potential(objective: SmoothObjective, c: float) -> Callable:
 
     def phi(state) -> float:
         dv = state.v_curr - xs
-        return float(objective.value(state.x_curr) - fs + c * (dv @ dv))
+        return float(objective.value(state.x_curr) - fs + c * dv.dot(dv))
 
     return phi
 

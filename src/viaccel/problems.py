@@ -201,6 +201,22 @@ def solve_linear_reference(spec: LinearOperatorSpec, feasible_set: FeasibleSet,
     raise RuntimeError("complementarity reference solve did not converge")
 
 
+def _orthonormal_rows(G: np.ndarray) -> Optional[np.ndarray]:
+    """Classical Gram-Schmidt on the rows of G, which it overwrites; None
+    when a row's remainder has norm below 1e-8."""
+    Q = np.empty_like(G)
+    t = np.empty(G.shape[1])
+    for i, v in enumerate(G):
+        for qj in Q[:i]:
+            np.multiply(qj, qj.dot(v), out=t)
+            v -= t
+        nv = norm2(v)
+        if nv < 1e-8:
+            return None
+        np.divide(v, nv, out=Q[i])
+    return Q
+
+
 def gen_quadratic(n: int, seed: int, target_sigma: float) -> SmoothObjective:
     """Dense strongly convex quadratic with an exactly pinned spectrum.
 
@@ -218,20 +234,8 @@ def gen_quadratic(n: int, seed: int, target_sigma: float) -> SmoothObjective:
     U = rng = None
     for attempt in range(9):
         rng = np.random.default_rng(seed + attempt)
-        G = rng.standard_normal((n, n))
-        Q = np.empty_like(G)
-        ok = True
-        for i in range(n):
-            v = G[i].copy()
-            for j in range(i):
-                v -= (Q[j] @ v) * Q[j]
-            nv = norm2(v)
-            if nv < 1e-8:
-                ok = False
-                break
-            Q[i] = v / nv
-        if ok:
-            U = Q
+        U = _orthonormal_rows(rng.standard_normal((n, n)))
+        if U is not None:
             break
     if U is None:
         raise RuntimeError("orthonormal basis construction failed")

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (MonotoneProblem, SmoothObjective, as_vector, norm2,
+from .core import (MonotoneProblem, SmoothObjective, as_vector,
                    objective_merits, vi_merits)
-from .harness import DIVERGENCE_NORM, DivergenceError, IterateTrace, now_ns
+from .harness import (DIVERGENCE_NORM, TRACE_FIELDS, DivergenceError,
+                      IterateTrace, now_ns)
 
 # The coefficients each named VI method keeps; run() zeroes the others.
 VI_MASKS = {
@@ -111,8 +110,7 @@ class OptParams:
         object.__setattr__(self, "delta", d)
 
 
-@dataclass(frozen=True)
-class ViState:
+class ViState(NamedTuple):
     """Two-point history with cached operator values (never stale)."""
 
     z_curr: np.ndarray
@@ -122,8 +120,7 @@ class ViState:
     z_half: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class OptState:
+class OptState(NamedTuple):
     """Primary sequence x and auxiliary sequence v of the opt scheme."""
 
     x_curr: np.ndarray
@@ -146,9 +143,14 @@ def step_extra_point(problem: MonotoneProblem, state: ViState,
     reused. That makes the named specializations reproduce bit for bit.
     Building an unprojected half point on a domain-restricted problem
     raises ValueError.
+
+    No input array is written: every array the step computes is fresh,
+    and the returned state carries the others over from ``state``.
     """
     al, be, ga, eta, ta = params.alpha, params.beta, params.gamma, params.eta, params.tau
     zc, zp, fc = state.z_curr, state.z_prev, state.f_curr
+    operator, project = problem.operator, problem.feasible_set.project
+    dz = zc - zp if be != 0.0 or ga != 0.0 else None
     if eta == 0.0 and be == 0.0:
         half, f_half = zc, fc
     else:
@@ -157,20 +159,19 @@ def step_extra_point(problem: MonotoneProblem, state: ViState,
                              "half point")
         half = zc
         if be != 0.0:
-            half = half + be * (zc - zp)
+            half = half + be * dz
         if eta != 0.0:
             half = half - eta * fc
         if restricted:
-            half = problem.feasible_set.project(half)
-        f_half = problem.operator(half)
+            half = project(half)
+        f_half = operator(half)
     step = zc - al * f_half
     if ga != 0.0:
-        step = step + ga * (zc - zp)
+        step = step + ga * dz
     if ta != 0.0:
         step = step - ta * (fc - state.f_prev)
-    z_new = problem.feasible_set.project(step)
-    return ViState(z_curr=z_new, z_prev=zc, f_curr=problem.operator(z_new),
-                   f_prev=fc, z_half=half)
+    z_new = project(step)
+    return ViState(z_new, zc, operator(z_new), fc, half)
 
 
 def step_opt_extra_point(objective: SmoothObjective, state: OptState,
@@ -260,12 +261,8 @@ def run(target, method: str, params, start, stop: StopRule,
                                "sigma": target.sigma, "seed": target.seed})
     if opt:
         trace.meta["f_star"] = target.optimal_value
-        reference, point = target.minimizer, attrgetter("x_curr")
-        step = partial(step_opt_extra_point, target, params=params, y_rule="p")
+        reference, step, variant = target.minimizer, step_opt_extra_point, "p"
         stop_merit = 0  # the gradient norm
-
-        def merits(s: OptState) -> tuple:
-            return objective_merits(target, s.x_curr)
     else:
         fset = target.feasible_set
         if not fset.contains(z0, tol=1e-12 * (1.0 + float(np.linalg.norm(z0)))):
@@ -274,41 +271,44 @@ def run(target, method: str, params, start, stop: StopRule,
             raise ValueError("extra-gradient needs a positive half-step eta")
         restricted = trace.meta["restricted"] = \
             target.domain_restricted or not fset.unbounded_whole_space
-        reference, point = target.solution, attrgetter("z_curr")
-        step = partial(step_extra_point, target, params=_masked(method, params),
-                       restricted=restricted and method != "nesterov")
+        reference, step, params = target.solution, step_extra_point, \
+            _masked(method, params)
+        variant = restricted and method != "nesterov"
         stop_merit = 1  # the natural residual
-
-        def merits(s: ViState) -> tuple:
-            return vi_merits(target, s.z_curr, s.f_curr)
+    add_k, add_primary, add_aux, add_dsq, add_pot, add_ns = (
+        trace.column(name).append for name in TRACE_FIELDS)
+    # a zero tolerance never stops a run, not even at a zero residual
+    tol = stop.residual_tol if stop.residual_tol > 0.0 else -math.inf
 
     t0 = now_ns()
-    state = OptState(x_curr=z0, v_curr=z0.copy()) if opt else vi_state(target, z0)
-
-    def record(k: int, state) -> float:
-        pair = merits(state)
-        dsq = None
-        if reference is not None:
-            d = point(state) - reference
-            dsq = float(d @ d)
-        pot = float(potential(state)) if potential is not None else None
-        trace.append(k, *pair, dsq, pot, now_ns() - t0)
-        return pair[stop_merit]
-
-    tol = stop.residual_tol
-    res = record(0, state)
-    for k in range(1, stop.max_iter + 1):
-        if tol > 0.0 and res <= tol:
+    state = OptState(z0, z0.copy()) if opt else vi_state(target, z0)
+    z = state[0]  # the iterate: z_curr or x_curr
+    for k in range(stop.max_iter + 1):
+        if k:
+            # variant: opt's y-rule, or whether the VI half point is projected
+            state = step(target, state, params, variant)
+            z = state[0]
+            # a non-finite entry makes the norm nan or inf, which fails the test
+            if not math.sqrt(z.dot(z)) <= DIVERGENCE_NORM or \
+                    (opt and not np.isfinite(state.v_curr).all()):
+                trace.terminated_by = "divergence"
+                trace.final_point = z
+                raise DivergenceError(trace)
+        pair = objective_merits(target, z) if opt else \
+            vi_merits(target, z, state.f_curr)
+        add_k(k)
+        add_primary(pair[0])
+        add_aux(pair[1])
+        if reference is None:
+            add_dsq(None)
+        else:
+            d = z - reference
+            add_dsq(float(d.dot(d)))
+        add_pot(None if potential is None else float(potential(state)))
+        add_ns(now_ns() - t0)
+        res = pair[stop_merit]
+        if res <= tol:
+            trace.terminated_by = "tolerance"
             break
-        state = step(state)
-        # a non-finite entry makes the norm nan or inf, which fails the test
-        if not norm2(point(state)) <= DIVERGENCE_NORM or \
-                (opt and not np.all(np.isfinite(state.v_curr))):
-            trace.terminated_by = "divergence"
-            trace.final_point = point(state)
-            raise DivergenceError(trace)
-        res = record(k, state)
-    if tol > 0.0 and res <= tol:
-        trace.terminated_by = "tolerance"
-    trace.final_point = point(state)
+    trace.final_point = z
     return trace

@@ -1,16 +1,19 @@
 """Reference implementations that spell out the plain arithmetic.
 
 The library runs every variational-inequality method as a parameter mask
-of solvers.step_extra_point, and the minimization scheme through the
-generic nine-coefficient step. These hand-written updates exist only to
+of solvers.step_extra_point, which updates its temporaries in place, and
+the minimization scheme through the generic nine-coefficient step. These
+hand-written updates, the five-parameter rule among them, exist only to
 cross-check that: the tests compare the library against them bit for bit
 (or to roundoff, for the reduced minimization form).
 
 The generator oracles keep the full 120-step scale search of the linear-VI
 generator, a power iteration through np.linalg.norm and the matmul
-operator, and the orthant reference solve written the same way. The library
-stops the search at its fixed point and uses ndarray.dot and core.norm2;
-the tests require identical instance text.
+operator, the orthant reference solve written the same way, and the
+quadratic generator's Gram-Schmidt with a fresh vector per projection. The
+library stops the search at its fixed point, uses ndarray.dot and
+core.norm2, and orthogonalises in place; the tests require identical
+instance text.
 
 The recursion audits evaluate the printed one-step distance bounds of the
 two VI regimes on measured points, and the central-difference gradient
@@ -23,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from viaccel.core import (MonotoneProblem, NonnegativeOrthant, SmoothObjective,
-                          WholeSpace, as_vector)
+                          WholeSpace, as_vector, norm2)
 from viaccel.solvers import OptState, ViState
 
 
@@ -87,6 +90,35 @@ def step_nesterov(problem, state, alpha, beta):
     return _advance(problem, state, z_new, half)
 
 
+def step_extra_point(problem, state, params, restricted=False):
+    """The five-parameter rule as its two textbook expressions,
+
+        half = z + beta (z - z_prev) - eta F(z)      [projected if restricted]
+        next = P(z - alpha F(half) + gamma (z - z_prev) - tau (F(z) - F(z_prev)))
+
+    skipping each zero-coefficient term, with a fresh array per operation.
+    """
+    al, be, ga, eta, ta = params.alpha, params.beta, params.gamma, params.eta, params.tau
+    zc, zp, fc = state.z_curr, state.z_prev, state.f_curr
+    if eta == 0.0 and be == 0.0:
+        half, f_half = zc, fc
+    else:
+        half = zc
+        if be != 0.0:
+            half = half + be * (zc - zp)
+        if eta != 0.0:
+            half = half - eta * fc
+        if restricted:
+            half = problem.feasible_set.project(half)
+        f_half = problem.operator(half)
+    step = zc - al * f_half
+    if ga != 0.0:
+        step = step + ga * (zc - zp)
+    if ta != 0.0:
+        step = step - ta * (fc - state.f_prev)
+    return _advance(problem, state, problem.feasible_set.project(step), half)
+
+
 def step_opt_extra_point_simplified(objective, state, theta, delta):
     """The reduced form of the default-parameter scheme with y = p.
 
@@ -116,10 +148,12 @@ def step_opt_extra_point_simplified(objective, state, theta, delta):
 
 
 def oracle_step(method, problem, params, restricted):
-    """The reference stepper for one named VI method, as a state -> state map.
+    """The reference stepper for one VI method, as a state -> state map.
 
     ``restricted`` is the projected-half-point choice run() derives from the
-    problem; only extra-gradient uses it, as nesterov never projects.
+    problem; extra-gradient and extra-point use it, as nesterov never
+    projects. Each named method reads its own coefficients from
+    ``params``; extra-point steps with all five.
     """
     p = params
     return {
@@ -129,6 +163,7 @@ def oracle_step(method, problem, params, restricted):
         "ogda": lambda s: step_ogda(problem, s, p.alpha, p.tau),
         "heavy-ball": lambda s: step_heavy_ball(problem, s, p.alpha, p.gamma),
         "nesterov": lambda s: step_nesterov(problem, s, p.alpha, p.beta),
+        "extra-point": lambda s: step_extra_point(problem, s, p, restricted),
     }[method]
 
 
@@ -154,6 +189,22 @@ def power_iteration_norm(op, dimension=None, iters=500, seed=0, adjoint=None):
             return 0.0
         v = w / nw
     return float(np.linalg.norm(apply_m(v)))
+
+
+def gram_schmidt(G):
+    """The quadratic generator's orthonormal rows, one fresh vector per row
+    and per projection; None on breakdown."""
+    n = G.shape[0]
+    Q = np.empty_like(G)
+    for i in range(n):
+        v = G[i].copy()
+        for j in range(i):
+            v -= (Q[j] @ v) * Q[j]
+        nv = norm2(v)
+        if nv < 1e-8:
+            return None
+        Q[i] = v / nv
+    return Q
 
 
 def solve_linear_reference(M, q, fset, lip, tol=1e-12):

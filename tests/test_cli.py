@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import viaccel as va
-from viaccel.cli import (DEFAULTS, KINDS, SECTION_KEYS, ExperimentConfig,
-                         MethodSpec, build_method, build_problem, main,
-                         option, parse_config, serialize_config)
+from viaccel.cli import (DEFAULTS, KEY_TYPES, KINDS, SECTION_KEYS,
+                         ExperimentConfig, MethodSpec, build_method,
+                         build_problem, main, option, parse_config,
+                         serialize_config)
 
 CONFIG_TEXT = """\
 # comparison on a constrained instance
@@ -565,6 +566,41 @@ def test_config_rejects_unknown_section_keys(key):
         parse_config(f"method.1.name = vanilla\n{key} = 1\n")
 
 
+@pytest.mark.parametrize("entry", [
+    "problem.n = 4.7", "problem.n = true", "problem.seed = one",
+    "problem.constrained = no", "problem.constrained = 1",
+    "problem.target_sigma = true", "problem.target_sigma = small",
+    "stop.max_iter = 2.9", "stop.max_iter = false", "stop.tol = tight",
+    "stop.tol = true", "output.thinning = 1.5", "method.1.max_iter = 2.9",
+    "method.1.tol = false", "method.1.alpha = true", "method.2.t1 = x"])
+def test_config_values_of_the_wrong_type_return_two(entry, tmp_path, capsys):
+    key = entry.split(" = ")[0]
+    lines = [line for line in CONFIG_TEXT.splitlines()
+             if not line.startswith(key + " =")]
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("\n".join(lines + [entry]) + "\n")
+    out = tmp_path / "out"
+    rc = main(["compare", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert rc == 2
+    assert f"error: {key} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_float_keys_take_integers(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CONFIG_TEXT.replace("stop.max_iter = 3000",
+                                            "stop.max_iter = 20")
+                        .replace("stop.tol = 1e-06", "stop.tol = 0")
+                        .replace("problem.target_sigma = 0.05",
+                                 "problem.target_sigma = 1"))
+    assert main(["compare", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "vanilla.csv").read_text().splitlines()
+    assert len(rows) == 22  # the header and iterations 0..20
+    assert build_problem({"kind": "quadratic", "n": 3, "seed": 0,
+                          "target_sigma": 1}).sigma == 1.0
+
+
 def test_readme_config_example_parses_to_what_it_says():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("### compare"):]
@@ -635,6 +671,15 @@ def test_readme_names_each_kinds_flags_and_defaults():
         documented.update(re.findall(r"`(--[a-z-]+) ([^`]+)`", listing))
     assert documented == {option(key): str(value)
                           for key, value in DEFAULTS.items()}
+
+
+def test_readme_config_value_types_are_the_key_types():
+    paragraph = " ".join(README[README.index("Values are typed."):]
+                         .split("\n\n")[0].split())
+    for name, typ in (("integer", int), ("boolean", bool), ("number", float)):
+        listing = re.search(rf"{name} keys? \(([^)]*)\)", paragraph).group(1)
+        assert set(re.findall(r"`(\w+)`", listing)) == \
+            {key for key, t in KEY_TYPES.items() if t is typ}, name
 
 
 def test_readme_config_keys_are_the_tables_keys():

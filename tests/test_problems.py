@@ -156,6 +156,23 @@ def test_quadratic_rayleigh_quotients_stay_in_band():
         assert obj.mu - 1e-9 <= rq <= obj.lip + 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 20, 64, 200])
+def test_quadratic_matches_the_fresh_vector_gram_schmidt(n, monkeypatch):
+    cases = [(0, 1.0), (5, 1e-2), (77, 0.0024), (1001, 1e-4)]
+    got = [P.serialize_problem(va.gen_quadratic(n, s, sg)) for s, sg in cases]
+    monkeypatch.setattr(P, "_orthonormal_rows", oracles.gram_schmidt)
+    assert got == [P.serialize_problem(va.gen_quadratic(n, s, sg))
+                   for s, sg in cases]
+
+
+def test_gram_schmidt_breakdown_matches_the_oracle():
+    G = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1e-9], [0.0, 1.0, 1.0]])
+    assert oracles.gram_schmidt(G.copy()) is None
+    assert P._orthonormal_rows(G.copy()) is None
+    G[1, 2] = 1.0
+    assert np.array_equal(P._orthonormal_rows(G.copy()), oracles.gram_schmidt(G))
+
+
 def test_logistic_objective_reference_values():
     obj = va.gen_logistic(15, 2, 0.005, 0)
     assert obj.value(np.zeros(15)) == math.log(2.0)

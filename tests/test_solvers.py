@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 import viaccel as va
+from viaccel import solvers as S
 from viaccel.solvers import METHODS, OPT_METHODS, VI_METHODS, Y_RULES
 
 
@@ -179,6 +180,29 @@ def test_extra_point_specializes_to_named_steppers_bitwise():
             assert np.array_equal(sa.z_curr, sb.z_curr)
 
 
+def _bits(column):
+    return np.array([np.nan if v is None else v for v in column]).tobytes()
+
+
+def _assert_trace_matches_the_plain_loop(trace, target, step, state,
+                                         potential):
+    """Every trace column but elapsed_ns, and the final point, bit for bit
+    against a plain loop: a reference stepper, harness.merit for the merits,
+    the squared distance to the reference point and the potential."""
+    opt = isinstance(target, va.SmoothObjective)
+    ref = target.minimizer if opt else target.solution
+    rows = []
+    for k in range(trace.iterations + 1):
+        if k:
+            state = step(state)
+        z = state.x_curr if opt else state.z_curr
+        rows.append((k, *va.merit(target, z), float((z - ref) @ (z - ref)),
+                     float(potential(state))))
+    for i, name in enumerate(va.TRACE_FIELDS[:-1]):
+        assert _bits(trace.column(name)) == _bits(r[i] for r in rows), name
+    assert np.array_equal(trace.final_point, z)
+
+
 @pytest.mark.parametrize("constrained", [False, True])
 def test_run_matches_oracle_steppers_bitwise(constrained):
     # every coefficient is nonzero, so run() must drop those outside each
@@ -187,22 +211,126 @@ def test_run_matches_oracle_steppers_bitwise(constrained):
     a = 1.0 / (4.0 * prob.lip)
     prm = va.ViParams(alpha=a, beta=0.3, gamma=0.2, eta=0.8 * a, tau=0.5 * a)
     z0 = prob.feasible_set.project(np.ones(20))
-    for method in VI_METHODS[:-1]:
+    phi = va.ogda_potential(prob)  # reads all four history arrays
+    for method in VI_METHODS:
         seen = []
         tr = va.run(prob, method, prm, z0, va.StopRule(max_iter=300),
-                    potential=lambda s: seen.append(s) or 0.0)
+                    potential=lambda s: seen.append(s) or phi(s))
         step = oracles.oracle_step(method, prob, prm, restricted=constrained)
         st = va.vi_state(prob, z0)
         off_set = 0
         for got in seen[1:]:
             st = step(st)
-            assert np.array_equal(got.z_curr, st.z_curr), method
-            assert np.array_equal(got.z_half, st.z_half), method
+            for name in va.ViState._fields:  # kept states keep their values
+                assert np.array_equal(getattr(got, name), getattr(st, name)), \
+                    (method, name)
             off_set += int(st.z_half.min() < 0.0)
         assert len(seen) == 301
         assert np.array_equal(tr.final_point, st.z_curr)
         if constrained and method == "nesterov":
             assert off_set > 0  # the unprojected half point left the orthant
+        _assert_trace_matches_the_plain_loop(tr, prob, step,
+                                             va.vi_state(prob, z0), phi)
+
+
+def test_opt_run_matches_the_plain_loop_bitwise():
+    obj = va.gen_quadratic(20, 5, 1e-2)
+    prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
+    phi = va.opt_potential(obj, prm.c)
+    x0 = np.ones(20)
+    tr = va.run(obj, "opt-extra-point", prm, x0, va.StopRule(max_iter=300),
+                potential=phi)
+    _assert_trace_matches_the_plain_loop(
+        tr, obj, lambda s: va.step_opt_extra_point(obj, s, prm, y_rule="p"),
+        va.OptState(x_curr=x0, v_curr=x0.copy()), phi)
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("method", VI_METHODS)
+def test_step_writes_no_input_array(method, constrained):
+    prob, _ = va.gen_linear_vi(6, 3, 5e-2, constrained=constrained)
+    a = 1.0 / (4.0 * prob.lip)
+    prm = S._masked(method, va.ViParams(alpha=a, beta=0.3, gamma=0.2,
+                                        eta=0.8 * a, tau=0.5 * a))
+    rng = np.random.default_rng(1)
+    zc, zp, zh = (prob.feasible_set.project(rng.standard_normal(6))
+                  for _ in range(3))
+    st = va.ViState(z_curr=zc, z_prev=zp, f_curr=prob.operator(zc),
+                    f_prev=prob.operator(zp), z_half=zh)
+    before = [v.copy() for v in st]
+    out = va.step_extra_point(prob, st, prm, restricted=constrained)
+    for name, kept in zip(va.ViState._fields, before):
+        assert np.array_equal(getattr(st, name), kept), name
+    assert out.z_prev is zc and out.f_prev is st.f_curr
+    fresh = [out.z_curr, out.f_curr]
+    if prm.eta != 0.0 or prm.beta != 0.0:
+        fresh.append(out.z_half)
+    else:
+        assert out.z_half is zc
+    for new in fresh:
+        assert not any(np.shares_memory(new, v) for v in st)
+    assert not np.shares_memory(out.z_curr, out.f_curr)
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_run_writes_neither_start_nor_kept_states(constrained):
+    prob, _ = va.gen_linear_vi(6, 3, 5e-2, constrained=constrained)
+    obj = va.gen_quadratic(6, 3, 5e-2)
+    a = 1.0 / (4.0 * prob.lip)
+    vi_prm = va.ViParams(alpha=a, beta=0.3, gamma=0.2, eta=0.8 * a, tau=0.5 * a)
+    opt_prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
+    for method in METHODS:
+        target, prm = (obj, opt_prm) if method in OPT_METHODS else (prob, vi_prm)
+        start = target.solution + 1.0 if target is prob else np.ones(6)
+        kept_start = start.copy()
+        seen, copies = [], []
+
+        def keep(s):
+            seen.append(s)
+            copies.append([None if v is None else v.copy() for v in s])
+            return 0.0
+
+        va.run(target, method, prm, start, va.StopRule(max_iter=40),
+               potential=keep)
+        assert np.array_equal(start, kept_start), method
+        assert len(seen) == 41
+        for s, c in zip(seen, copies):
+            for v, w in zip(s, c):
+                assert (v is None and w is None) or np.array_equal(v, w), method
+
+
+# per step: operator calls (one more when eta or beta is on) and, on the
+# orthant, projections (the step's, the projected half point's when the
+# half point is built, and the merit's); on the whole space there is no
+# half-point projection
+STEP_CALLS = {"vanilla": (1, 2), "extra-gradient": (2, 3), "ogda": (1, 2),
+              "heavy-ball": (1, 2), "nesterov": (2, 2), "extra-point": (2, 3)}
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("method", VI_METHODS)
+def test_run_makes_exactly_the_masks_oracle_calls(method, constrained):
+    prob, _ = va.gen_linear_vi(6, 3, 5e-2, constrained=constrained)
+    counts = {"operator": 0, "project": 0}
+
+    def counted(name, fn):
+        def wrapped(z):
+            counts[name] += 1
+            return fn(z)
+        return wrapped
+
+    prob.operator = counted("operator", prob.operator)
+    prob.feasible_set.project = counted("project", prob.feasible_set.project)
+    a = 1.0 / (4.0 * prob.lip)
+    prm = va.ViParams(alpha=a, beta=0.3, gamma=0.2, eta=0.8 * a, tau=0.5 * a)
+    va.run(prob, method, prm, np.ones(6), va.StopRule(max_iter=50))
+    ops, projections = STEP_CALLS[method]
+    if not constrained:
+        projections = 2
+    # before the loop: F(z0) for the state, the start's feasibility check
+    # and the merit at k = 0
+    assert counts == {"operator": 1 + 50 * ops,
+                      "project": 2 + 50 * projections}
 
 
 def test_nesterov_run_refuses_domain_restricted_problems():
