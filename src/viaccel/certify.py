@@ -330,8 +330,8 @@ def default_params(regime: str, mu: float, lip: float, delta: float = 0.5):
     vi-unrestricted: alpha = eta = 1/(4L), beta = gamma = sigma/64,
     tau = sigma/(128 L). vi-restricted: alpha = eta = 1/(4L),
     beta = gamma = mu/(64 L), tau = mu/(64 L^2). opt: theta = sqrt(sigma),
-    the t-coefficients parameterized by delta in (0, 1), t9 = 1/sqrt(mu L),
-    c = mu/2.
+    the t-coefficients parameterized by delta in (0, 1), which is t3, the
+    inner gradient-step length; t9 = 1/sqrt(mu L), c = mu/2.
 
     The variational-inequality defaults certify feasible for every
     0 < mu <= lip. The optimization default requires mu < lip (at mu = lip
@@ -358,8 +358,7 @@ def default_params(regime: str, mu: float, lip: float, delta: float = 0.5):
             t=(1.0 / (1.0 + th), th / (1.0 + th), delta,
                (1.0 - delta) / den, 1.0 / den, 3.0 / den,
                1.0 - th, th, 1.0 / math.sqrt(mu * L)),
-            theta=th, c=mu / 2.0, delta=delta,
-        )
+            theta=th, c=mu / 2.0)
     raise ValueError(f"unknown regime {regime!r}")
 
 

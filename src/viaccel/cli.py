@@ -68,17 +68,19 @@ def option(key: str) -> str:
     return OPTIONS.get(key, "--" + key.replace("_", "-"))
 
 
-def _typed(key: str, value, typ):
-    """A config entry as typ: an int key takes an integer, a bool key true
-    or false, a float key a number (a bool is neither), a text key anything;
-    anything else raises ValueError naming the key."""
-    if typ is str:
-        return str(value)
-    kinds = (int, float) if typ is float else typ
-    if isinstance(value, bool) != (typ is bool) or not isinstance(value, kinds):
-        name = {int: "an integer", bool: "true or false", float: "a number"}
-        raise ValueError(f"{key} must be {name[typ]}, got {value!r}")
-    return typ(value)
+def _typed(key: str, text: str, typ):
+    """A config value's text as its key's type: an int key takes an
+    integer, a bool key true or false, a float key a number, a text key its
+    text as written; anything else raises ValueError naming the key."""
+    if typ is bool and text in ("true", "false"):
+        return text == "true"
+    if typ is not bool:
+        try:
+            return typ(text)
+        except ValueError:
+            pass
+    name = {int: "an integer", bool: "true or false", float: "a number"}
+    raise ValueError(f"{key} must be {name[typ]}, got {text}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +113,16 @@ def parse_config(text: str) -> ExperimentConfig:
         if " = " not in line:
             raise ValueError(f"unparseable config line {line!r}")
         key, value = (part.strip() for part in line.split(" = ", 1))
-        value = P._parse_scalar(value)
         parts = key.split(".")
         if len(parts) == 2 and parts[1] in SECTION_KEYS.get(parts[0], ()):
-            sections[parts[0]][parts[1]] = value
+            sections[parts[0]][parts[1]] = _typed(
+                key, value, KEY_TYPES.get(parts[1], str))
         elif parts[0] == "method" and len(parts) == 3:
-            idx = int(parts[1])
+            try:
+                idx = int(parts[1])
+            except ValueError:
+                raise ValueError(f"{key}: the method index must be an "
+                                 f"integer, got {parts[1]}") from None
             spec = methods.setdefault(idx, MethodSpec(name=""))
             fld = parts[2]
             if fld in ("name", "preset", "max_iter", "tol"):
@@ -184,9 +190,9 @@ def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:
                          f"{', '.join('problem.' + k for k in extra)}")
 
     if "file" in spec:
-        return P.read_problem(str(spec["file"]))
-    made = gen(**{param.name: _typed(f"problem.{key}", spec[key], types[key])
-                  for key, param in params.items() if key in spec})
+        return P.read_problem(spec["file"])
+    made = gen(**{param.name: spec[key] for key, param in params.items()
+                  if key in spec})
     # gen_linear_vi returns (problem, operator spec)
     return made[0] if isinstance(made, tuple) else made
 
@@ -205,12 +211,12 @@ def assemble_params(regime: str, preset: Optional[str], params: dict,
     """The one path from a preset token or coefficient entries to step
     parameters; returns (params, from_defaults).
 
-    No step coefficients (opt may still pass delta) means the paper
-    defaults. A preset takes no coefficients, except delta with
+    No step coefficients (opt may still pass delta, which picks t3) means
+    the paper defaults. A preset takes no coefficients, except delta with
     paper-default in the opt regime. Explicit VI coefficients need alpha;
-    explicit opt coefficients need t1..t9, theta and c, with delta
-    defaulting to t3. The table preset resolves to None here: its entries
-    depend on the method and the instance (presets.table_preset).
+    explicit opt coefficients need t1..t9, theta and c, and take no delta.
+    The table preset resolves to None here: its entries depend on the
+    method and the instance (presets.table_preset).
     """
     opt = regime == C.REGIME_OPT
     unknown = set(params) - set(OPT_PARAM_KEYS if opt else VI_PARAM_KEYS)
@@ -235,20 +241,23 @@ def assemble_params(regime: str, preset: Optional[str], params: dict,
             raise ValueError("explicit VI coefficients need --alpha "
                              "(or a preset)")
         return S.ViParams(**params), False
+    if "delta" in params:
+        raise ValueError("explicit opt coefficients take no delta: it only "
+                         "picks t3 of the paper defaults")
     missing = [k for k in OPT_PARAM_KEYS[:11] if k not in params]
     if missing:
         raise ValueError(f"explicit opt coefficients need t1..t9, theta, c "
                          f"(missing {', '.join(missing)}) or a preset")
     return S.OptParams(t=tuple(params[f"t{i}"] for i in range(1, 10)),
-                       theta=params["theta"], c=params["c"],
-                       delta=params.get("delta", params["t3"])), False
+                       theta=params["theta"], c=params["c"]), False
 
 
 def build_method(spec: MethodSpec, target):
     """Resolve (run_target, params, certificate-regime) for one method.
 
-    Operator methods on an objective run against its gradient problem.
-    The returned regime is non-None only for extra-point and
+    Operator methods on an objective run against its gradient problem; an
+    explicit coefficient outside a named method's mask is an error. The
+    returned regime is non-None only for extra-point and
     opt-extra-point runs at the paper defaults, which carry a provable
     certificate.
     """
@@ -260,6 +269,11 @@ def build_method(spec: MethodSpec, target):
             raise ValueError(f"{spec.name} needs a smooth objective")
         run_target, regime = target, C.REGIME_OPT
     else:
+        mask = S.VI_MASKS[spec.name]
+        outside = [k for k in VI_PARAM_KEYS if k in spec.params and k not in mask]
+        if outside:
+            raise ValueError(f"{spec.name} does not take {', '.join(outside)} "
+                             f"(it takes {', '.join(mask)})")
         run_target = gradient_problem(target) \
             if isinstance(target, SmoothObjective) else target
         regime = _vi_regime(run_target)
@@ -359,8 +373,7 @@ def _resolve(target, spec: MethodSpec, stop: dict) -> tuple:
         atol = 1e-12 * (1.0 + abs(run_target.optimal_value))
     stop = {**DEFAULTS, **stop, **_given(spec, SECTION_KEYS["stop"])}
     return (run_target, params, cert, potential,
-            S.StopRule(max_iter=_typed("stop.max_iter", stop["max_iter"], int),
-                       residual_tol=_typed("stop.tol", stop["tol"], float)), atol)
+            S.StopRule(max_iter=stop["max_iter"], residual_tol=stop["tol"]), atol)
 
 
 def _run_one(name: str, run_target, params, cert, potential, stop, atol):
@@ -388,14 +401,13 @@ TRACE_WRITERS = {"csv": H.write_trace_csv, "jsonl": H.write_trace_jsonl}
 def _output_plan(output: dict) -> tuple:
     """(directory, formats, thinning) of an output section, validated."""
     output = {**DEFAULTS, **output}
-    formats = [f.strip() for f in str(output["formats"]).split(",")]
+    formats = [f.strip() for f in output["formats"].split(",")]
     for fmt in formats:
         if fmt not in TRACE_WRITERS:
             raise ValueError(f"unknown trace format {fmt!r}")
-    thinning = _typed("output.thinning", output["thinning"], int)
-    if thinning < 1:
+    if output["thinning"] < 1:
         raise ValueError("thinning must be a positive integer")
-    return str(output["directory"]), formats, thinning
+    return output["directory"], formats, output["thinning"]
 
 
 def _summarize(results) -> bool:

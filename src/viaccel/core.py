@@ -201,9 +201,6 @@ class MonotoneProblem:
         """Condition ratio lip / mu, at least 1."""
         return self.lip / self.mu
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self.operator(z)
-
 
 @dataclass
 class SmoothObjective:

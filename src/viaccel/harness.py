@@ -254,11 +254,11 @@ def check_contraction(trace: IterateTrace, cert, rtol: float = 1e-9,
 # ---------------------------------------------------------------------------
 # oracles
 
-def finite_diff_jacobian(op: Callable, point, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a vector map, column by column."""
+def finite_diff_jacobian(op: Callable, point) -> np.ndarray:
+    """Central-difference Jacobian of a vector map, column by column, with
+    step 1e-6."""
     x = as_vector(point)
-    if not (step > 0):
-        raise ValueError("step must be positive")
+    step = 1e-6
     cols = []
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
@@ -267,31 +267,21 @@ def finite_diff_jacobian(op: Callable, point, step: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def power_iteration_norm(op, dimension: Optional[int] = None, iters: int = 500,
-                         seed: int = 0, adjoint: Optional[Callable] = None) -> float:
-    """Spectral-norm estimate via power iteration on M^T M.
+def power_iteration_norm(M, iters: int = 500) -> float:
+    """Spectral-norm estimate of a matrix via power iteration on M^T M.
 
-    ``op`` is either a square matrix or a callable v -> M v, in which case
-    ``adjoint`` (v -> M^T v) and ``dimension`` are required. The estimate
-    approaches ||M||_2 from below with relative error on the order of
-    (s2/s1)^(2 iters) for leading singular values s1 > s2, so it is a
-    one-sided (never overshooting) bound up to roundoff. The start vector
-    is seeded, so an operand always gives the same bits: gen_linear_vi
-    relies on that to end its scale bisection at a fixed point and to
-    reuse the last step's norm as lip.
+    The estimate approaches ||M||_2 from below with relative error on the
+    order of (s2/s1)^(2 iters) for leading singular values s1 > s2, so it
+    is a one-sided (never overshooting) bound up to roundoff. The start
+    vector is drawn from seed 0, so a matrix always gives the same bits:
+    gen_linear_vi relies on that to end its scale bisection at a fixed
+    point and to reuse the last step's norm as lip.
     """
-    if isinstance(op, np.ndarray):
-        M = np.asarray(op, dtype=np.float64)
-        if M.ndim != 2:
-            raise ValueError("matrix operand must be 2-D")
-        apply_m, apply_t = M.dot, M.T.dot
-        dimension = M.shape[1]
-    else:
-        if adjoint is None or dimension is None:
-            raise ValueError("callable operand needs adjoint and dimension")
-        apply_m, apply_t = op, adjoint
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dimension)
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2:
+        raise ValueError("matrix operand must be 2-D")
+    apply_m, apply_t = M.dot, M.T.dot
+    v = np.random.default_rng(0).standard_normal(M.shape[1])
     nv = norm2(v)
     if nv == 0.0:
         return 0.0
@@ -305,14 +295,15 @@ def power_iteration_norm(op, dimension: Optional[int] = None, iters: int = 500,
     return norm2(apply_m(v))
 
 
-def reference_minimum(objective: SmoothObjective, tol: float = 1e-12,
-                      max_iter: int = 500000) -> tuple:
-    """Minimize an objective to gradient norm <= tol with the certified scheme.
+def reference_minimum(objective: SmoothObjective) -> tuple:
+    """Minimize an objective to gradient norm <= 1e-12 with the certified
+    scheme.
 
-    Runs the default-parameter nine-coefficient method from the origin and
-    returns (x, f(x), iterations). Used to manufacture reference optimal
-    values for objectives without a closed-form minimizer. Raises
-    RuntimeError when the tolerance is not reached.
+    Runs the default-parameter nine-coefficient method from the origin for
+    at most 500,000 steps and returns (x, f(x), iterations). Used to
+    manufacture reference optimal values for objectives without a
+    closed-form minimizer. Raises RuntimeError when the tolerance is not
+    reached.
     """
     from .certify import REGIME_OPT, default_params
     from .solvers import OptState, step_opt_extra_point
@@ -320,15 +311,13 @@ def reference_minimum(objective: SmoothObjective, tol: float = 1e-12,
     params = default_params(REGIME_OPT, objective.mu, objective.lip)
     x = np.zeros(objective.dimension)
     state = OptState(x_curr=x, v_curr=x.copy())
-    for k in range(max_iter):
-        if norm2(objective.gradient(state.x_curr)) <= tol:
+    for k in range(500000):
+        if norm2(objective.gradient(state.x_curr)) <= 1e-12:
             return state.x_curr, float(objective.value(state.x_curr)), k
         state = step_opt_extra_point(objective, state, params,
                                      y_rule="grad-step")
-    raise RuntimeError(
-        f"reference minimization did not reach gradient norm {tol:g} "
-        f"in {max_iter} iterations"
-    )
+    raise RuntimeError("reference minimization did not reach gradient norm "
+                       "1e-12 in 500000 iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def _opt_tuned_extra_point(objective: SmoothObjective) -> OptParams:
     else:
         raise ValueError(f"no tuned preset for objective kind {objective.kind!r}")
     c = objective.mu / 2.0
-    return OptParams(t=t, theta=2.0 * t[8] * c, c=c, delta=t[2])
+    return OptParams(t=t, theta=2.0 * t[8] * c, c=c)
 
 
 def table_preset(method: str,

@@ -166,13 +166,12 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
 
 
 def solve_linear_reference(spec: LinearOperatorSpec, feasible_set: FeasibleSet,
-                           lip: Optional[float] = None,
-                           tol: float = 1e-12) -> np.ndarray:
+                           lip: float) -> np.ndarray:
     """Reference solution for a linear operator on the whole space or orthant.
 
     Whole space: Gaussian elimination on m z = -q. Orthant: projected
     half-step iterations with alpha = 1/(4 lip) down to natural residual
-    tol, with the complementarity conditions (z >= 0, m z + q >= 0,
+    1e-12, with the complementarity conditions (z >= 0, m z + q >= 0,
     z'(m z + q) = 0) verified on the result. Raises RuntimeError when the
     iteration has not converged within 10^6 steps.
     """
@@ -181,14 +180,11 @@ def solve_linear_reference(spec: LinearOperatorSpec, feasible_set: FeasibleSet,
         return np.linalg.solve(M, -q)
     if not isinstance(feasible_set, NonnegativeOrthant):
         raise ValueError("reference solve supports whole space and orthant only")
-    if lip is None:
-        lip = power_iteration_norm(M)
     alpha = 1.0 / (4.0 * lip)
     z = np.zeros(len(q))
     for _ in range(1_000_000):
         w = M.dot(z) + q
-        res = norm2(z - np.maximum(z - w, 0.0))
-        if res <= tol:
+        if norm2(z - np.maximum(z - w, 0.0)) <= 1e-12:
             scale = 1.0 + norm2(z) + norm2(w)
             comp_tol = 1e-9 * scale
             if z.min(initial=0.0) < -comp_tol or w.min(initial=0.0) < -comp_tol \
@@ -310,36 +306,26 @@ def gen_bilinear_saddle(nx: int, ny: int, seed: int, mu_x: float = 1.0,
 # ---------------------------------------------------------------------------
 # constant estimation
 
-def estimate_constants(target, trials: int = 200,
-                       dimension: Optional[int] = None, seed: int = 0,
-                       radius: float = 1.0):
-    """Empirical (mu_hat, lip_hat) for an operator, independent of its claims.
+def estimate_constants(problem: MonotoneProblem):
+    """Empirical (mu_hat, lip_hat) for a problem's operator, independent of
+    its claims.
 
-    mu_hat is the minimum of (F(u)-F(v))'(u-v)/|u-v|^2 over sampled pairs,
-    so mu_hat >= mu up to sampling error. lip_hat is the maximum of
+    mu_hat is the minimum of (F(u)-F(v))'(u-v)/|u-v|^2 over 200 pairs of
+    seed-0 standard normal samples projected onto the feasible set, so
+    mu_hat >= mu up to sampling error. lip_hat is the maximum of
     |F(u)-F(v)|/|u-v| over the same pairs, sharpened by power iteration on
     a finite-difference Jacobian taken at the projected origin (exact for
-    linear operators). Accepts a MonotoneProblem (samples are projected
-    onto its feasible set) or a bare operator plus dimension.
+    linear operators).
     """
-    if trials < 2:
-        raise ValueError("trials must be at least 2")
-    if isinstance(target, MonotoneProblem):
-        op = target.operator
-        dimension = target.dimension
-        proj = target.feasible_set.project
-    else:
-        op = target
-        if dimension is None:
-            raise ValueError("dimension is required for a bare operator")
-        proj = lambda z: z
-    rng = np.random.default_rng(seed)
+    op, dimension = problem.operator, problem.dimension
+    proj = problem.feasible_set.project
+    rng = np.random.default_rng(0)
 
     mu_hat = math.inf
     lip_hat = 0.0
-    for _ in range(trials):
-        u = proj(radius * rng.standard_normal(dimension))
-        v = proj(radius * rng.standard_normal(dimension))
+    for _ in range(200):
+        u = proj(rng.standard_normal(dimension))
+        v = proj(rng.standard_normal(dimension))
         du = u - v
         nd = float(du @ du)
         if nd == 0.0:
@@ -486,19 +472,20 @@ def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
         if name.startswith("meta."):
             meta[name[len("meta."):]] = v
 
+    def typed(name, v, kinds=(int, float), what="a number"):
+        if isinstance(v, bool) != (kinds is bool) or not isinstance(v, kinds):
+            raise ValueError(f"{name} must be {what}, got {v!r}")
+        return v
+
     cls = keys.get("class")
     kind = keys.get("kind")
-    dim = keys.get("n")
-    seed = keys.get("seed")
     if cls not in ("monotone-vi", "smooth-objective"):
         raise ValueError(f"unknown class {cls!r}")
+    dim, seed = keys.get("n"), keys.get("seed")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError(f"n must be a positive integer, got {dim!r}")
-
-    def number(name, v):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"{name} must be a number, got {v!r}")
-        return v
+    if seed is not None:
+        typed("seed", seed, int, "an integer")
 
     def block(name, *shape):  # None in shape matches any length
         v = meta.get(name)
@@ -509,7 +496,7 @@ def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
                              f"{shape} for n = {dim}, got {got}")
         return v
 
-    mu, lip = number("mu", keys.get("mu")), number("lip", keys.get("lip"))
+    mu, lip = typed("mu", keys.get("mu")), typed("lip", keys.get("lip"))
     if cls == "monotone-vi":
         if kind == "linear-vi":
             M, lin = _linear_vi_operator(block("diag", dim), block("skew", dim, dim))
@@ -520,8 +507,8 @@ def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
             if sum(B.shape) != dim:
                 raise ValueError(f"block meta.bilinear has shape {B.shape}, "
                                  f"whose sides must sum to n = {dim}")
-            M = _bilinear_matrix(B, number("meta.mu_x", meta.get("mu_x")),
-                                 number("meta.mu_y", meta.get("mu_y")))
+            M = _bilinear_matrix(B, typed("meta.mu_x", meta.get("mu_x")),
+                                 typed("meta.mu_y", meta.get("mu_y")))
             op = M.dot
         else:
             raise ValueError(f"unknown problem kind {kind!r}")
@@ -532,18 +519,20 @@ def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
             fset = NonnegativeOrthant(dim)
         else:
             raise ValueError(f"unknown feasible set {fs_name!r}")
+        restricted = typed("domain_restricted",
+                           keys.get("domain_restricted", False), bool,
+                           "true or false")
         return MonotoneProblem(dimension=dim, operator=op, feasible_set=fset,
                                mu=mu, lip=lip,
                                solution=arrays.get("solution"),
-                               domain_restricted=bool(keys.get("domain_restricted",
-                                                               False)),
+                               domain_restricted=restricted,
                                kind=kind, seed=seed, meta=meta)
     if kind == "quadratic":
         value, gradient = _quadratic_functions(block("hessian", dim, dim),
                                                block("linear", dim))
     elif kind == "logistic":
         value, gradient = _logistic_functions(block("data", None, dim),
-                                              number("meta.lam", meta.get("lam")))
+                                              typed("meta.lam", meta.get("lam")))
     else:
         raise ValueError(f"unknown objective kind {kind!r}")
     return SmoothObjective(dimension=dim, value=value, gradient=gradient,

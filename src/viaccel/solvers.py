@@ -78,16 +78,14 @@ class OptParams:
     """Coefficients for the two-sequence minimization scheme.
 
     t holds the nine step coefficients t1..t9; theta is the intended
-    potential contraction amount, c the distance weight in the potential,
-    delta the inner gradient-step length. Construction checks only signs
-    and finiteness; the consistency ties between the fields are the
-    certifier's job.
+    potential contraction amount, c the distance weight in the potential.
+    Construction checks only signs and finiteness; the consistency ties
+    between the fields are the certifier's job.
     """
 
     t: tuple
     theta: float
     c: float
-    delta: float
 
     def __post_init__(self):
         t = tuple(float(v) for v in self.t)
@@ -104,10 +102,6 @@ class OptParams:
         if not (math.isfinite(c) and c > 0.0):
             raise ValueError("c must be positive and finite")
         object.__setattr__(self, "c", c)
-        d = float(self.delta)
-        if not (math.isfinite(d) and 0.0 < d < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        object.__setattr__(self, "delta", d)
 
 
 class ViState(NamedTuple):

@@ -167,28 +167,21 @@ def oracle_step(method, problem, params, restricted):
     }[method]
 
 
-def power_iteration_norm(op, dimension=None, iters=500, seed=0, adjoint=None):
+def power_iteration_norm(M):
     """Spectral-norm estimate via power iteration on M^T M, as plain numpy."""
-    if isinstance(op, np.ndarray):
-        M = np.asarray(op, dtype=np.float64)
-        apply_m = lambda v: M @ v
-        apply_t = lambda v: M.T @ v
-        dimension = M.shape[1]
-    else:
-        apply_m, apply_t = op, adjoint
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dimension)
+    M = np.asarray(M, dtype=np.float64)
+    v = np.random.default_rng(0).standard_normal(M.shape[1])
     nv = np.linalg.norm(v)
     if nv == 0.0:
         return 0.0
     v /= nv
-    for _ in range(iters):
-        w = apply_t(apply_m(v))
+    for _ in range(500):
+        w = M.T @ (M @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-    return float(np.linalg.norm(apply_m(v)))
+    return float(np.linalg.norm(M @ v))
 
 
 def gram_schmidt(G):
@@ -207,15 +200,16 @@ def gram_schmidt(G):
     return Q
 
 
-def solve_linear_reference(M, q, fset, lip, tol=1e-12):
-    """Whole-space solve, or projected half steps on the orthant to tol."""
+def solve_linear_reference(M, q, fset, lip):
+    """Whole-space solve, or projected half steps on the orthant to
+    natural residual 1e-12."""
     if isinstance(fset, WholeSpace):
         return np.linalg.solve(M, -q)
     alpha = 1.0 / (4.0 * lip)
     z = np.zeros(len(q))
     for _ in range(1_000_000):
         w = M @ z + q
-        if float(np.linalg.norm(z - np.maximum(z - w, 0.0))) <= tol:
+        if float(np.linalg.norm(z - np.maximum(z - w, 0.0))) <= 1e-12:
             return z
         half = np.maximum(z - alpha * w, 0.0)
         z = np.maximum(z - alpha * (M @ half + q), 0.0)

@@ -184,7 +184,7 @@ def test_criterion_07_accelerated_minimization_bounds():
     for _ in range(100):
         sa = va.step_opt_extra_point(obj, sa, params, y_rule="p")
         sb = oracles.step_opt_extra_point_simplified(obj, sb, params.theta,
-                                                     params.delta)
+                                                     params.t[2])
         scale = max(1.0, float(np.linalg.norm(sa.x_curr)))
         ok &= float(np.linalg.norm(sa.x_curr - sb.x_curr)) <= 1e-12 * scale
         ok &= float(np.linalg.norm(sa.v_curr - sb.v_curr)) <= 1e-12 * scale

@@ -190,7 +190,7 @@ def test_restricted_large_tau_breaks_the_leading_line():
 def test_opt_defaults_exact_tuple_for_kappa_four():
     p = C.default_params(C.REGIME_OPT, 1.0, 4.0)
     assert p.theta == 0.5
-    assert p.delta == 0.5
+    assert p.t[2] == 0.5  # delta
     assert p.c == 0.5
     assert p.t == (2.0 / 3.0, 1.0 / 3.0, 0.5, 2.0 / 9.0, 4.0 / 9.0,
                    4.0 / 3.0, 0.5, 0.5, 0.5)
@@ -224,7 +224,7 @@ def test_opt_weight_sum_violation_is_reported():
     base = C.default_params(C.REGIME_OPT, 1.0, 16.0)
     t = list(base.t)
     t[6] += 0.01
-    bad = va.OptParams(t=tuple(t), theta=base.theta, c=base.c, delta=base.delta)
+    bad = va.OptParams(t=tuple(t), theta=base.theta, c=base.c)
     cert = va.certify_opt(1.0, 16.0, bad)
     assert not cert.feasible
     assert "t7-t8-sum" in cert.violated
@@ -233,9 +233,9 @@ def test_opt_weight_sum_violation_is_reported():
 def test_opt_rejects_nonpositive_curvature_weight_at_construction():
     base = C.default_params(C.REGIME_OPT, 1.0, 16.0)
     with pytest.raises(ValueError):
-        va.OptParams(t=base.t, theta=base.theta, c=0.0, delta=base.delta)
+        va.OptParams(t=base.t, theta=base.theta, c=0.0)
     with pytest.raises(ValueError):
-        va.OptParams(t=base.t, theta=0.0, c=base.c, delta=base.delta)
+        va.OptParams(t=base.t, theta=0.0, c=base.c)
 
 
 # --- dispatcher, defaults, text rendering -----------------------------------

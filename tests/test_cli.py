@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import viaccel as va
+from viaccel import certify as C
 from viaccel.cli import (DEFAULTS, KEY_TYPES, KINDS, SECTION_KEYS,
                          ExperimentConfig, MethodSpec, build_method,
                          build_problem, main, option, parse_config,
                          serialize_config)
+from viaccel.solvers import VI_MASKS
 
 CONFIG_TEXT = """\
 # comparison on a constrained instance
@@ -90,6 +92,38 @@ def test_problem_file_missing_a_block_returns_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error:" in err and "meta.diag" in err
+
+
+@pytest.mark.parametrize("entry, error", [
+    ("domain_restricted = no", "domain_restricted must be true or false, "
+                               "got 'no'"),
+    ("domain_restricted = 1", "domain_restricted must be true or false, got 1"),
+    ("seed = banana", "seed must be an integer, got 'banana'"),
+    ("seed = 1.5", "seed must be an integer, got 1.5"),
+    ("seed = true", "seed must be an integer, got True")])
+def test_problem_file_keys_of_the_wrong_type_return_two(entry, error, tmp_path,
+                                                        capsys):
+    key = entry.split(" = ")[0]
+    text = _gen(tmp_path).read_text()
+    assert f"\n{key} = " in text
+    broken = tmp_path / "broken.txt"
+    broken.write_text("".join(entry + "\n" if line.startswith(f"{key} = ")
+                              else line for line in text.splitlines(True)))
+    capsys.readouterr()
+    rc = main(["solve", "--problem", str(broken), "--method", "vanilla",
+               "--alpha", "0.1", "--out-dir", str(tmp_path / "runs")])
+    assert rc == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_problem_file_domain_restricted_reads_true():
+    text = va.serialize_problem(va.gen_linear_vi(4, 1, 0.05)[0])
+    assert "domain_restricted = false" in text
+    back = va.parse_problem(text.replace("domain_restricted = false",
+                                         "domain_restricted = true"))
+    assert back.domain_restricted is True
+    assert va.parse_problem(text).domain_restricted is False
 
 
 def test_infeasible_certificate_returns_three(capsys):
@@ -202,7 +236,7 @@ def test_solve_writes_traces_and_summary(tmp_path, capsys):
     csv_path = tmp_path / "runs" / "extra-point.csv"
     jsonl_path = tmp_path / "runs" / "extra-point.jsonl"
     assert csv_path.exists() and jsonl_path.exists()
-    header = csv_path.open().readline().strip()
+    header = csv_path.read_text().splitlines()[0]
     assert header == "k,merit_primary,merit_aux,dist_sq,potential,elapsed_ns"
     # certified preset runs report their measured contraction margin
     assert "e-0" in out or "e+0" in out
@@ -425,7 +459,9 @@ def test_build_method_resolves_presets_defaults_and_coefficients(
         ("free", va.REGIME_VI_UNRESTRICTED), ("orthant", va.REGIME_VI_RESTRICTED)]
     for kind, regime in cases:
         target = resolver_targets[kind]
-        explicit = EXPLICIT["opt" if opt else "vi"]
+        # explicit VI coefficients are those of the method's mask
+        explicit = EXPLICIT["opt"] if opt else {
+            k: v for k, v in EXPLICIT["vi"].items() if k in VI_MASKS[method]}
         spec = MethodSpec(name=method,
                           preset=case if case in va.PRESETS else None,
                           params=dict(explicit) if case == "explicit" else {})
@@ -434,7 +470,7 @@ def test_build_method_resolves_presets_defaults_and_coefficients(
             want, want_regime = va.table_preset(method, target), None
         elif case == "explicit":
             want_regime = None
-            want = va.OptParams(t=OPT_T, theta=0.25, c=0.5, delta=OPT_T[2]) \
+            want = va.OptParams(t=OPT_T, theta=0.25, c=0.5) \
                 if opt else va.ViParams(**explicit)
         else:
             want = va.default_params(regime, target.mu, target.lip)
@@ -455,6 +491,51 @@ def test_opt_paper_default_takes_delta(resolver_targets):
         assert regime == va.REGIME_OPT
 
 
+def test_explicit_opt_coefficients_take_no_delta(tmp_path, capsys):
+    prob_path = tmp_path / "q.txt"
+    assert main(["generate", "--kind", "quadratic", "--n", "4",
+                 "--out", str(prob_path)]) == 0
+    capsys.readouterr()
+    rc = main(["solve", "--problem", str(prob_path), "--method",
+               "opt-extra-point", "--t", ",".join(map(str, OPT_T)),
+               "--theta", "0.25", "--c", "0.5", "--delta", "0.9",
+               "--out-dir", str(tmp_path / "runs")])
+    assert rc == 2
+    assert "error: explicit opt coefficients take no delta" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("method, flags, outside", [
+    ("vanilla", ["--alpha", "0.01", "--tau", "5", "--beta", "3"], "beta, tau"),
+    ("nesterov", ["--alpha", "0.01", "--beta", "0.1", "--gamma", "0.9"],
+     "gamma"),
+    ("extra-gradient", ["--alpha", "0.01", "--eta", "0.01", "--tau", "0.1"],
+     "tau"),
+    ("ogda", ["--alpha", "0.01", "--tau", "0.001", "--gamma", "0.1"], "gamma"),
+    ("heavy-ball", ["--alpha", "0.01", "--gamma", "0.1", "--eta", "0.1"],
+     "eta")])
+def test_coefficients_outside_a_methods_mask_return_two(method, flags, outside,
+                                                        tmp_path, capsys):
+    prob_path = _gen(tmp_path)
+    capsys.readouterr()
+    rc = main(["solve", "--problem", str(prob_path), "--method", method,
+               *flags, "--out-dir", str(tmp_path / "runs")])
+    assert rc == 2
+    assert f"error: {method} does not take {outside} " \
+        f"(it takes {', '.join(VI_MASKS[method])})" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CONFIG_TEXT.replace(
+        "method.1.preset = table", "method.1.alpha = 0.01\nmethod.1.tau = 5"))
+    rc = main(["compare", "--config", str(cfg_path),
+               "--out-dir", str(tmp_path / "runs")])
+    assert rc == 2
+    assert "error: vanilla does not take tau (it takes alpha)" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--regime", "opt", "--theta", "0.5"],
     ["--regime", "opt", "--alpha", "0.01"],
@@ -465,6 +546,8 @@ def test_opt_paper_default_takes_delta(resolver_targets):
      "--alpha", "0.01"],
     ["--regime", "opt", "--preset", "paper-default",
      "--t", ",".join(map(str, OPT_T)), "--theta", "0.25", "--c", "0.5"],
+    ["--regime", "opt", "--t", ",".join(map(str, OPT_T)), "--theta", "0.25",
+     "--c", "0.5", "--delta", "0.5"],
 ])
 def test_certify_rejects_coefficients_it_would_not_use(argv, capsys):
     rc = main(["certify", "--mu", "1", "--lip", "16", *argv])
@@ -601,6 +684,32 @@ def test_config_float_keys_take_integers(tmp_path, capsys):
                           "target_sigma": 1}).sigma == 1.0
 
 
+@pytest.mark.parametrize("directory", ["007", "true", "1e3", "-0"])
+def test_config_text_keys_keep_their_text(directory, tmp_path, monkeypatch,
+                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(
+        CONFIG_TEXT.replace("stop.max_iter = 3000", "stop.max_iter = 20")
+        + f"output.directory = {directory}\n")
+    cfg = parse_config((tmp_path / "exp.cfg").read_text())
+    assert cfg.output["directory"] == directory
+    assert main(["compare", "--config", "exp.cfg"]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {directory, "exp.cfg"}
+    assert (tmp_path / directory / "vanilla.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["method.x.name", "method.1e0.tol",
+                                 "method..name"])
+def test_config_method_index_must_be_an_integer(key, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CONFIG_TEXT + f"{key} = vanilla\n")
+    assert main(["compare", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key}" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_readme_config_example_parses_to_what_it_says():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("### compare"):]
@@ -702,3 +811,42 @@ def test_readme_config_keys_are_the_tables_keys():
             [k for k in types if not defaults[k]]
         assert re.findall(r"`(\w+)`", optional) == \
             [k for k in types if defaults[k]]
+
+
+def test_readme_lists_the_ids_certify_prints(monkeypatch):
+    """Every id a certifier prints under violated or guideline_flags, over
+    a seeded sweep of parameters (theta-window by an emptied window), is
+    the README's list for its regime, and no other id is listed."""
+    section = README[README.index("The constraint ids each regime prints"):]
+    listed = {regime: set(re.findall(r"`([a-z0-9-]+)`", ids)) for regime, ids
+              in re.findall(r"^- `([a-z-]+)`: ((?:.|\n  )*)", section, re.M)}
+    guideline = section[section.index("under\n`guideline_flags`"):]
+    guideline = set(re.findall(r"`(guideline-[a-z-]+)`", guideline))
+
+    def printed(cert, field):
+        line = next(ln for ln in cert.to_text().splitlines()
+                    if ln.startswith(f"{field} = "))
+        return set(filter(None, line.split(" = ")[1].split(",")))
+
+    rng = np.random.default_rng(0)
+    vi_values = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0])
+    violated = {regime: set() for regime in va.REGIMES}
+    flags = {regime: set() for regime in va.REGIMES}
+    for regime in va.REGIMES:
+        for _ in range(500):
+            if regime == va.REGIME_OPT:
+                params = va.OptParams(
+                    t=rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], 9),
+                    theta=rng.choice([0.25, 1.0]), c=rng.choice([0.5, 2.0]))
+            else:
+                params = va.ViParams(*rng.choice(vi_values, 5))
+            cert = C.certify(regime, 1.0, rng.choice([1.0, 16.0]), params)
+            violated[regime] |= printed(cert, "violated")
+            flags[regime] |= printed(cert, "guideline_flags")
+    monkeypatch.setattr(C, "theta_interval", lambda a, b: (b, a))
+    for regime in (va.REGIME_VI_UNRESTRICTED, va.REGIME_VI_RESTRICTED):
+        cert = C.certify(regime, 1.0, 16.0, va.default_params(regime, 1.0, 16.0))
+        violated[regime] |= printed(cert, "violated")
+    assert violated == listed
+    assert flags == {va.REGIME_VI_UNRESTRICTED: guideline,
+                     va.REGIME_VI_RESTRICTED: guideline, va.REGIME_OPT: set()}

@@ -177,12 +177,6 @@ def test_natural_residual_zero_at_solution_positive_away():
     assert va.natural_residual(q, [3.0, 4.0]) == pytest.approx(5.0)
 
 
-def test_problem_is_callable():
-    p = va.MonotoneProblem(dimension=2, operator=lambda z: 2.0 * z,
-                           feasible_set=va.WholeSpace(2), mu=2.0, lip=2.0)
-    assert np.array_equal(p(np.array([1.0, -1.0])), [2.0, -2.0])
-
-
 def test_norm2_matches_linalg_norm_bit_for_bit():
     from viaccel.core import norm2
     x = np.random.default_rng(5).standard_normal(41)

@@ -6,11 +6,14 @@ import random
 import pytest
 
 import viaccel as va
-from viaccel.cli import (DEFAULTS, KINDS, OPT_PARAM_KEYS, SECTION_KEYS,
-                         VI_PARAM_KEYS, ExperimentConfig, MethodSpec, main,
-                         make_parser, option, parse_config, serialize_config)
+from viaccel.cli import (DEFAULTS, KEY_TYPES, KINDS, OPT_PARAM_KEYS,
+                         SECTION_KEYS, VI_PARAM_KEYS, ExperimentConfig,
+                         MethodSpec, main, make_parser, option, parse_config,
+                         serialize_config)
 
-WORDS = ("linear-vi", "quadratic", "csv,jsonl", "runs/out", "x_y")
+# text values, some of which would read as a number or a boolean
+WORDS = ("linear-vi", "quadratic", "csv,jsonl", "runs/out", "x_y", "007",
+         "1e3", "true", "-0")
 # small magnitudes only: a corrupted size must not ask for a huge instance
 BAD_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "0.5", "3", "1e-300",
               "true", "abc", "1,2")
@@ -44,19 +47,20 @@ def _number(rng):
             return value
 
 
-def _value(rng):
-    kind = rng.randrange(4)
-    if kind == 0:
+def _value(rng, typ):
+    """A random value of a config key's type."""
+    if typ is int:
         return rng.randrange(-10 ** 6, 10 ** 6)
-    if kind == 1:
+    if typ is float:
         return _number(rng)
-    if kind == 2:
+    if typ is bool:
         return rng.random() < 0.5
     return rng.choice(WORDS)
 
 
 def _random_config(rng):
-    sections = {name: {k: _value(rng) for k in keys if rng.random() < 0.5}
+    sections = {name: {k: _value(rng, KEY_TYPES.get(k, str)) for k in keys
+                       if rng.random() < 0.5}
                 for name, keys in SECTION_KEYS.items()}
     methods = [MethodSpec(
         name=rng.choice(va.METHODS),

@@ -44,21 +44,21 @@ def test_vi_params_validation():
 
 def test_opt_params_validation():
     t = (0.5, 0.5, 0.5, 0.2, 0.4, 1.3, 0.5, 0.5, 0.5)
-    va.OptParams(t=t, theta=1.0, c=0.5, delta=0.5)  # theta may reach 1
+    va.OptParams(t=t, theta=1.0, c=0.5)  # theta may reach 1
     with pytest.raises(ValueError):
-        va.OptParams(t=t[:8], theta=0.5, c=0.5, delta=0.5)
+        va.OptParams(t=t[:8], theta=0.5, c=0.5)
     with pytest.raises(ValueError):
-        va.OptParams(t=t[:8] + (-0.1,), theta=0.5, c=0.5, delta=0.5)
+        va.OptParams(t=t[:8] + (-0.1,), theta=0.5, c=0.5)
     with pytest.raises(ValueError):
-        va.OptParams(t=t, theta=0.0, c=0.5, delta=0.5)
+        va.OptParams(t=t, theta=0.0, c=0.5)
     with pytest.raises(ValueError):
-        va.OptParams(t=t, theta=1.5, c=0.5, delta=0.5)
+        va.OptParams(t=t, theta=1.5, c=0.5)
     with pytest.raises(ValueError):
-        va.OptParams(t=t, theta=0.5, c=0.0, delta=0.5)
-    with pytest.raises(ValueError):
-        va.OptParams(t=t, theta=0.5, c=0.5, delta=1.0)
-    with pytest.raises(ValueError):
-        va.OptParams(t=t, theta=0.5, c=0.5, delta=0.0)
+        va.OptParams(t=t, theta=0.5, c=0.0)
+    # delta, the paper defaults' inner step length t3, must lie in (0, 1)
+    for delta in (0.0, 1.0):
+        with pytest.raises(ValueError, match="delta"):
+            va.default_params(va.REGIME_OPT, 1.0, 4.0, delta=delta)
 
 
 def test_stop_rule_validation():
@@ -389,7 +389,7 @@ def test_opt_step_worked_example_both_y_rules():
 def test_simplified_opt_stepper_matches_generic():
     obj = va.gen_quadratic(10, 5, 0.02)
     prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
-    theta, delta = prm.theta, prm.delta
+    theta, delta = prm.theta, prm.t[2]
     x0 = np.ones(10)
     sa = va.OptState(x_curr=x0.copy(), v_curr=x0.copy())
     sb = va.OptState(x_curr=x0.copy(), v_curr=x0.copy())
