@@ -32,7 +32,7 @@ from .problems import (LinearOperatorSpec, estimate_constants,
                        serialize_problem, solve_linear_reference,
                        write_problem)
 from .solvers import (METHODS, OptParams, OptState, StopRule, ViParams,
-                      ViState, run, step_extra_point, step_opt_extra_point,
-                      vi_state)
+                      ViState, opt_state, run, step_extra_point,
+                      step_opt_extra_point, vi_state)
 
 __version__ = "0.1.0"

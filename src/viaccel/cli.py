@@ -103,9 +103,17 @@ class ExperimentConfig:
     output: dict = field(default_factory=dict)
 
 
+def _once(seen: set, key: str, ident: tuple) -> None:
+    """Refuse a config key whose ident was already given."""
+    if ident in seen:
+        raise ValueError(f"config key {key} is given twice")
+    seen.add(ident)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     sections = {name: {} for name in SECTION_KEYS}
     methods = {}
+    seen = set()  # every key given so far, method indices read as integers
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -115,6 +123,7 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split(" = ", 1))
         parts = key.split(".")
         if len(parts) == 2 and parts[1] in SECTION_KEYS.get(parts[0], ()):
+            _once(seen, key, tuple(parts))
             sections[parts[0]][parts[1]] = _typed(
                 key, value, KEY_TYPES.get(parts[1], str))
         elif parts[0] == "method" and len(parts) == 3:
@@ -123,8 +132,9 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError:
                 raise ValueError(f"{key}: the method index must be an "
                                  f"integer, got {parts[1]}") from None
-            spec = methods.setdefault(idx, MethodSpec(name=""))
             fld = parts[2]
+            _once(seen, key, ("method", idx, fld))
+            spec = methods.setdefault(idx, MethodSpec(name=""))
             if fld in ("name", "preset", "max_iter", "tol"):
                 setattr(spec, fld, _typed(key, value, KEY_TYPES.get(fld, str)))
             elif fld in VI_PARAM_KEYS or fld in OPT_PARAM_KEYS:

@@ -57,7 +57,7 @@ class FeasibleSet:
 
     def contains(self, z: np.ndarray, tol: float = 0.0) -> bool:
         z = as_vector(z, self.dimension)
-        return bool(np.linalg.norm(z - self.project(z)) <= tol)
+        return bool(norm2(z - self.project(z)) <= tol)
 
     @property
     def unbounded_whole_space(self) -> bool:
@@ -184,7 +184,7 @@ class MonotoneProblem:
         if self.solution is not None:
             self.solution = as_vector(self.solution, self.dimension)
             res = natural_residual(self, self.solution)
-            bound = SOLUTION_RTOL * (1.0 + float(np.linalg.norm(self.solution)))
+            bound = SOLUTION_RTOL * (1.0 + norm2(self.solution))
             if res > bound:
                 raise ValueError(
                     f"stored solution has natural residual {res:.3e} "
@@ -207,8 +207,13 @@ class SmoothObjective:
     """A strongly convex objective with Lipschitz gradient.
 
     value and gradient are callables on n-vectors; mu and lip bound the
-    curvature from below and above. minimizer and optimal_value are optional
-    references used by merit reporting when present.
+    curvature from below and above. value_and_gradient(x) returns the pair
+    (value(x), gradient(x)) bit for bit; the generators pass one that shares
+    the dense product between the two, and when it is not given it is
+    composed from value and gradient. minimizer and optimal_value are
+    optional references used by merit reporting when present; with both
+    given, optimal_value must be the value at the minimizer (to
+    SOLUTION_RTOL relative).
     """
 
     dimension: int
@@ -221,20 +226,34 @@ class SmoothObjective:
     kind: str = "custom"
     seed: Optional[int] = None
     meta: dict = field(default_factory=dict)
+    value_and_gradient: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if not (0 < self.mu <= self.lip) or not np.isfinite(self.lip):
             raise ValueError("need 0 < mu <= lip < inf")
+        if self.value_and_gradient is None:
+            value, gradient = self.value, self.gradient
+            self.value_and_gradient = lambda x: (value(x), gradient(x))
+        fs = self.optimal_value
+        if fs is not None:
+            fs = self.optimal_value = float(fs)
+            if not math.isfinite(fs):
+                raise ValueError(f"optimal_value must be finite, got {fs}")
         if self.minimizer is not None:
             self.minimizer = as_vector(self.minimizer, self.dimension)
-            gn = float(np.linalg.norm(self.gradient(self.minimizer)))
-            bound = SOLUTION_RTOL * self.lip * (
-                1.0 + float(np.linalg.norm(self.minimizer))
-            )
+            fx, gx = self.value_and_gradient(self.minimizer)
+            gn = norm2(gx)
+            bound = SOLUTION_RTOL * self.lip * (1.0 + norm2(self.minimizer))
             if gn > bound:
                 raise ValueError(
                     f"stored minimizer has gradient norm {gn:.3e} "
                     f"above the acceptance bound {bound:.3e}"
+                )
+            if fs is not None and \
+                    not abs(fs - fx) <= SOLUTION_RTOL * (1.0 + abs(fx)):
+                raise ValueError(
+                    f"optimal_value {format_float(fs)} is not the value "
+                    f"{format_float(fx)} at the stored minimizer"
                 )
 
     @property
@@ -284,12 +303,13 @@ def vi_merits(problem: MonotoneProblem, z: np.ndarray,
     return float(abs(z.dot(fz))), res
 
 
-def objective_merits(objective: SmoothObjective, x: np.ndarray) -> tuple:
-    """Merit pair (||grad f(x)||, f(x) - f*) of a trusted vector x; the gap
-    is None when the objective records no optimal value."""
-    gn = norm2(objective.gradient(x))
+def objective_merits(objective: SmoothObjective, fx: float,
+                     gx: np.ndarray) -> tuple:
+    """Merit pair (||grad f(x)||, f(x) - f*) from fx = f(x) and
+    gx = grad f(x); the gap is None when the objective records no optimal
+    value."""
     fs = objective.optimal_value
-    return gn, None if fs is None else float(objective.value(x) - fs)
+    return norm2(gx), None if fs is None else float(fx - fs)
 
 
 def natural_residual(problem: MonotoneProblem, z) -> float:

@@ -85,7 +85,7 @@ def merit(target, z) -> tuple:
     """
     z = as_vector(z, target.dimension)
     if isinstance(target, SmoothObjective):
-        return objective_merits(target, z)
+        return objective_merits(target, *target.value_and_gradient(z))
     return vi_merits(target, z)
 
 
@@ -135,7 +135,8 @@ def ogda_potential(problem: MonotoneProblem) -> Callable:
 
 
 def opt_potential(objective: SmoothObjective, c: float) -> Callable:
-    """One-term potential f(x) - f* + c ||v - x*||^2 for the opt scheme."""
+    """One-term potential f(x) - f* + c ||v - x*||^2 for the opt scheme,
+    with f(x) read from the state's cache."""
     if objective.minimizer is None or objective.optimal_value is None:
         raise ValueError("potential needs a known minimizer and optimal value")
     xs = objective.minimizer
@@ -143,7 +144,7 @@ def opt_potential(objective: SmoothObjective, c: float) -> Callable:
 
     def phi(state) -> float:
         dv = state.v_curr - xs
-        return float(objective.value(state.x_curr) - fs + c * dv.dot(dv))
+        return float(state.f_curr - fs + c * dv.dot(dv))
 
     return phi
 
@@ -306,14 +307,13 @@ def reference_minimum(objective: SmoothObjective) -> tuple:
     reached.
     """
     from .certify import REGIME_OPT, default_params
-    from .solvers import OptState, step_opt_extra_point
+    from .solvers import opt_state, step_opt_extra_point
 
     params = default_params(REGIME_OPT, objective.mu, objective.lip)
-    x = np.zeros(objective.dimension)
-    state = OptState(x_curr=x, v_curr=x.copy())
+    state = opt_state(objective, np.zeros(objective.dimension))
     for k in range(500000):
-        if norm2(objective.gradient(state.x_curr)) <= 1e-12:
-            return state.x_curr, float(objective.value(state.x_curr)), k
+        if norm2(state.g_curr) <= 1e-12:
+            return state.x_curr, float(state.f_curr), k
         state = step_opt_extra_point(objective, state, params,
                                      y_rule="grad-step")
     raise RuntimeError("reference minimization did not reach gradient norm "

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (MonotoneProblem, SmoothObjective, as_vector,
+from .core import (MonotoneProblem, SmoothObjective, as_vector, norm2,
                    objective_merits, vi_merits)
 from .harness import (DIVERGENCE_NORM, TRACE_FIELDS, DivergenceError,
                       IterateTrace, now_ns)
@@ -115,10 +115,13 @@ class ViState(NamedTuple):
 
 
 class OptState(NamedTuple):
-    """Primary sequence x and auxiliary sequence v of the opt scheme."""
+    """Primary sequence x and auxiliary sequence v of the opt scheme, with
+    f and grad f cached at x_curr (never stale)."""
 
     x_curr: np.ndarray
     v_curr: np.ndarray
+    f_curr: float
+    g_curr: np.ndarray
 
 
 def vi_state(problem: MonotoneProblem, z0) -> ViState:
@@ -126,6 +129,12 @@ def vi_state(problem: MonotoneProblem, z0) -> ViState:
     z0 = as_vector(z0, problem.dimension)
     f0 = problem.operator(z0)
     return ViState(z_curr=z0, z_prev=z0.copy(), f_curr=f0, f_prev=f0.copy())
+
+
+def opt_state(objective: SmoothObjective, x0) -> OptState:
+    """Initial state x_curr = v_curr = x0, with f and grad f at x0."""
+    x0 = as_vector(x0, objective.dimension)
+    return OptState(x0, x0.copy(), *objective.value_and_gradient(x0))
 
 
 def step_extra_point(problem: MonotoneProblem, state: ViState,
@@ -176,7 +185,7 @@ def step_opt_extra_point(objective: SmoothObjective, state: OptState,
     gradient step from p (y_rule "p" or "grad-step"); z takes a t3-scaled
     gradient step from y; the new x combines gradients at z and y with the
     t4..t6 weights; the new v is the (t7, t8, t9) convex-plus-gradient
-    update.
+    update. One fused value_and_gradient call fills the new state's cache.
 
     The two y-rules do not certify alike. With y = p, the rule run() uses,
     the paper-default certificate fails at step 0 on
@@ -201,7 +210,7 @@ def step_opt_extra_point(objective: SmoothObjective, state: OptState,
     gz = objective.gradient(z)
     x_new = y - (t4 / L) * gz - (t5 / L) * (gz - gy) + t6 * (z - y)
     v_new = t7 * v + t8 * y - t9 * gy
-    return OptState(x_curr=x_new, v_curr=v_new)
+    return OptState(x_new, v_new, *objective.value_and_gradient(x_new))
 
 
 @dataclass(frozen=True)
@@ -259,7 +268,7 @@ def run(target, method: str, params, start, stop: StopRule,
         stop_merit = 0  # the gradient norm
     else:
         fset = target.feasible_set
-        if not fset.contains(z0, tol=1e-12 * (1.0 + float(np.linalg.norm(z0)))):
+        if not fset.contains(z0, tol=1e-12 * (1.0 + norm2(z0))):
             raise ValueError("start point is not feasible")
         if method == "extra-gradient" and params.eta <= 0.0:
             raise ValueError("extra-gradient needs a positive half-step eta")
@@ -275,7 +284,7 @@ def run(target, method: str, params, start, stop: StopRule,
     tol = stop.residual_tol if stop.residual_tol > 0.0 else -math.inf
 
     t0 = now_ns()
-    state = OptState(z0, z0.copy()) if opt else vi_state(target, z0)
+    state = opt_state(target, z0) if opt else vi_state(target, z0)
     z = state[0]  # the iterate: z_curr or x_curr
     for k in range(stop.max_iter + 1):
         if k:
@@ -288,8 +297,8 @@ def run(target, method: str, params, start, stop: StopRule,
                 trace.terminated_by = "divergence"
                 trace.final_point = z
                 raise DivergenceError(trace)
-        pair = objective_merits(target, z) if opt else \
-            vi_merits(target, z, state.f_curr)
+        pair = objective_merits(target, state.f_curr, state.g_curr) if opt \
+            else vi_merits(target, z, state.f_curr)
         add_k(k)
         add_primary(pair[0])
         add_aux(pair[1])

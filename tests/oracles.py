@@ -144,7 +144,8 @@ def step_opt_extra_point_simplified(objective, state, theta, delta):
     x_new = y - (t4 / L) * gz - (t5 / L) * (gz - gy) + t6 * (z - y)
     v_new = (1.0 - theta) * v + (theta * (mu * delta - L) / (mu * delta)) * y \
         + (theta * L / (mu * delta)) * z
-    return OptState(x_curr=x_new, v_curr=v_new)
+    return OptState(x_new, v_new, objective.value(x_new),
+                    objective.gradient(x_new))
 
 
 def oracle_step(method, problem, params, restricted):

@@ -179,8 +179,8 @@ def test_criterion_07_accelerated_minimization_bounds():
     ok &= all(e[k + 1] <= (rate + 1e-9) * e[k] + atol for k in range(len(e) - 1))
     ok &= all(gap[k] <= 2.0 * rate ** k * gap[0] + atol for k in range(len(gap)))
     # the reduced default-coefficient update is the same map
-    sa = va.OptState(x_curr=np.ones(20), v_curr=np.ones(20))
-    sb = va.OptState(x_curr=np.ones(20), v_curr=np.ones(20))
+    sa = va.opt_state(obj, np.ones(20))
+    sb = va.opt_state(obj, np.ones(20))
     for _ in range(100):
         sa = va.step_opt_extra_point(obj, sa, params, y_rule="p")
         sb = oracles.step_opt_extra_point_simplified(obj, sb, params.theta,

@@ -126,6 +126,28 @@ def test_problem_file_domain_restricted_reads_true():
     assert va.parse_problem(text).domain_restricted is False
 
 
+@pytest.mark.parametrize("entry, error", [
+    ("optimal_value = true", "optimal_value must be a number, got True"),
+    ("optimal_value = low", "optimal_value must be a number, got 'low'"),
+    ("optimal_value = nan", "optimal_value must be finite, got nan"),
+    ("optimal_value = 1", "optimal_value 1 is not the value ")])
+def test_problem_file_optimal_value_must_be_the_minimum(entry, error,
+                                                        tmp_path, capsys):
+    path = tmp_path / "quad.txt"
+    assert main(["generate", "--kind", "quadratic", "--n", "4", "--seed", "2",
+                 "--out", str(path)]) == 0
+    text = path.read_text()
+    assert va.read_problem(path).optimal_value < 0.0
+    broken = tmp_path / "broken.txt"
+    broken.write_text(re.sub(r"(?m)^optimal_value = .*$", entry, text))
+    capsys.readouterr()
+    rc = main(["solve", "--problem", str(broken), "--method", "opt-extra-point",
+               "--max-iter", "50", "--out-dir", str(tmp_path / "runs")])
+    assert rc == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_infeasible_certificate_returns_three(capsys):
     rc = main(["certify", "--regime", "vi-unrestricted", "--mu", "1",
                "--lip", "10", "--alpha", "0", "--eta", "0.025"])
@@ -707,6 +729,25 @@ def test_config_method_index_must_be_an_integer(key, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
     assert f"error: {key}" in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("stop.max_iter = 5\nstop.max_iter = 7\n", "stop.max_iter"),
+    ("stop.max_iter = 3000\n", "stop.max_iter"),  # the same value again
+    ("problem.n = 8\n", "problem.n"),
+    ("method.2.preset = table\n", "method.2.preset"),
+    ("method.3.name = ogda\nmethod.3.alpha = 0.1\nmethod.3.alpha = 0.2\n",
+     "method.3.alpha"),
+    ("method.01.name = ogda\n", "method.01.name")])  # index 01 is index 1
+def test_config_key_given_twice_returns_two(lines, key, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CONFIG_TEXT + lines)
+    with pytest.raises(ValueError, match=f"^config key {key} is given twice$"):
+        parse_config(cfg_path.read_text())
+    assert main(["compare", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    assert f"error: config key {key} is given twice" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

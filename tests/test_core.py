@@ -1,5 +1,7 @@
 """Feasible sets, projections, and problem-container validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,40 @@ def test_objective_minimizer_validation():
     with pytest.raises(ValueError):
         va.SmoothObjective(dimension=2, value=val, gradient=grad,
                            mu=0.0, lip=1.0)
+
+
+def test_objective_optimal_value_must_be_the_value_at_the_minimizer():
+    val = lambda x: 0.5 * float(x @ x) + 3.0
+    grad = lambda x: x.copy()
+    kw = dict(dimension=2, value=val, gradient=grad, mu=1.0, lip=1.0)
+    assert va.SmoothObjective(minimizer=[0.0, 0.0], optimal_value=3,
+                              **kw).optimal_value == 3.0
+    # within SOLUTION_RTOL of the value, relative to 1 + |f(x*)|
+    va.SmoothObjective(minimizer=[0.0, 0.0], optimal_value=3.0 + 3e-9, **kw)
+    for wrong in (3.0 + 5e-9, 1.0, True, -3.0):
+        with pytest.raises(ValueError, match="optimal_value .* is not the "
+                                             "value 3 at the stored minimizer"):
+            va.SmoothObjective(minimizer=[0.0, 0.0], optimal_value=wrong, **kw)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="optimal_value must be finite"):
+            va.SmoothObjective(optimal_value=bad, **kw)
+    # without a minimizer there is nothing to check it against
+    assert va.SmoothObjective(optimal_value=-7.0, **kw).optimal_value == -7.0
+
+
+def test_objective_value_and_gradient_defaults_to_the_pair():
+    calls = []
+    val = lambda x: calls.append("value") or 0.5 * float(x @ x)
+    grad = lambda x: calls.append("gradient") or 2.0 * x
+    obj = va.SmoothObjective(dimension=2, value=val, gradient=grad,
+                             mu=1.0, lip=2.0)
+    f, g = obj.value_and_gradient(np.array([1.0, -2.0]))
+    assert calls == ["value", "gradient"]
+    assert f == 2.5 and np.array_equal(g, [2.0, -4.0])
+    fused = lambda x: (1.0, x)
+    assert va.SmoothObjective(dimension=2, value=val, gradient=grad, mu=1.0,
+                              lip=2.0, value_and_gradient=fused
+                              ).value_and_gradient is fused
 
 
 def test_gradient_problem_wraps_objective_faithfully():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import viaccel as va
+from viaccel.core import format_float
 from viaccel.cli import (DEFAULTS, KEY_TYPES, KINDS, OPT_PARAM_KEYS,
                          SECTION_KEYS, VI_PARAM_KEYS, ExperimentConfig,
                          MethodSpec, main, make_parser, option, parse_config,
@@ -79,6 +80,30 @@ def test_config_round_trip_is_identity_on_random_configs(seed):
     text = serialize_config(cfg)
     assert parse_config(text) == cfg
     assert serialize_config(parse_config(text)) == text
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_configs_with_a_repeated_key_return_two(seed, tmp_path, monkeypatch,
+                                                capsys):
+    rng = random.Random(3000 + seed)
+    cfg = _random_config(rng)
+    lines = serialize_config(cfg).splitlines()
+    key = rng.choice(lines).split(" = ")[0]
+    field = key.split(".")[-1]
+    value = _value(rng, float if field in VI_PARAM_KEYS + OPT_PARAM_KEYS
+                   else KEY_TYPES.get(field, str))
+    # the key again, with a value of its type written as serialize_config would
+    written = "true" if value is True else "false" if value is False else \
+        format_float(value) if isinstance(value, float) else str(value)
+    lines.insert(rng.randrange(len(lines) + 1), f"{key} = {written}")
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ValueError, match=f"^config key {key} is given twice$"):
+        parse_config(text)
+    monkeypatch.chdir(tmp_path)  # random output directories stay inside
+    (tmp_path / "exp.cfg").write_text(text)
+    assert main(["compare", "--config", "exp.cfg"]) == 2
+    assert f"error: config key {key} is given twice" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
 def _corrupt(text, rng):

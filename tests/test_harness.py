@@ -79,8 +79,9 @@ def test_vi_distance_potential_value_and_guard():
 
 
 def test_opt_potential_value_and_guard():
-    phi = va.opt_potential(_quad_objective(), 0.5)
-    st = va.OptState(x_curr=np.array([1.0]), v_curr=np.array([2.0]))
+    obj = _quad_objective()
+    phi = va.opt_potential(obj, 0.5)
+    st = va.opt_state(obj, [1.0])._replace(v_curr=np.array([2.0]))
     assert phi(st) == 2.5  # (0.5 - 0) + 0.5 * 4
     with pytest.raises(ValueError):
         va.opt_potential(va.gen_logistic(5, 2, 0.01, 0), 0.5)

@@ -173,6 +173,46 @@ def test_gram_schmidt_breakdown_matches_the_oracle():
     assert np.array_equal(P._orthonormal_rows(G.copy()), oracles.gram_schmidt(G))
 
 
+@pytest.mark.parametrize("n", [P.GS_PANEL - 1, P.GS_PANEL, P.GS_PANEL + 1,
+                               2 * P.GS_PANEL + 1, 500])
+def test_orthonormal_rows_match_the_oracle_bitwise(n):
+    G = np.random.default_rng(n).standard_normal((n, n))
+    got = P._orthonormal_rows(G.copy())
+    assert got.tobytes() == oracles.gram_schmidt(G).tobytes()
+
+
+def test_gram_schmidt_breakdown_in_a_later_panel_matches_the_oracle():
+    b = P.GS_PANEL
+    G = np.random.default_rng(8).standard_normal((2 * b + 3, 2 * b + 3))
+    G[b + 5] = 0.5 * G[2] - G[b + 1]  # in the span of earlier rows
+    assert oracles.gram_schmidt(G.copy()) is None
+    assert P._orthonormal_rows(G.copy()) is None
+    G[b + 5, 0] += 1e-6  # a remainder above the 1e-8 breakdown norm
+    got = P._orthonormal_rows(G.copy())
+    assert got.tobytes() == oracles.gram_schmidt(G).tobytes()
+
+
+OBJECTIVES = {"quadratic n=20": lambda: va.gen_quadratic(20, 5, 1e-2),
+              "quadratic n=500": lambda: va.gen_quadratic(500, 12, 1e-2),
+              "logistic n=30": lambda: va.gen_logistic(30, 50, 0.01, 4)}
+
+
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+def test_fused_value_and_gradient_is_the_separate_pair_bitwise(name):
+    obj = OBJECTIVES[name]()
+    back = va.parse_problem(va.serialize_problem(obj))
+    rng = np.random.default_rng(6)
+    points = [rng.standard_normal(obj.dimension) * 10.0 ** e
+              for e in (-3, 0, 2)]
+    if obj.minimizer is not None:
+        points.append(obj.minimizer)
+    for target in (obj, back):
+        for x in points:
+            f, g = target.value_and_gradient(x)
+            assert type(f) is float and f.hex() == target.value(x).hex()
+            assert g.tobytes() == target.gradient(x).tobytes()
+
+
 def test_logistic_objective_reference_values():
     obj = va.gen_logistic(15, 2, 0.005, 0)
     assert obj.value(np.zeros(15)) == math.log(2.0)

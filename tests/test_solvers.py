@@ -242,7 +242,7 @@ def test_opt_run_matches_the_plain_loop_bitwise():
                 potential=phi)
     _assert_trace_matches_the_plain_loop(
         tr, obj, lambda s: va.step_opt_extra_point(obj, s, prm, y_rule="p"),
-        va.OptState(x_curr=x0, v_curr=x0.copy()), phi)
+        va.opt_state(obj, x0), phi)
 
 
 @pytest.mark.parametrize("constrained", [False, True])
@@ -287,7 +287,7 @@ def test_run_writes_neither_start_nor_kept_states(constrained):
 
         def keep(s):
             seen.append(s)
-            copies.append([None if v is None else v.copy() for v in s])
+            copies.append([None if v is None else np.copy(v) for v in s])
             return 0.0
 
         va.run(target, method, prm, start, va.StopRule(max_iter=40),
@@ -331,6 +331,39 @@ def test_run_makes_exactly_the_masks_oracle_calls(method, constrained):
     # and the merit at k = 0
     assert counts == {"operator": 1 + 50 * ops,
                       "project": 2 + 50 * projections}
+
+
+def test_opt_run_makes_two_gradient_calls_and_one_fused_call_per_step():
+    obj = va.gen_quadratic(12, 3, 5e-2)
+    counts = dict.fromkeys(("gradient", "value", "value_and_gradient"), 0)
+
+    def counted(name, fn):
+        def wrapped(x):
+            counts[name] += 1
+            return fn(x)
+        return wrapped
+
+    for name in counts:
+        setattr(obj, name, counted(name, getattr(obj, name)))
+    prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
+    va.run(obj, "opt-extra-point", prm, np.ones(12), va.StopRule(max_iter=50),
+           potential=va.opt_potential(obj, prm.c))
+    # f and grad f at the start, then per step grad f at y and z and one
+    # fused call at the new x; merits and the potential read the cache
+    assert counts == {"gradient": 2 * 50, "value": 0,
+                      "value_and_gradient": 1 + 50}
+
+
+@pytest.mark.parametrize("y_rule", Y_RULES)
+def test_opt_state_caches_match_fresh_evaluations(y_rule):
+    for obj in (va.gen_quadratic(6, 2, 0.05), va.gen_logistic(6, 9, 0.01, 2),
+                _quad_objective()):
+        prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
+        st = va.opt_state(obj, np.linspace(-1.0, 2.0, obj.dimension))
+        for _ in range(10):
+            assert float(st.f_curr).hex() == float(obj.value(st.x_curr)).hex()
+            assert st.g_curr.tobytes() == obj.gradient(st.x_curr).tobytes()
+            st = va.step_opt_extra_point(obj, st, prm, y_rule=y_rule)
 
 
 def test_nesterov_run_refuses_domain_restricted_problems():
@@ -378,7 +411,7 @@ def test_domain_restricted_gating():
 def test_opt_step_worked_example_both_y_rules():
     obj = _quad_objective()
     prm = va.default_params(va.REGIME_OPT, 1.0, 1.0)
-    st = va.OptState(x_curr=np.array([1.0]), v_curr=np.array([1.0]))
+    st = va.opt_state(obj, [1.0])
     assert va.step_opt_extra_point(obj, st, prm, y_rule="grad-step").x_curr[0] == 0.0
     got = va.step_opt_extra_point(obj, st, prm, y_rule="p").x_curr[0]
     assert got == pytest.approx(4.0 / 9.0, rel=1e-14)
@@ -391,8 +424,8 @@ def test_simplified_opt_stepper_matches_generic():
     prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
     theta, delta = prm.theta, prm.t[2]
     x0 = np.ones(10)
-    sa = va.OptState(x_curr=x0.copy(), v_curr=x0.copy())
-    sb = va.OptState(x_curr=x0.copy(), v_curr=x0.copy())
+    sa = va.opt_state(obj, x0.copy())
+    sb = va.opt_state(obj, x0.copy())
     for _ in range(50):
         sa = va.step_opt_extra_point(obj, sa, prm, y_rule="p")
         sb = oracles.step_opt_extra_point_simplified(obj, sb, theta, delta)
