@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -25,22 +26,11 @@ from . import presets as PR
 from . import problems as P
 from . import solvers as S
 from .core import (MonotoneProblem, SmoothObjective, format_float,
-                   gradient_problem)
+                   gradient_problem, typed)
+from .problems import KINDS
 
 VI_PARAM_KEYS = ("alpha", "beta", "gamma", "eta", "tau")
 OPT_PARAM_KEYS = tuple(f"t{i}" for i in range(1, 10)) + ("theta", "c", "delta")
-# Each problem kind's generator and its config keys with their types, in the
-# generator's parameter order; a key whose parameter has a default there is
-# optional and, when not given, takes that default.
-KINDS = {
-    "linear-vi": (P.gen_linear_vi, dict(n=int, seed=int, target_sigma=float,
-                                        constrained=bool)),
-    "quadratic": (P.gen_quadratic, dict(n=int, seed=int, target_sigma=float)),
-    "logistic": (P.gen_logistic, dict(n=int, num_samples=int, lam=float,
-                                      seed=int)),
-    "bilinear-saddle": (P.gen_bilinear_saddle, dict(nx=int, ny=int, seed=int,
-                                                    mu_x=float, mu_y=float)),
-}
 # The value of a key that is not given. Stop and output keys default in
 # configs and flags alike, problem keys only as flags (a config names its
 # problem in full); a kind's key without an entry takes its generator's.
@@ -66,21 +56,6 @@ OPTIONS = {"file": "--problem", "target_sigma": "--sigma",
 def option(key: str) -> str:
     """The flag that sets a config key (or another argument dest)."""
     return OPTIONS.get(key, "--" + key.replace("_", "-"))
-
-
-def _typed(key: str, text: str, typ):
-    """A config value's text as its key's type: an int key takes an
-    integer, a bool key true or false, a float key a number, a text key its
-    text as written; anything else raises ValueError naming the key."""
-    if typ is bool and text in ("true", "false"):
-        return text == "true"
-    if typ is not bool:
-        try:
-            return typ(text)
-        except ValueError:
-            pass
-    name = {int: "an integer", bool: "true or false", float: "a number"}
-    raise ValueError(f"{key} must be {name[typ]}, got {text}")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +99,7 @@ def parse_config(text: str) -> ExperimentConfig:
         parts = key.split(".")
         if len(parts) == 2 and parts[1] in SECTION_KEYS.get(parts[0], ()):
             _once(seen, key, tuple(parts))
-            sections[parts[0]][parts[1]] = _typed(
+            sections[parts[0]][parts[1]] = typed(
                 key, value, KEY_TYPES.get(parts[1], str))
         elif parts[0] == "method" and len(parts) == 3:
             try:
@@ -136,9 +111,9 @@ def parse_config(text: str) -> ExperimentConfig:
             _once(seen, key, ("method", idx, fld))
             spec = methods.setdefault(idx, MethodSpec(name=""))
             if fld in ("name", "preset", "max_iter", "tol"):
-                setattr(spec, fld, _typed(key, value, KEY_TYPES.get(fld, str)))
+                setattr(spec, fld, typed(key, value, KEY_TYPES.get(fld, str)))
             elif fld in VI_PARAM_KEYS or fld in OPT_PARAM_KEYS:
-                spec.params[fld] = _typed(key, value, float)
+                spec.params[fld] = typed(key, value, float)
             else:
                 raise ValueError(f"unknown method field {fld!r}")
         else:
@@ -353,6 +328,9 @@ def cmd_generate(args) -> int:
 def cmd_certify(args) -> int:
     if (args.gap is None) != (args.tol is None):
         raise ValueError("--gap and --tol go together")
+    if not all(0.0 < v < math.inf for v in (args.gap, args.tol)
+               if v is not None):
+        raise ValueError("--gap and --tol must be positive and finite")
     params, _ = assemble_params(args.regime, args.preset, _flag_params(args),
                                 args.mu, args.lip)
     cert = C.certify(args.regime, args.mu, args.lip, params)
@@ -366,10 +344,11 @@ def cmd_certify(args) -> int:
                 f"--theta-default {td:g} outside the certified window "
                 f"[{cert.theta_lo:g}, {cert.theta_hi:g})")
         cert = replace(cert, theta_default=td, rate=1.0 - (cert.a - td))
-    sys.stdout.write(cert.to_text())
+    text = cert.to_text()  # printed whole, so an error prints none of it
     if cert.feasible and args.gap is not None:
         bound = C.iteration_bound(cert, args.gap, args.tol)
-        print(f"iteration_bound = {bound}")
+        text += f"iteration_bound = {bound}\n"
+    sys.stdout.write(text)
     return 0 if cert.feasible else 3
 
 

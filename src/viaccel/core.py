@@ -47,6 +47,22 @@ def format_float(x, missing: Optional[str] = None) -> str:
     return format(float(x), ".17g")
 
 
+def typed(key: str, text: str, typ):
+    """A config or problem-file value's text as its key's type: an int key
+    takes an integer, a bool key true or false, a float key a number, a
+    text key its text as written; anything else raises ValueError naming
+    the key."""
+    if typ is bool and text in ("true", "false"):
+        return text == "true"
+    if typ is not bool:
+        try:
+            return typ(text)
+        except ValueError:
+            pass
+    name = {int: "an integer", bool: "true or false", float: "a number"}
+    raise ValueError(f"{key} must be {name[typ]}, got {text}")
+
+
 class FeasibleSet:
     """Closed convex set with a closed-form Euclidean projection."""
 

@@ -7,11 +7,13 @@ are deterministic in (shape, target, seed).
 
 The text format ("vi-accel-problem v1") stores the defining arrays at full
 double precision (17 significant digits), so parse(serialize(p)) rebuilds an
-instance whose operator output is bit-identical.
+instance whose operator output is bit-identical. One schema per kind
+(schema) lists the entries a file stores; the writer and reader follow it.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -19,14 +21,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (FeasibleSet, MonotoneProblem, NonnegativeOrthant,
-                   SmoothObjective, WholeSpace, format_float, norm2)
+                   SmoothObjective, WholeSpace, format_float, norm2, typed)
 from .harness import finite_diff_jacobian, power_iteration_norm
 
 FORMAT_HEADER = "vi-accel-problem v1"
-
-# block names parsed as vectors; everything else is a matrix
-_VECTOR_BLOCKS = {"solution", "minimizer", "offset", "linear", "diag",
-                  "lower", "upper", "center"}
 
 
 @dataclass(frozen=True)
@@ -48,11 +46,12 @@ class LinearOperatorSpec:
 
 
 # ---------------------------------------------------------------------------
-# operator builders shared by generators and the parser (bit-exact round trip)
+# operator builders shared by generators and the parser (bit-exact round trip);
+# each returns its class's callables as constructor keyword arguments
 
-def _linear_vi_operator(diag: np.ndarray, skew: np.ndarray):
-    M = np.diag(diag) + skew
-    return M, M.dot
+def _linear_vi_operator(M: np.ndarray, offset: np.ndarray) -> dict:
+    lin = M.dot
+    return dict(operator=lambda z: lin(z) + offset)
 
 
 def _bilinear_matrix(B: np.ndarray, mu_x: float, mu_y: float) -> np.ndarray:
@@ -65,11 +64,12 @@ def _bilinear_matrix(B: np.ndarray, mu_x: float, mu_y: float) -> np.ndarray:
     return M
 
 
-# Each builder returns (value, gradient, value_and_gradient); the fused
-# callable shares one dense product between the two and is bit-identical to
-# the separate calls.
+# The fused value_and_gradient shares one dense product between the two and
+# is bit-identical to the separate calls.
 
-def _quadratic_functions(M: np.ndarray, q: np.ndarray):
+def _quadratic_functions(hessian: np.ndarray, linear: np.ndarray) -> dict:
+    M, q = hessian, linear
+
     def value_at(x, mx):  # mx = M x
         return float(0.5 * (x @ mx) + q @ x)
 
@@ -83,10 +83,11 @@ def _quadratic_functions(M: np.ndarray, q: np.ndarray):
         mx = M.dot(x)
         return value_at(x, mx), mx + q
 
-    return value, gradient, value_and_gradient
+    return dict(value=value, gradient=gradient,
+                value_and_gradient=value_and_gradient)
 
 
-def _logistic_functions(data: np.ndarray, lam: float):
+def _logistic_functions(data: np.ndarray, lam: float) -> dict:
     N = data.shape[0]
 
     def value_at(x, t):  # t = data x
@@ -106,7 +107,8 @@ def _logistic_functions(data: np.ndarray, lam: float):
         t = data @ x
         return value_at(x, t), gradient_at(x, t)
 
-    return value, gradient, value_and_gradient
+    return dict(value=value, gradient=gradient,
+                value_and_gradient=value_and_gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +167,8 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
     c = math.exp(0.5 * (lo_c + hi_c))
 
     diag = c * diag0
-    M, lin = _linear_vi_operator(diag, skew)
+    M = np.diag(diag) + skew
     spec = LinearOperatorSpec(m=M, q=offset, q_diag=diag, a_skew=skew)
-
-    def op(z):
-        return lin(z) + offset
 
     mu = float(diag.min())
     lip = last["norm"] if c == last["c"] else power_iteration_norm(M)
@@ -178,8 +177,9 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
 
     fset = NonnegativeOrthant(n) if constrained else WholeSpace(n)
     solution = solve_linear_reference(spec, fset, lip=lip)
-    problem = MonotoneProblem(dimension=n, operator=op, feasible_set=fset,
-                              mu=mu, lip=lip, solution=solution,
+    problem = MonotoneProblem(dimension=n, **_linear_vi_operator(M, offset),
+                              feasible_set=fset, mu=mu, lip=lip,
+                              solution=solution,
                               kind="linear-vi", seed=seed, meta=meta)
     return problem, spec
 
@@ -290,11 +290,10 @@ def gen_quadratic(n: int, seed: int, target_sigma: float) -> SmoothObjective:
     q = rng.uniform(-1.0, 1.0, n)
     xs = np.linalg.solve(M, -q)
 
-    value, gradient, fused = _quadratic_functions(M, q)
-    return SmoothObjective(dimension=n, value=value, gradient=gradient,
-                           value_and_gradient=fused, mu=mu, lip=lip,
-                           minimizer=xs,
-                           optimal_value=value(xs), kind="quadratic", seed=seed,
+    functions = _quadratic_functions(M, q)
+    return SmoothObjective(dimension=n, **functions, mu=mu, lip=lip,
+                           minimizer=xs, optimal_value=functions["value"](xs),
+                           kind="quadratic", seed=seed,
                            meta={"hessian": M, "linear": q,
                                  "target_sigma": float(target_sigma)})
 
@@ -314,10 +313,9 @@ def gen_logistic(n: int, n_samples: int, lam: float, seed: int) -> SmoothObjecti
     data = 0.107 * rng.standard_normal((n_samples, n))
     lam = float(lam)
 
-    value, gradient, fused = _logistic_functions(data, lam)
     lip = lam + power_iteration_norm(data) ** 2 / (4.0 * n_samples)
-    return SmoothObjective(dimension=n, value=value, gradient=gradient,
-                           value_and_gradient=fused, mu=lam, lip=lip,
+    return SmoothObjective(dimension=n, **_logistic_functions(data, lam),
+                           mu=lam, lip=lip,
                            kind="logistic", seed=seed,
                            meta={"data": data, "lam": lam})
 
@@ -387,213 +385,219 @@ def estimate_constants(problem: MonotoneProblem):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# the stored form of each kind
+
+# Each problem kind's generator and its generator keys with their types, in
+# the generator's parameter order; a key whose parameter has a default there
+# is optional and, when not given, takes that default.
+KINDS = {
+    "linear-vi": (gen_linear_vi, dict(n=int, seed=int, target_sigma=float,
+                                      constrained=bool)),
+    "quadratic": (gen_quadratic, dict(n=int, seed=int, target_sigma=float)),
+    "logistic": (gen_logistic, dict(n=int, num_samples=int, lam=float,
+                                    seed=int)),
+    "bilinear-saddle": (gen_bilinear_saddle, dict(nx=int, ny=int, seed=int,
+                                                  mu_x=float, mu_y=float)),
+}
+
+
+def _build_linear_vi(diag, skew, offset) -> dict:
+    return _linear_vi_operator(np.diag(diag) + skew, offset)
+
+
+def _build_bilinear_saddle(n, bilinear, mu_x, mu_y) -> dict:
+    if sum(bilinear.shape) != n:
+        raise ValueError(f"block meta.bilinear has shape {bilinear.shape}, "
+                         f"whose sides must sum to n = {n}")
+    return dict(operator=_bilinear_matrix(bilinear, mu_x, mu_y).dot)
+
+
+# Beside each kind: its class, the shape of each meta.* block it stores (each
+# side n or a meta.* scalar; one the file does not store matches any length),
+# and the builder of the class's callables from the file's n and the blocks
+# and meta.* scalars its parameters name. A kind's meta.* scalars are its
+# generator keys but n, seed and num_samples; a file may omit those that its
+# builder does not name.
+LAYOUTS = {
+    "linear-vi": (MonotoneProblem, dict(diag=("n",), offset=("n",),
+                                        skew=("n", "n")), _build_linear_vi),
+    "quadratic": (SmoothObjective, dict(hessian=("n", "n"), linear=("n",)),
+                  _quadratic_functions),
+    "logistic": (SmoothObjective, dict(data=("num_samples", "n")),
+                 _logistic_functions),
+    "bilinear-saddle": (MonotoneProblem, dict(bilinear=("nx", "ny")),
+                        _build_bilinear_saddle),
+}
+# Each class's name in files and its attributes that a file stores after
+# class, kind and n, in the order written: the type of a scalar or the shape
+# of a block. A file may omit one whose constructor parameter has a default.
+CLASSES = {
+    MonotoneProblem: ("monotone-vi", dict(
+        mu=float, lip=float, seed=int, domain_restricted=bool,
+        feasible_set=str, solution=("n",))),
+    SmoothObjective: ("smooth-objective", dict(
+        mu=float, lip=float, seed=int, optimal_value=float,
+        minimizer=("n",))),
+}
+FEASIBLE_SETS = {"whole-space": WholeSpace,
+                 "nonnegative-orthant": NonnegativeOrthant}
+
+
+def schema(kind: str) -> dict:
+    """Every entry a kind's problem file can store, in the order written
+    (its `name = value` lines, then its blocks): name -> the type of a
+    line's value, or the shape of a block as a tuple of side names."""
+    cls, blocks, _ = LAYOUTS[kind]
+    meta = {key: typ for key, typ in KINDS[kind][1].items()
+            if key not in ("n", "seed", "num_samples")}
+    meta.update(blocks)
+    return {"class": str, "kind": str, "n": int, **CLASSES[cls][1],
+            **{f"meta.{name}": meta[name] for name in sorted(meta)}}
+
+
+def _check(kind: str, values: dict) -> None:
+    """Refuse entries (name -> value, None when not given) that lack one
+    the kind needs, or whose n, numbers or meta.* block shapes do not fit."""
+    cls, blocks, build = LAYOUTS[kind]
+    params = inspect.signature(cls).parameters
+    needed = ["class", "kind", "n"]
+    needed += [name for name in CLASSES[cls][1]
+               if params[name].default is params[name].empty]
+    needed += [f"meta.{name}" for name in inspect.signature(build).parameters
+               if name != "n"]
+    missing = [name for name in needed if values.get(name) is None]
+    if missing:
+        raise ValueError(f"{missing[0]} must be given in a {kind} problem file")
+    if values["n"] < 1:
+        raise ValueError(f"n must be a positive integer, got {values['n']}")
+    for name, form in schema(kind).items():
+        value = values.get(name)
+        if (form is float or isinstance(form, tuple)) and value is not None:
+            bad = np.extract(~np.isfinite(value), value)
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {bad[0]}")
+    for name, shape in blocks.items():
+        want = [values.get(side if side == "n" else f"meta.{side}")
+                for side in shape]
+        got = np.shape(values[f"meta.{name}"])
+        if len(got) != len(want) or \
+                any(w not in (None, g) for w, g in zip(want, got)):
+            sizes = ", ".join("any" if w is None else str(w) for w in want)
+            raise ValueError(f"{kind} problem needs block meta.{name} of shape "
+                             f"({', '.join(shape)}) = ({sizes}), got {got}")
+
 
 def serialize_problem(obj: Union[MonotoneProblem, SmoothObjective]) -> str:
-    """Render a generated instance to the v1 text format.
+    """Render an instance of a stored kind (see LAYOUTS) to the v1 text
+    format: its schema's entries, leaving out None attributes.
 
-    Only kinds whose operators can be rebuilt from stored arrays are
-    supported: linear-vi, bilinear-saddle, quadratic, logistic.
+    Raises ValueError, naming the entry, for an instance whose text
+    parse_problem would refuse.
     """
-    lines = [FORMAT_HEADER]
-    blocks = []
-
-    def key(name, value):
-        if value is None:
-            return
-        if isinstance(value, bool):
-            lines.append(f"{name} = {'true' if value else 'false'}")
-        elif isinstance(value, (int, np.integer)):
-            lines.append(f"{name} = {int(value)}")
-        elif isinstance(value, (float, np.floating)):
-            lines.append(f"{name} = {format_float(value)}")
-        else:
-            lines.append(f"{name} = {value}")
-
-    def block(name, arr):
-        if arr is None:
-            return
-        arr = np.asarray(arr, dtype=float)
-        rows = [arr] if arr.ndim == 1 else list(arr)
-        blocks.append(f"begin {name}")
-        blocks.extend(" ".join(format_float(v) for v in row) for row in rows)
-        blocks.append(f"end {name}")
-
-    if isinstance(obj, MonotoneProblem):
-        if obj.kind not in ("linear-vi", "bilinear-saddle"):
-            raise ValueError(f"cannot serialize problem kind {obj.kind!r}")
-        key("class", "monotone-vi")
-        key("kind", obj.kind)
-        key("n", obj.dimension)
-        key("mu", obj.mu)
-        key("lip", obj.lip)
-        key("seed", obj.seed)
-        key("domain_restricted", obj.domain_restricted)
-        fset = obj.feasible_set
-        if isinstance(fset, WholeSpace):
-            key("feasible_set", "whole-space")
-        elif isinstance(fset, NonnegativeOrthant):
-            key("feasible_set", "nonnegative-orthant")
-        else:
+    if type(obj) is not LAYOUTS.get(obj.kind, (None,))[0]:
+        raise ValueError(f"cannot serialize {type(obj).__name__} kind "
+                         f"{obj.kind!r}")
+    entries = schema(obj.kind)
+    values = {name: obj.meta.get(name[len("meta."):])
+              if name.startswith("meta.") else getattr(obj, name, None)
+              for name in entries}
+    values.update({"class": CLASSES[type(obj)][0], "n": obj.dimension})
+    if "feasible_set" in values:
+        names = {fset: name for name, fset in FEASIBLE_SETS.items()}
+        if type(obj.feasible_set) not in names:
             raise ValueError("only whole-space and orthant sets serialize")
-        block("solution", obj.solution)
-    else:
-        if obj.kind not in ("quadratic", "logistic"):
-            raise ValueError(f"cannot serialize objective kind {obj.kind!r}")
-        key("class", "smooth-objective")
-        key("kind", obj.kind)
-        key("n", obj.dimension)
-        key("mu", obj.mu)
-        key("lip", obj.lip)
-        key("seed", obj.seed)
-        key("optimal_value", obj.optimal_value)
-        block("minimizer", obj.minimizer)
+        values["feasible_set"] = names[type(obj.feasible_set)]
+    _check(obj.kind, values)
 
-    for name in sorted(obj.meta):
-        v = obj.meta[name]
-        if isinstance(v, np.ndarray):
-            block(f"meta.{name}", v)
+    lines, blocks = [FORMAT_HEADER], []
+    for name, form in entries.items():
+        value = values[name]
+        if value is None:
+            continue
+        if isinstance(form, tuple):
+            rows = np.atleast_2d(np.asarray(value, dtype=float))
+            blocks += [f"begin {name}",
+                       *(" ".join(map(format_float, row)) for row in rows),
+                       f"end {name}"]
         else:
-            key(f"meta.{name}", v)
+            text = format_float(value) if form is float else \
+                str(value).lower() if form is bool else str(value)
+            typed(name, text, form)  # raises for a value the reader refuses
+            lines.append(f"{name} = {text}")
     return "\n".join(lines + blocks) + "\n"
-
-
-def _parse_scalar(raw: str):
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
 
 
 def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
     """Rebuild an instance from its v1 text form (inverse of serialize).
 
-    The header keys and every block the kind needs are checked, with array
-    shapes against n, before any operator is built; a malformed file raises
-    ValueError.
+    The file gives its kind's schema entries, each at most once: every one
+    the kind needs, and no other. Values are typed by key as in configs,
+    and block shapes checked, before any operator is built; a malformed
+    file raises ValueError naming the entry.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or lines[0] != FORMAT_HEADER:
         raise ValueError(f"missing header line {FORMAT_HEADER!r}")
 
-    keys = {}
-    arrays = {}
-    i = 1
-    while i < len(lines):
-        ln = lines[i]
+    given = {}  # name -> the text of a `name = value` line, or a block
+    rest = iter(lines[1:])
+    for ln in rest:
         if ln.startswith("begin "):
-            name = ln[len("begin "):].strip()
-            rows = []
-            i += 1
-            while i < len(lines) and lines[i] != f"end {name}":
-                rows.append([float(v) for v in lines[i].split()])
-                i += 1
-            if i == len(lines):
+            name, rows = ln[len("begin "):].strip(), []
+            for row in rest:
+                if row == f"end {name}":
+                    break
+                rows.append([float(v) for v in row.split()])
+            else:
                 raise ValueError(f"unterminated block {name!r}")
-            arr = np.array(rows, dtype=float)
-            base = name.split(".", 1)[-1]
-            if base in _VECTOR_BLOCKS and arr.shape[0] == 1:
-                arr = arr[0]
-            arrays[name] = arr
+            value = np.array(rows, dtype=float)
         elif " = " in ln:
-            name, raw = ln.split(" = ", 1)
-            keys[name.strip()] = _parse_scalar(raw.strip())
+            name, value = (part.strip() for part in ln.split(" = ", 1))
         else:
             raise ValueError(f"unparseable line {ln!r}")
-        i += 1
+        if name in given:
+            raise ValueError(f"problem file entry {name} is given twice")
+        given[name] = value
 
-    meta = {}
-    for name, v in keys.items():
-        if name.startswith("meta."):
-            meta[name[len("meta."):]] = v
-    for name, v in arrays.items():
-        if name.startswith("meta."):
-            meta[name[len("meta."):]] = v
+    kind = given.get("kind")
+    if not isinstance(kind, str) or kind not in LAYOUTS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    entries = schema(kind)
+    values = {}
+    for name, value in given.items():
+        form = entries.get(name)
+        if isinstance(value, str) and isinstance(form, type):
+            values[name] = typed(name, value, form)
+        elif isinstance(value, np.ndarray) and isinstance(form, tuple):
+            # a vector is written as one row
+            values[name] = value[0] if len(form) == len(value) == 1 else value
+    _check(kind, values)
+    unknown = [name for name in given if name not in values]
+    if unknown:
+        raise ValueError(f"unknown entry {unknown[0]} in a {kind} problem file")
 
-    def typed(name, v, kinds=(int, float), what="a number"):
-        if isinstance(v, bool) != (kinds is bool) or not isinstance(v, kinds):
-            raise ValueError(f"{name} must be {what}, got {v!r}")
-        return v
-
-    cls = keys.get("class")
-    kind = keys.get("kind")
-    if cls not in ("monotone-vi", "smooth-objective"):
-        raise ValueError(f"unknown class {cls!r}")
-    dim, seed = keys.get("n"), keys.get("seed")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"n must be a positive integer, got {dim!r}")
-    if seed is not None:
-        typed("seed", seed, int, "an integer")
-
-    def block(name, *shape):  # None in shape matches any length
-        v = meta.get(name)
-        got = v.shape if isinstance(v, np.ndarray) else None
-        if got is None or len(got) != len(shape) or \
-                any(w not in (None, g) for w, g in zip(shape, got)):
-            raise ValueError(f"{kind} problem needs block meta.{name} of shape "
-                             f"{shape} for n = {dim}, got {got}")
-        return v
-
-    mu, lip = typed("mu", keys.get("mu")), typed("lip", keys.get("lip"))
-    if cls == "monotone-vi":
-        if kind == "linear-vi":
-            M, lin = _linear_vi_operator(block("diag", dim), block("skew", dim, dim))
-            offset = block("offset", dim)
-            op = lambda z, _lin=lin, _off=offset: _lin(z) + _off
-        elif kind == "bilinear-saddle":
-            B = block("bilinear", None, None)
-            if sum(B.shape) != dim:
-                raise ValueError(f"block meta.bilinear has shape {B.shape}, "
-                                 f"whose sides must sum to n = {dim}")
-            M = _bilinear_matrix(B, typed("meta.mu_x", meta.get("mu_x")),
-                                 typed("meta.mu_y", meta.get("mu_y")))
-            op = M.dot
-        else:
-            raise ValueError(f"unknown problem kind {kind!r}")
-        fs_name = keys.get("feasible_set")
-        if fs_name == "whole-space":
-            fset = WholeSpace(dim)
-        elif fs_name == "nonnegative-orthant":
-            fset = NonnegativeOrthant(dim)
-        else:
-            raise ValueError(f"unknown feasible set {fs_name!r}")
-        restricted = typed("domain_restricted",
-                           keys.get("domain_restricted", False), bool,
-                           "true or false")
-        return MonotoneProblem(dimension=dim, operator=op, feasible_set=fset,
-                               mu=mu, lip=lip,
-                               solution=arrays.get("solution"),
-                               domain_restricted=restricted,
-                               kind=kind, seed=seed, meta=meta)
-    if kind == "quadratic":
-        value, gradient, fused = _quadratic_functions(
-            block("hessian", dim, dim), block("linear", dim))
-    elif kind == "logistic":
-        value, gradient, fused = _logistic_functions(
-            block("data", None, dim), typed("meta.lam", meta.get("lam")))
-    else:
-        raise ValueError(f"unknown objective kind {kind!r}")
-    fs = keys.get("optimal_value")
-    return SmoothObjective(dimension=dim, value=value, gradient=gradient,
-                           value_and_gradient=fused, mu=mu, lip=lip,
-                           minimizer=arrays.get("minimizer"),
-                           optimal_value=None if fs is None else
-                           typed("optimal_value", fs),
-                           kind=kind, seed=seed, meta=meta)
+    cls, _, build = LAYOUTS[kind]
+    if values["class"] != CLASSES[cls][0]:
+        raise ValueError(f"{kind} problems have class {CLASSES[cls][0]}, "
+                         f"got {values['class']}")
+    attrs = {name: values[name] for name in CLASSES[cls][1] if name in values}
+    if "feasible_set" in attrs:
+        fset = FEASIBLE_SETS.get(attrs["feasible_set"])
+        if fset is None:
+            raise ValueError(f"unknown feasible set {attrs['feasible_set']!r}")
+        attrs["feasible_set"] = fset(values["n"])
+    meta = {name[len("meta."):]: v for name, v in values.items()
+            if name.startswith("meta.")}
+    made = build(**{name: values["n"] if name == "n" else meta[name]
+                    for name in inspect.signature(build).parameters})
+    return cls(dimension=values["n"], **made, **attrs, kind=kind, meta=meta)
 
 
 def write_problem(path, obj) -> None:
+    text = serialize_problem(obj)  # before opening: a refused one writes nothing
     with open(path, "w") as fh:
-        fh.write(serialize_problem(obj))
+        fh.write(text)
 
 
 def read_problem(path) -> Union[MonotoneProblem, SmoothObjective]:

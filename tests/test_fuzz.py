@@ -2,15 +2,17 @@
 
 import argparse
 import random
+import re
 
 import pytest
 
 import viaccel as va
+import viaccel.problems as P
 from viaccel.core import format_float
 from viaccel.cli import (DEFAULTS, KEY_TYPES, KINDS, OPT_PARAM_KEYS,
                          SECTION_KEYS, VI_PARAM_KEYS, ExperimentConfig,
-                         MethodSpec, main, make_parser, option, parse_config,
-                         serialize_config)
+                         MethodSpec, build_problem, main, make_parser, option,
+                         parse_config, serialize_config)
 
 # text values, some of which would read as a number or a boolean
 WORDS = ("linear-vi", "quadratic", "csv,jsonl", "runs/out", "x_y", "007",
@@ -59,6 +61,12 @@ def _value(rng, typ):
     return rng.choice(WORDS)
 
 
+def _text(value):
+    """A value written as serialize_config and serialize_problem write it."""
+    return "true" if value is True else "false" if value is False else \
+        format_float(value) if isinstance(value, float) else str(value)
+
+
 def _random_config(rng):
     sections = {name: {k: _value(rng, KEY_TYPES.get(k, str)) for k in keys
                        if rng.random() < 0.5}
@@ -93,9 +101,7 @@ def test_configs_with_a_repeated_key_return_two(seed, tmp_path, monkeypatch,
     value = _value(rng, float if field in VI_PARAM_KEYS + OPT_PARAM_KEYS
                    else KEY_TYPES.get(field, str))
     # the key again, with a value of its type written as serialize_config would
-    written = "true" if value is True else "false" if value is False else \
-        format_float(value) if isinstance(value, float) else str(value)
-    lines.insert(rng.randrange(len(lines) + 1), f"{key} = {written}")
+    lines.insert(rng.randrange(len(lines) + 1), f"{key} = {_text(value)}")
     text = "\n".join(lines) + "\n"
     with pytest.raises(ValueError, match=f"^config key {key} is given twice$"):
         parse_config(text)
@@ -145,21 +151,89 @@ def test_infinite_integer_entries_return_two(key, tmp_path, monkeypatch,
     assert "error:" in capsys.readouterr().err
 
 
+# a small instance of each problem kind, as its generator keys
+SMALL = {"linear-vi": dict(n=4, seed=1, target_sigma=0.05, constrained=True),
+         "quadratic": dict(n=4, seed=2, target_sigma=0.05),
+         "logistic": dict(n=3, num_samples=2, lam=0.01, seed=0),
+         "bilinear-saddle": dict(nx=2, ny=3, seed=1)}
+
+
 @pytest.fixture(scope="module")
 def problem_texts():
-    return {
-        "extra-point": va.serialize_problem(
-            va.gen_linear_vi(4, 1, 0.05, constrained=True)[0]),
-        "opt-extra-point": va.serialize_problem(va.gen_quadratic(4, 2, 0.05)),
-    }
+    return {kind: va.serialize_problem(build_problem({"kind": kind, **keys}))
+            for kind, keys in SMALL.items()}
+
+
+@pytest.mark.parametrize("kind", list(P.KINDS))
+def test_problem_text_round_trip_is_identity_for_every_kind(kind,
+                                                            problem_texts):
+    text = problem_texts[kind]
+    problem = P.parse_problem(text)
+    assert P.serialize_problem(problem) == text
+    # the generator records exactly the kind's meta entries, so all are written
+    generated = build_problem({"kind": kind, **SMALL[kind]})
+    assert {f"meta.{key}" for key in generated.meta} == \
+        {name for name in P.schema(kind) if name.startswith("meta.")}
+
+
+def _entries(text):
+    """A problem file's entries after its header line: each `name = value`
+    line, or each block from begin to end, as a list of lines."""
+    lines, entries = text.splitlines()[1:], []
+    while lines:
+        head = lines[0]
+        end = lines.index(f"end {head[len('begin '):]}") + 1 \
+            if head.startswith("begin ") else 1
+        entries.append(lines[:end])
+        lines = lines[end:]
+    return entries
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_problem_files_with_a_repeated_or_unknown_entry_return_two(
+        seed, problem_texts, tmp_path, capsys):
+    rng = random.Random(4000 + seed)
+    kind = rng.choice(list(P.KINDS))
+    entries = _entries(problem_texts[kind])
+    action = rng.randrange(4)
+    if action == 0:  # an entry again: a line with a value of its type, or a block
+        entry = rng.choice(entries)
+        name = entry[0].split(" = ")[0].removeprefix("begin ")
+        form = P.schema(kind)[name]
+        if len(entry) == 1:
+            entry = [f"{name} = {_text(_value(rng, form))}"]
+        error = f"problem file entry {name} is given twice"
+    else:
+        name = rng.choice({1: ("mu_hat", "meta.lambda", "meta.n", "lower"),
+                           2: ("lower", "center", "meta.other", "meta.lam_"),
+                           3: ("domain_restrictd",)}[action])
+        entry = [f"begin {name}", "1 2", f"end {name}"] if action == 2 else \
+            [f"{name} = {rng.choice(('true', '1', '0.5', 'x'))}"]
+        error = f"unknown entry {name} in a {kind} problem file"
+    entries.insert(rng.randrange(len(entries) + 1), entry)
+    text = "\n".join([P.FORMAT_HEADER, *(ln for e in entries for ln in e)])
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        P.parse_problem(text)
+    path = tmp_path / "prob.txt"
+    path.write_text(text + "\n")
+    rc = main(["solve", "--problem", str(path), "--method", "extra-point",
+               "--max-iter", "5", "--out-dir", str(tmp_path / "runs")])
+    assert rc == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("seed", range(60))
-@pytest.mark.parametrize("method", ["extra-point", "opt-extra-point"])
+@pytest.mark.parametrize("method, kind", [
+    pytest.param("extra-point", "linear-vi", id="extra-point"),
+    pytest.param("opt-extra-point", "quadratic", id="opt-extra-point"),
+    pytest.param("extra-point", "bilinear-saddle",
+                 id="extra-point-bilinear-saddle"),
+    pytest.param("opt-extra-point", "logistic", id="opt-extra-point-logistic")])
 def test_corrupted_problem_files_exit_with_a_documented_code(
-        method, seed, problem_texts, tmp_path, capsys):
+        method, kind, seed, problem_texts, tmp_path, capsys):
     path = tmp_path / "prob.txt"
-    path.write_text(_corrupt(problem_texts[method], random.Random(seed)))
+    path.write_text(_corrupt(problem_texts[kind], random.Random(seed)))
     rc = main(["solve", "--problem", str(path), "--method", method,
                "--max-iter", "60", "--strict", "--out-dir", str(tmp_path)])
     assert rc in EXIT_CODES

@@ -1,6 +1,7 @@
 """Seeded instance generators, reference solutions, and the text format."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,55 @@ def test_parse_checks_required_blocks_and_their_shapes():
     sad = va.serialize_problem(va.gen_bilinear_saddle(2, 3, 1))
     with pytest.raises(ValueError, match="meta.bilinear"):
         P.parse_problem(sad.replace("n = 5", "n = 6"))
+
+
+def test_bilinear_files_check_their_sides_against_the_block():
+    text = va.serialize_problem(va.gen_bilinear_saddle(2, 3, 1))
+    for entry in ("meta.nx = 7", "meta.ny = 2"):
+        key = entry.split(" = ")[0]
+        with pytest.raises(ValueError, match=r"block meta\.bilinear of shape "
+                                             r"\(nx, ny\)"):
+            P.parse_problem(re.sub(rf"(?m)^{key} = .*$", entry, text))
+    bare = re.sub(r"(?m)^meta\.n[xy] = .*\n", "", text)
+    assert P.parse_problem(bare).meta["bilinear"].shape == (2, 3)
+    with pytest.raises(ValueError, match="must sum to n = 6"):
+        P.parse_problem(bare.replace("n = 5", "n = 6"))
+
+
+def test_refused_instances_write_no_file(tmp_path):
+    path = tmp_path / "p.txt"
+    with pytest.raises(ValueError, match="cannot serialize"):
+        va.write_problem(path, va.gradient_problem(va.gen_quadratic(3, 1, 0.1)))
+    bare = va.MonotoneProblem(dimension=2, operator=lambda z: z,
+                              feasible_set=va.WholeSpace(2), mu=1.0, lip=1.0,
+                              kind="linear-vi")
+    with pytest.raises(ValueError, match="^meta.diag must be given in a "
+                                         "linear-vi problem file$"):
+        va.write_problem(path, bare)
+    saddle = va.gen_bilinear_saddle(2, 3, 1)
+    saddle.seed = 1.5
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        va.write_problem(path, saddle)
+    assert not path.exists()
+
+
+def test_readme_documents_each_kinds_stored_entries():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## File formats"):]
+    for kind, (cls, blocks, _) in P.LAYOUTS.items():
+        row = re.search(rf"^ *\| `{kind}` \|(.*)$", section, re.M).group(1)
+        class_name, scalars, stored = row.split("|")[:3]
+        meta = {name: form for name, form in P.schema(kind).items()
+                if name.startswith("meta.")}
+        assert class_name.strip() == f"`{P.CLASSES[cls][0]}`"
+        assert re.findall(r"`([\w.]+)`", scalars) == \
+            [name for name, form in meta.items() if isinstance(form, type)]
+        assert re.findall(r"`([\w.]+)` \(([\w ×]+)\)", stored) == \
+            [(name, " × ".join(form)) for name, form in meta.items()
+             if isinstance(form, tuple)]
+    for name, entries in P.CLASSES.values():
+        for entry in entries:
+            assert f"`{entry}`" in section, (name, entry)
 
 
 def test_readme_documents_the_written_header():
