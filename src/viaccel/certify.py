@@ -89,9 +89,22 @@ def _le(x: float, y: float) -> bool:
     return x <= y + EQ_RTOL * max(1.0, abs(x), abs(y))
 
 
+# The constants the certificates take: inside this range the paper defaults,
+# down to mu / (64 lip^2), are normal floats, so no divisor the certifiers
+# and iteration_bound form from them rounds to zero.
+CONSTANT_RANGE = (1e-100, 1e100)
+
+
 def _check_constants(mu: float, lip: float) -> None:
     if not (0 < mu <= lip) or not math.isfinite(lip):
         raise ValueError("need 0 < mu <= lip < inf")
+    lo, hi = CONSTANT_RANGE
+    outside = [f"{name} = {format_float(value)}"
+               for name, value in (("mu", mu), ("lip", lip))
+               if not lo <= value <= hi]
+    if outside:
+        raise ValueError(f"{' and '.join(outside)} outside [{lo:g}, {hi:g}], "
+                         "where the paper defaults stay normal floats")
 
 
 def theta_interval(a: float, b: float) -> tuple:
@@ -99,7 +112,9 @@ def theta_interval(a: float, b: float) -> tuple:
 
     The window collects every theta with b <= theta * (1 - (a - theta)),
     intersected with [0, a). For b = 0 the window is [0, a); otherwise the
-    lower endpoint is the positive root of theta^2 + (1-a) theta - b.
+    lower endpoint is the positive root of theta^2 + (1-a) theta - b, taken
+    in the form 2b / (sqrt((1-a)^2 + 4b) + (1-a)), which does not cancel
+    when b is small.
 
     Raises ValueError unless 0 <= b < a < 1.
     """
@@ -107,7 +122,7 @@ def theta_interval(a: float, b: float) -> tuple:
         raise ValueError(f"need 0 <= b < a < 1, got a={a}, b={b}")
     if b == 0.0:
         return 0.0, a
-    lo = 0.5 * (math.sqrt((1.0 - a) ** 2 + 4.0 * b) - (1.0 - a))
+    lo = 2.0 * b / (math.sqrt((1.0 - a) ** 2 + 4.0 * b) + (1.0 - a))
     return lo, a
 
 
@@ -333,10 +348,12 @@ def default_params(regime: str, mu: float, lip: float, delta: float = 0.5):
     the t-coefficients parameterized by delta in (0, 1), which is t3, the
     inner gradient-step length; t9 = 1/sqrt(mu L), c = mu/2.
 
-    The variational-inequality defaults certify feasible for every
-    0 < mu <= lip. The optimization default requires mu < lip (at mu = lip
-    it degenerates to theta = 1, outside the certifiable range, although the
-    stepper itself still works there).
+    The variational-inequality defaults certify feasible for condition
+    numbers lip / mu from 1 to 1e12, the range the tests cover; from about
+    8e14 on, 1 - rate falls below the float resolution at 1 and the
+    theta-window guard refuses them. The optimization default requires
+    mu < lip (at mu = lip it degenerates to theta = 1, outside the
+    certifiable range, although the stepper itself still works there).
     """
     _check_constants(mu, lip)
     L = lip
@@ -370,7 +387,10 @@ def iteration_bound(cert: RateCertificate, initial_gap: float, tol: float) -> in
     initial_gap is the initial squared distance (for the optimization regime
     theta_default is zero and initial_gap is the initial potential itself).
     Returns ceil(ln(scale * gap / tol) / ln(1 / rate)), or 0 when the start
-    already satisfies the tolerance.
+    already satisfies the tolerance. The logarithms are taken apart, so a
+    ratio gap / tol beyond the float range still gives its bound, and
+    ln(1 / rate) is -log1p(-m) with m = a - theta_default, the 1 - rate that
+    rounding to rate would lose when m is below the float resolution at 1.
     """
     if not cert.feasible:
         raise ValueError("iteration_bound requires a feasible certificate")
@@ -379,4 +399,5 @@ def iteration_bound(cert: RateCertificate, initial_gap: float, tol: float) -> in
     scale = 1.0 + cert.theta_default
     if tol >= scale * initial_gap:
         return 0
-    return math.ceil(math.log(scale * initial_gap / tol) / math.log(1.0 / cert.rate))
+    log_ratio = math.log(scale) + math.log(initial_gap) - math.log(tol)
+    return math.ceil(log_ratio / -math.log1p(-(cert.a - cert.theta_default)))

@@ -277,6 +277,13 @@ def power_iteration_norm(M, iters: int = 500) -> float:
     vector is drawn from seed 0, so a matrix always gives the same bits:
     gen_linear_vi relies on that to end its scale bisection at a fixed
     point and to reuse the last step's norm as lip.
+
+    The step v -> M^T M v / ||M^T M v|| is deterministic too, so once a step
+    returns its own input bit for bit every later step would repeat it: the
+    loop stops there and returns what all iters steps would. iters is a
+    cap. A step is compared with its input only when its norm repeats the
+    previous step's; at a fixed point it does from the next step on, so
+    this cheap test delays the exit by one step at most.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
@@ -287,12 +294,16 @@ def power_iteration_norm(M, iters: int = 500) -> float:
     if nv == 0.0:
         return 0.0
     v /= nv
+    last = None  # the previous step's norm
     for _ in range(iters):
         w = apply_t(apply_m(v))
         nw = norm2(w)
         if nw == 0.0:
             return 0.0
-        v = w / nw
+        step = w / nw
+        if nw == last and np.array_equal(step, v):
+            break
+        v, last = step, nw
     return norm2(apply_m(v))
 
 

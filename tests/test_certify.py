@@ -1,6 +1,7 @@
 """Feasibility certificates: windows, closed forms, and iteration bounds."""
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ def _defaults(regime, mu, lip):
 def test_theta_interval_worked_example():
     lo, hi = va.theta_interval(0.2, 0.05)
     # lo solves theta^2 + (1 - a) theta - b = 0
-    assert lo == 0.05825756949558403
+    assert lo == 0.058257569495584
     assert hi == 0.2
     mid = 0.5 * (0.2 + 0.05)
     assert lo < mid < hi
@@ -50,6 +51,28 @@ def test_theta_interval_bounds_satisfy_the_contraction_inequality():
             assert b <= th * (1.0 - a + th) + 1e-12 * scale
 
 
+def _decimal_root(a, b):
+    """The positive root of theta^2 + (1-a) theta - b in 60-digit decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, b = decimal.Decimal(a), decimal.Decimal(b)
+        return (((1 - a) ** 2 + 4 * b).sqrt() - (1 - a)) / 2
+
+
+@pytest.mark.parametrize("regime", [C.REGIME_VI_UNRESTRICTED,
+                                    C.REGIME_VI_RESTRICTED])
+def test_vi_defaults_certify_for_kappa_up_to_1e12(regime):
+    for kappa in np.logspace(0.0, 12.0, 121):
+        for mu in (1e-6, 1.0, 1e6):
+            lip = mu * float(kappa)
+            cert = C.certify(regime, mu, lip, _defaults(regime, mu, lip))
+            assert cert.feasible, (kappa, mu, cert.violated)
+            # a handful of roundings, each half an ulp at most: 1.6 ulp is
+            # the worst seen here, while the cancelling form was off by 1e12
+            err = decimal.Decimal(cert.theta_lo) - _decimal_root(cert.a, cert.b)
+            assert abs(err) <= 2 * decimal.Decimal(math.ulp(cert.theta_lo))
+
+
 # --- free-half-point regime ------------------------------------------------
 
 def test_unrestricted_defaults_certify_with_closed_form_coefficients():
@@ -72,7 +95,7 @@ def test_unrestricted_defaults_frozen_values():
     cert = va.certify_vi_unrestricted(1.0, 10.0, _defaults(C.REGIME_VI_UNRESTRICTED, 1.0, 10.0))
     assert cert.a == 0.012889404296875
     assert cert.b == 0.008204345703125001
-    assert cert.theta_lo == 0.0082426472822030306
+    assert cert.theta_lo == 0.008242647282203044
     assert cert.theta_default == 0.010546875000000001
     assert cert.rate == 0.99765747070312505
 

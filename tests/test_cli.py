@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, outputs, and experiment configs."""
 
+import decimal
 import inspect
+import math
 import re
 import shlex
 from pathlib import Path
@@ -203,6 +205,37 @@ def test_certify_opt_regime_reference_rate(capsys):
     assert rc == 0
     assert "rate = 0.75" in out
     assert "iteration_bound = 65" in out  # ceil(ln(1e8) / ln(4/3))
+
+
+@pytest.mark.parametrize("regime, lip, gap, tol", [
+    ("vi-unrestricted", "10", "1e300", "1e-300"),  # gap / tol overflows
+    ("opt", "1e33", "1", "1e-6")])  # 1 - rate is below the float resolution
+def test_certify_bound_past_the_float_range_of_its_inputs(regime, lip, gap,
+                                                          tol, capsys):
+    rc = main(["certify", "--regime", regime, "--mu", "1", "--lip", lip,
+               "--gap", gap, "--tol", tol])
+    out = capsys.readouterr().out
+    assert rc == 0
+    text = dict(line.split(" = ") for line in out.splitlines())
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, theta = (decimal.Decimal(float(text[k]))
+                    for k in ("a", "theta_default"))
+        ratio = (1 + theta) * decimal.Decimal(gap) / decimal.Decimal(tol)
+        want = ratio.ln() / -(1 - (a - theta)).ln()
+    # exact up to the float rounding of a quotient near 4e17
+    assert abs(int(text["iteration_bound"]) - want) <= 1 + want.scaleb(-14)
+
+
+@pytest.mark.parametrize("mu, lip, named", [
+    ("1e-236", "3e207", "mu = 1e-236 and lip = 2.9999999999999998e+207"),
+    ("1e-101", "1", "mu = 1.0000000000000001e-101"),
+    ("1", "2e100", "lip = 2e+100")])
+def test_certify_refuses_constants_outside_its_range(mu, lip, named, capsys):
+    rc = main(["certify", "--regime", "opt", "--mu", mu, "--lip", lip])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"error: {named} outside [1e-100, 1e+100]" in captured.err
 
 
 @pytest.mark.parametrize("bound_flags", [

@@ -342,3 +342,23 @@ def test_compare_config_takes_no_other_flag(flag, tmp_path, monkeypatch,
     assert "--config takes only --out-dir and --strict" in \
         capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def _magnitude(rng):
+    return format_float(rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 300))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_certify_on_extreme_constants_never_raises(seed, capsys):
+    rng = random.Random(5000 + seed)
+    for _ in range(100):
+        argv = ["certify", "--regime", rng.choice(va.REGIMES),
+                "--mu", _magnitude(rng), "--lip", _magnitude(rng)]
+        if rng.random() < 0.5:
+            argv += ["--gap", _magnitude(rng), "--tol", _magnitude(rng)]
+        rc = main(argv)  # an exception fails the test
+        captured = capsys.readouterr()
+        assert rc in (0, 2, 3), argv
+        assert (rc == 2) == captured.err.startswith("error: "), argv
+        assert ("iteration_bound = " in captured.out) == \
+            (rc == 0 and "--gap" in argv), argv

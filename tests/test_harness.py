@@ -11,6 +11,8 @@ import pytest
 import oracles
 import viaccel as va
 import viaccel.certify as C
+import viaccel.harness as H
+import viaccel.problems as P
 from viaccel.harness import CSV_HEADER, TRACE_FIELDS, IterateTrace
 
 
@@ -361,3 +363,39 @@ def test_power_iteration_norm_matches_the_plain_loop_bit_for_bit():
     for shape in ((3, 3), (20, 20), (200, 200), (30, 7), (7, 30)):
         M = rng.uniform(-1.0, 1.0, shape)
         assert va.power_iteration_norm(M) == oracles.power_iteration_norm(M)
+
+
+def _scale_search_matrices(monkeypatch, grid):
+    """Every matrix gen_linear_vi's scale search hands power iteration, with
+    the number of steps each call ran."""
+    calls, steps = [], []
+    norm, norm2 = P.power_iteration_norm, H.norm2
+
+    def recorded(M, **kw):
+        calls.append(np.array(M))
+        return norm(M, **kw)
+
+    monkeypatch.setattr(P, "power_iteration_norm", recorded)
+    monkeypatch.setattr(H, "norm2", lambda z: steps.append(len(calls)) or
+                        norm2(z))
+    for args in grid:
+        va.gen_linear_vi(*args)
+    # each call takes one norm per step plus the start's and the result's
+    counts = np.bincount(steps, minlength=len(calls) + 1)[1:] - 2
+    return calls, counts
+
+
+def test_power_iteration_norm_stops_at_its_fixed_point_bit_for_bit(
+        monkeypatch):
+    grid = [(n, seed, sigma) for n, seed in ((2, 0), (5, 1), (20, 0))
+            for sigma in (1.0, 1e-2, 1e-4)]
+    matrices, counts = _scale_search_matrices(monkeypatch, grid)
+    monkeypatch.undo()
+    assert counts.max() == 500 and (counts < 500).any()
+    for M in matrices:
+        assert va.power_iteration_norm(M) == oracles.power_iteration_norm(M)
+
+
+def test_scale_search_runs_at_most_half_its_power_steps(monkeypatch):
+    _, counts = _scale_search_matrices(monkeypatch, [(20, 101, 1e-2)])
+    assert counts.sum() <= 0.5 * 500 * len(counts)
