@@ -1,27 +1,30 @@
 """Parameter-feasibility certificates and contraction rates.
 
-Each certify_* operation evaluates a printed list of constraint lines on the
-given parameters and constants. Feasible parameters earn a certificate with
-a two-term distance recursion
+Each certify_* operation computes its intermediates, then builds one table
+that maps every constraint id to whether that line holds, in the order the
+ids are reported. Feasible parameters earn a certificate with a two-term
+distance recursion
 
     ||z^{k+1} - z*||^2 + theta ||z^k - z*||^2
         <= rate * (||z^k - z*||^2 + theta ||z^{k-1} - z*||^2)
 
-whose coefficients (a, b) and admissible theta window are reported. The
-optimization regime certifies the one-term potential
+whose coefficients (a, b) and admissible theta window are reported; both
+variational-inequality regimes draw that conclusion from their table in one
+place, _vi_verdict. The optimization regime certifies the one-term potential
 f(x) - f* + c ||v - x*||^2 instead, so its certificate carries b = 0 and a
 zero momentum weight.
 
 Comparison policy: strict inequalities are evaluated exactly on the given
 floats; equality constraints and non-strict inequalities get a relative
 grace of EQ_RTOL so that parameter choices sitting exactly on a boundary in
-real arithmetic are not rejected for a one-ulp rounding excess.
+real arithmetic are not rejected for a one-ulp rounding excess. A line with
+a side that overflowed gets no grace and does not hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import format_float
@@ -81,12 +84,18 @@ class RateCertificate:
 
 
 def _eq(x: float, y: float) -> bool:
-    return abs(x - y) <= EQ_RTOL * max(1.0, abs(x), abs(y))
+    return _finite(x, y) and abs(x - y) <= EQ_RTOL * max(1.0, abs(x), abs(y))
 
 
 def _le(x: float, y: float) -> bool:
     # non-strict comparison with boundary grace
-    return x <= y + EQ_RTOL * max(1.0, abs(x), abs(y))
+    return _finite(x, y) and x <= y + EQ_RTOL * max(1.0, abs(x), abs(y))
+
+
+def _finite(x: float, y: float) -> bool:
+    # a side that overflowed (or is nan) would get an infinite grace; such
+    # a line is not decided by the floats, so it does not hold
+    return math.isfinite(x) and math.isfinite(y)
 
 
 # The constants the certificates take: inside this range the paper defaults,
@@ -126,28 +135,43 @@ def theta_interval(a: float, b: float) -> tuple:
     return lo, a
 
 
-def _finish_feasible(regime: str, a: float, b: float, flags, s=None, t=None, u=None):
-    lo, hi = theta_interval(a, b)
-    if b > 0.0 and not b < lo:
-        # impossible in real arithmetic when 0 < b < a < 1, but kept as a
-        # float-level guard so the window is honest about rounding
-        return _infeasible(regime, ["theta-window"], a=a, b=b, flags=flags,
-                           s=s, t=t, u=u)
+def _vi_verdict(regime: str, lines: dict, a: float, b: float, fallback: str,
+                **aux) -> RateCertificate:
+    """Conclude a VI regime from its table of lines (id -> holds).
+
+    Any line that fails makes the certificate infeasible. So does a
+    derived pair (a, b) outside 0 <= b < a < 1 that the lines let through,
+    which can only be float disagreement with the leading line ``fallback``,
+    and an empty momentum window (``theta-window``). Otherwise theta_default
+    is the midpoint (a + b) / 2 and rate = 1 - (a - theta_default). The
+    guideline flags and the regime's auxiliaries ride along either way.
+    """
+    violated = [name for name, holds in lines.items() if not holds]
+    flags = [name for name, holds in (("guideline-a-range", 0.0 < a < 1.0),
+                                      ("guideline-b-window", 0.0 <= b < a))
+             if not holds]
+    if not violated and not 0.0 <= b < a < 1.0:
+        violated = [fallback]
+    if not violated:
+        lo, hi = theta_interval(a, b)
+        if b > 0.0 and not b < lo:
+            # impossible in real arithmetic when 0 < b < a < 1, but kept as
+            # a float-level guard so the window is honest about rounding
+            violated = ["theta-window"]
+    if violated:
+        return _infeasible(regime, violated, a=a, b=b, flags=flags, **aux)
     theta = 0.5 * (a + b)
-    rate = 1.0 - (a - theta)
-    return RateCertificate(
-        regime=regime, feasible=True, a=a, b=b,
-        theta_lo=lo, theta_hi=hi, theta_default=theta, rate=rate,
-        violated=(), guideline_flags=tuple(flags), s=s, t=t, u=u,
-    )
+    return RateCertificate(regime=regime, feasible=True, a=a, b=b, theta_lo=lo,
+                           theta_hi=hi, theta_default=theta, rate=1.0 - (a - theta),
+                           guideline_flags=tuple(flags), **aux)
 
 
-def _infeasible(regime: str, violated, a=math.nan, b=math.nan, flags=(), s=None, t=None, u=None):
+def _infeasible(regime: str, violated, a=math.nan, b=math.nan, flags=(), **aux):
     return RateCertificate(
         regime=regime, feasible=False, a=a, b=b,
         theta_lo=math.nan, theta_hi=math.nan, theta_default=math.nan,
         rate=math.nan, violated=tuple(violated), guideline_flags=tuple(flags),
-        s=s, t=t, u=u,
+        **aux,
     )
 
 
@@ -171,49 +195,28 @@ def certify_vi_unrestricted(mu: float, lip: float, params: ViParams) -> RateCert
     if eta <= 0.0:
         return _infeasible(REGIME_VI_UNRESTRICTED, ["eta-positive"])
 
+    # alpha^2 / eta^2 is r * r: eta * eta underflows to zero for eta < 1e-162,
+    # and r * (r * beta) stays 0 at beta = 0 when r * r overflows
     r = al / eta
     e = ga - al * be / eta
-    abs1 = abs(-al * be / eta - r * e)
     abs2 = abs(-2.0 * al * be / eta - 2.0 * r * e)
-
     a = al * mu - 3.0 * ga - ta * L * (3.0 + 2.0 * ta * L + 2.0 * r + 2.0 * al * L) \
         - 2.0 * e * e - abs2
     b = 2.0 * e * e + ga + 2.0 * ta * L * (1.0 + ta * L + r + al * L) + abs2
-
-    violated = []
     line1 = al * mu - 4.0 * ga - ta * L * (5.0 + 4.0 * ta * L + 4.0 * r + 4.0 * al * L) \
-        - 4.0 * e * e \
-        - 4.0 * abs(-al * be / eta - al * ga / eta + al * al * be / (eta * eta))
-    if not line1 > 0.0:
-        violated.append("epc-line-1")
-    if not a < 1.0:
-        violated.append("epc-line-2")
-    line3 = al * al * L * L + al * al / (eta * eta) + al * ta * L / eta - 2.0 * r \
-        + 2.0 * al * mu + al * ta * L * L + abs1
-    if not _le(line3, 0.0):
-        violated.append("epc-line-3")
-    if not _le(0.0, -2.0 * al + 2.0 * al * al / eta):
-        violated.append("epc-line-4")
-    if not _le(0.0, 2.0 * ta * e):
-        violated.append("epc-line-5")
-    if not _eq((ga * eta - al * be) * al, 0.0):
-        violated.append("epc-line-6")
+        - 4.0 * e * e - 4.0 * abs(-al * be / eta - al * ga / eta + r * (r * be))
+    line3 = al * al * L * L + r * r + al * ta * L / eta - 2.0 * r \
+        + 2.0 * al * mu + al * ta * L * L + abs(-al * be / eta - r * e)
     # line 7 (nonnegativity, eta > 0) is enforced by the parameter type and
     # the early eta check above.
-
-    flags = []
-    if not (0.0 < a < 1.0):
-        flags.append("guideline-a-range")
-    if not (0.0 <= b < a):
-        flags.append("guideline-b-window")
-
-    if violated:
-        return _infeasible(REGIME_VI_UNRESTRICTED, violated, a=a, b=b, flags=flags)
-    if not (0.0 <= b < a < 1.0):
-        # float disagreement between line 1 and the derived pair; treat as
-        # the same failure mode
-        return _infeasible(REGIME_VI_UNRESTRICTED, ["epc-line-1"], a=a, b=b, flags=flags)
-    return _finish_feasible(REGIME_VI_UNRESTRICTED, a, b, flags)
+    return _vi_verdict(REGIME_VI_UNRESTRICTED, {
+        "epc-line-1": line1 > 0.0,
+        "epc-line-2": a < 1.0,
+        "epc-line-3": _le(line3, 0.0),
+        "epc-line-4": _le(0.0, -2.0 * al + 2.0 * al * al / eta),
+        "epc-line-5": _le(0.0, 2.0 * ta * e),
+        "epc-line-6": _eq((ga * eta - al * be) * al, 0.0),
+    }, a, b, "epc-line-1")
 
 
 def certify_vi_restricted(mu: float, lip: float, params: ViParams) -> RateCertificate:
@@ -231,62 +234,26 @@ def certify_vi_restricted(mu: float, lip: float, params: ViParams) -> RateCertif
     _check_constants(mu, lip)
     L = lip
     al, be, ga, eta, ta = params.alpha, params.beta, params.gamma, params.eta, params.tau
-
-    violated = []
-    if not _eq(eta, al):
-        violated.append("eta-equals-alpha")
-
     u = ta * L
     s = al * mu - 4.0 * ga - 2.0 * abs(ga - be) - 2.0 * ta * L
     t = 2.0 * ga + 2.0 * abs(ga - be) + 2.0 * ta * L
-
-    if not (u < s < 1.0):
-        violated.append("exp2-line-1")
-    if not t < s - u:
-        violated.append("exp2-line-2")
-    if not _le(al * L + abs(ga - be) - 1.0, 0.0):
-        violated.append("exp2-line-3")
-    if not _le(al * L + 2.0 * al * mu + ta * L + 2.0 * ga - 1.0, 0.0):
-        violated.append("exp2-line-4")
-
-    if u < 1.0:
-        a = (s - u) / (1.0 - u)
-        b = t / (1.0 - u)
-    else:
-        a = math.nan
-        b = math.nan
-
-    flags = []
-    if not (0.0 < a < 1.0):
-        flags.append("guideline-a-range")
-    if not (0.0 <= b < a):
-        flags.append("guideline-b-window")
-
-    if violated:
-        return _infeasible(REGIME_VI_RESTRICTED, violated, a=a, b=b, flags=flags,
-                           s=s, t=t, u=u)
-    if not (0.0 <= b < a < 1.0):
-        return _infeasible(REGIME_VI_RESTRICTED, ["exp2-line-1"], a=a, b=b,
-                           flags=flags, s=s, t=t, u=u)
-    return _finish_feasible(REGIME_VI_RESTRICTED, a, b, flags, s=s, t=t, u=u)
+    a, b = ((s - u) / (1.0 - u), t / (1.0 - u)) if u < 1.0 else (math.nan, math.nan)
+    return _vi_verdict(REGIME_VI_RESTRICTED, {
+        "eta-equals-alpha": _eq(eta, al),
+        "exp2-line-1": u < s < 1.0,
+        "exp2-line-2": t < s - u,
+        "exp2-line-3": _le(al * L + abs(ga - be) - 1.0, 0.0),
+        "exp2-line-4": _le(al * L + 2.0 * al * mu + ta * L + 2.0 * ga - 1.0, 0.0),
+    }, a, b, "exp2-line-1", s=s, t=t, u=u)
 
 
 def certify_opt(mu: float, lip: float, params: OptParams) -> RateCertificate:
     """Certify the nine-coefficient scheme for strongly convex minimization.
 
-    Checks the eight constraint lines (identifiers below) tying the
-    coefficients t1..t9 to theta and the potential weight c:
+    Checks the nine lines of the table below, which tie the coefficients
+    t1..t9 to theta and the potential weight c. ``oec-t9-curvature`` reads
 
-    - ``oec-theta-def``     theta = 2 t9 c
-    - ``theta-range``       0 < theta < 1
-    - ``oec-t1``            t1 (1 - 2 t8 t9 c) = 1 - theta
-    - ``oec-t2``            t2 (1 - 2 t8 t9 c) = 2 t7 t9 c
-    - ``oec-t3-lt-1``       t3 < 1
-    - ``oec-t7-bound``      t7 <= 1 - theta
-    - ``t7-t8-sum``         t7 + t8 = 1
-    - ``oec-t8c``           t8 c <= mu theta / 2
-    - ``oec-t9-curvature``  t9^2 c <= (2 t4 (1-t3) - (1+t3)^2 t4^2
-                            + 2 t3 (t6 - t5)) / (2 lip)
+        t9^2 c <= (2 t4 (1-t3) - (1+t3)^2 t4^2 + 2 t3 (t6 - t5)) / (2 lip).
 
     Feasible certificates carry rate = 1 - theta on the potential
     f(x) - f* + c ||v - x*||^2 (one-term, so b = 0 and the default momentum
@@ -295,37 +262,26 @@ def certify_opt(mu: float, lip: float, params: OptParams) -> RateCertificate:
     _check_constants(mu, lip)
     t1, t2, t3, t4, t5, t6, t7, t8, t9 = params.t
     th, c = params.theta, params.c
-
-    violated = []
-    if not _eq(th, 2.0 * t9 * c):
-        violated.append("oec-theta-def")
-    if not (0.0 < th < 1.0):
-        violated.append("theta-range")
     d = 1.0 - 2.0 * t8 * t9 * c
-    if not _eq(t1 * d, 1.0 - th):
-        violated.append("oec-t1")
-    if not _eq(t2 * d, 2.0 * t7 * t9 * c):
-        violated.append("oec-t2")
-    if not t3 < 1.0:
-        violated.append("oec-t3-lt-1")
-    if not _le(t7, 1.0 - th):
-        violated.append("oec-t7-bound")
-    if not _eq(t7 + t8, 1.0):
-        violated.append("t7-t8-sum")
-    if not _le(t8 * c, mu * th / 2.0):
-        violated.append("oec-t8c")
-    curv = (2.0 * t4 * (1.0 - t3) - (1.0 + t3) ** 2 * t4 * t4
+    # (1 + t3)^2 as a product, which overflows to inf rather than raising
+    curv = (2.0 * t4 * (1.0 - t3) - (1.0 + t3) * (1.0 + t3) * t4 * t4
             + 2.0 * t3 * (t6 - t5)) / (2.0 * lip)
-    if not _le(t9 * t9 * c, curv):
-        violated.append("oec-t9-curvature")
-
+    lines = {
+        "oec-theta-def": _eq(th, 2.0 * t9 * c),
+        "theta-range": 0.0 < th < 1.0,
+        "oec-t1": _eq(t1 * d, 1.0 - th),
+        "oec-t2": _eq(t2 * d, 2.0 * t7 * t9 * c),
+        "oec-t3-lt-1": t3 < 1.0,
+        "oec-t7-bound": _le(t7, 1.0 - th),
+        "t7-t8-sum": _eq(t7 + t8, 1.0),
+        "oec-t8c": _le(t8 * c, mu * th / 2.0),
+        "oec-t9-curvature": _le(t9 * t9 * c, curv),
+    }
+    violated = [name for name, holds in lines.items() if not holds]
     if violated:
         return _infeasible(REGIME_OPT, violated, a=th, b=0.0)
-    return RateCertificate(
-        regime=REGIME_OPT, feasible=True, a=th, b=0.0,
-        theta_lo=0.0, theta_hi=th, theta_default=0.0, rate=1.0 - th,
-        violated=(), guideline_flags=(),
-    )
+    return RateCertificate(regime=REGIME_OPT, feasible=True, a=th, b=0.0, theta_lo=0.0,
+                           theta_hi=th, theta_default=0.0, rate=1.0 - th)
 
 
 def certify(regime: str, mu: float, lip: float, params) -> RateCertificate:

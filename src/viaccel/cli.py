@@ -331,13 +331,13 @@ def cmd_certify(args) -> int:
     if not all(0.0 < v < math.inf for v in (args.gap, args.tol)
                if v is not None):
         raise ValueError("--gap and --tol must be positive and finite")
+    if args.theta_default is not None and args.regime == C.REGIME_OPT:
+        raise ValueError("--theta-default only applies to the "
+                         "variational-inequality regimes")
     params, _ = assemble_params(args.regime, args.preset, _flag_params(args),
                                 args.mu, args.lip)
     cert = C.certify(args.regime, args.mu, args.lip, params)
     if cert.feasible and args.theta_default is not None:
-        if args.regime == C.REGIME_OPT:
-            raise ValueError("--theta-default only applies to the "
-                             "variational-inequality regimes")
         td = args.theta_default
         if not (cert.theta_lo <= td < cert.theta_hi):
             raise ValueError(

@@ -177,6 +177,14 @@ class ContractionReport:
         )
 
 
+# Endpoint bounds by method (see check_contraction): the column whose k-th
+# entry must stay below 2 factor(sigma, k) times its first.
+_ENDPOINT_BOUNDS = {
+    "ogda": ("dist_sq", lambda sigma, k: (1.0 + sigma) ** (-k)),
+    "opt-extra-point": ("merit_aux", lambda sigma, k: (1.0 - math.sqrt(sigma)) ** k),
+}
+
+
 def check_contraction(trace: IterateTrace, cert, rtol: float = 1e-9,
                       atol: float = 0.0) -> ContractionReport:
     """Compare per-iteration potential decay against a certified rate.
@@ -225,23 +233,13 @@ def check_contraction(trace: IterateTrace, cert, rtol: float = 1e-9,
 
     endpoint = None
     sigma = trace.meta.get("sigma")
-    if sigma is not None and trace.method == "ogda":
-        d = trace.column("dist_sq")
-        if d and d[0] is not None:
-            endpoint = max(
-                (d[i] - 2.0 * (1.0 + sigma) ** (-ks[i]) * d[0] - atol
-                 for i in range(len(d)) if d[i] is not None),
-                default=None,
-            )
-    if sigma is not None and trace.method == "opt-extra-point":
-        g = trace.column("merit_aux")
-        if g and g[0] is not None:
-            rs = math.sqrt(sigma)
-            endpoint = max(
-                (g[i] - 2.0 * (1.0 - rs) ** ks[i] * g[0] - atol
-                 for i in range(len(g)) if g[i] is not None),
-                default=None,
-            )
+    column, factor = _ENDPOINT_BOUNDS.get(trace.method, (None, None))
+    if sigma is not None and column is not None:
+        v = trace.column(column)
+        if v and v[0] is not None:
+            endpoint = max((v[i] - 2.0 * factor(sigma, ks[i]) * v[0] - atol
+                            for i in range(len(v)) if v[i] is not None),
+                           default=None)
 
     return ContractionReport(
         rate=rate,

@@ -2,13 +2,19 @@
 
 import dataclasses
 import decimal
+import fractions
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
 import viaccel as va
 import viaccel.certify as C
+
+
+VI_KEYS = ("alpha", "beta", "gamma", "eta", "tau")
 
 
 def _defaults(regime, mu, lip):
@@ -71,6 +77,63 @@ def test_vi_defaults_certify_for_kappa_up_to_1e12(regime):
             # the worst seen here, while the cancelling form was off by 1e12
             err = decimal.Decimal(cert.theta_lo) - _decimal_root(cert.a, cert.b)
             assert abs(err) <= 2 * decimal.Decimal(math.ulp(cert.theta_lo))
+
+
+def _exact_lines(regime, mu, lip, p):
+    """Whether each VI line holds in exact rational arithmetic on the given
+    floats, with the certifier's grace on equality and non-strict lines."""
+    q = fractions.Fraction
+    mu, L, rtol = q(mu), q(lip), q(C.EQ_RTOL)
+    al, be, ga, eta, ta = (q(getattr(p, k)) for k in VI_KEYS)
+
+    def le(x, y):
+        return x <= y + rtol * max(1, abs(x), abs(y))
+
+    def eq(x, y):
+        return abs(x - y) <= rtol * max(1, abs(x), abs(y))
+
+    if regime == C.REGIME_VI_RESTRICTED:
+        u, g = ta * L, abs(ga - be)
+        s = al * mu - 4 * ga - 2 * g - 2 * u
+        t = 2 * ga + 2 * g + 2 * u
+        return [eq(eta, al), u < s < 1, t < s - u, le(al * L + g - 1, 0),
+                le(al * L + 2 * al * mu + u + 2 * ga - 1, 0)]
+    r, e = al / eta, ga - al * be / eta
+    a = al * mu - 3 * ga - ta * L * (3 + 2 * ta * L + 2 * r + 2 * al * L) \
+        - 2 * e * e - abs(2 * al * be / eta + 2 * r * e)
+    line1 = al * mu - 4 * ga - ta * L * (5 + 4 * ta * L + 4 * r + 4 * al * L) \
+        - 4 * e * e - 4 * abs(-al * be / eta - r * ga + r * r * be)
+    line3 = al * al * L * L + r * r + r * ta * L - 2 * r + 2 * al * mu \
+        + al * ta * L * L + abs(al * be / eta + r * e)
+    return [line1 > 0, a < 1, le(line3, 0), le(0, 2 * al * (r - 1)),
+            le(0, 2 * ta * e), eq((ga * eta - al * be) * al, 0)]
+
+
+@pytest.mark.parametrize("regime", [C.REGIME_VI_UNRESTRICTED,
+                                    C.REGIME_VI_RESTRICTED])
+def test_feasible_certificates_hold_in_exact_arithmetic(regime):
+    """The paper defaults with each coefficient kept, zeroed or redrawn
+    log-uniform over the float range, and (free half point) momentum-free
+    sets with alpha / eta up to 1e300: every feasible certificate's lines
+    hold on its floats in exact arithmetic, so none rests on a line whose
+    float evaluation overflowed."""
+    rng = random.Random(13)
+    feasible = 0
+    for _ in range(3000):
+        mu = 10.0 ** rng.uniform(-6.0, 6.0)
+        lip = mu * 10.0 ** rng.uniform(0.0, 6.0)
+        base = C.default_params(regime, mu, lip)
+        p = va.ViParams(*(rng.choice((
+            getattr(base, k), getattr(base, k), 0.0,
+            10.0 ** rng.uniform(-300.0, 300.0))) for k in VI_KEYS))
+        if regime == C.REGIME_VI_UNRESTRICTED and rng.random() < 0.5:
+            p = va.ViParams(alpha=base.alpha,
+                            eta=base.alpha / 10.0 ** rng.uniform(0.0, 300.0))
+        cert = C.certify(regime, mu, lip, p)
+        if cert.feasible:
+            feasible += 1
+            assert all(_exact_lines(regime, mu, lip, p)), (mu, lip, p)
+    assert feasible >= 100
 
 
 # --- free-half-point regime ------------------------------------------------
@@ -294,6 +357,47 @@ def test_certificate_text_rendering():
     bad = va.certify_vi_unrestricted(1.0, 10.0, va.ViParams(alpha=0.025))
     assert "feasible = false" in bad.to_text()
     assert "eta-positive" in bad.to_text()
+
+
+def _pinned_sets(rng):
+    """(regime, mu, lip, params): the paper defaults at random constants,
+    half of them with coefficients scaled by factors in [0.5, 2], then the
+    grid values of the README id test. No line of these overflows."""
+    for _ in range(3000):
+        regime = rng.choice(va.REGIMES)
+        mu = 10.0 ** rng.uniform(-6.0, 6.0)
+        lip = mu * 10.0 ** rng.uniform(0.0, 8.0)
+        p = C.default_params(regime, mu, lip)
+        spread = rng.random() < 0.5
+
+        def scale(v):
+            return v * rng.uniform(0.5, 2.0) if spread and rng.random() < 0.5 else v
+        if regime == va.REGIME_OPT:
+            p = va.OptParams(t=[scale(v) for v in p.t],
+                             theta=min(1.0, scale(p.theta)), c=scale(p.c))
+        else:
+            p = va.ViParams(*(scale(getattr(p, k)) for k in VI_KEYS))
+        yield regime, mu, lip, p
+    for _ in range(1500):
+        regime = rng.choice(va.REGIMES)
+        if regime == va.REGIME_OPT:
+            grid = (0.0, 0.25, 0.5, 1.0, 2.0)
+            p = va.OptParams(t=[rng.choice(grid) for _ in range(9)],
+                             theta=rng.choice((0.25, 1.0)),
+                             c=rng.choice((0.5, 2.0)))
+        else:
+            grid = (0.0, 1e-3, 0.1, 0.5, 1.0, 2.0)
+            p = va.ViParams(*(rng.choice(grid) for _ in VI_KEYS))
+        yield regime, 1.0, rng.choice((1.0, 16.0)), p
+
+
+def test_certificates_keep_their_bits():
+    """4,500 certificates, feasible and not, print the text whose digest
+    is recorded here, bit for bit."""
+    text = "".join(C.certify(*case).to_text()
+                   for case in _pinned_sets(random.Random(2024)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6dea091c4536a89b2caa3b758c19e783ba914fb8fea6cf7da4fbcb1b35116e45"
 
 
 # --- iteration bounds --------------------------------------------------------

@@ -269,6 +269,30 @@ def test_certify_rejects_weight_outside_window(capsys):
     assert "outside the certified window" in err
 
 
+@pytest.mark.parametrize("lip", ["1", "16"])  # infeasible, then feasible
+def test_certify_refuses_momentum_weight_in_the_opt_regime(lip, capsys):
+    rc = main(["certify", "--regime", "opt", "--mu", "1", "--lip", lip,
+               "--preset", "paper-default", "--theta-default", "0.1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "--theta-default only applies to the variational-inequality" \
+        in captured.err
+
+
+@pytest.mark.parametrize("mu,lip,eta,violated", [
+    ("0.01", "4", "1e-155", "epc-line-3"),
+    ("1", "10", "1e-200", "epc-line-2,epc-line-3")])
+def test_certify_counts_an_overflowing_line_as_violated(mu, lip, eta,
+                                                        violated, capsys):
+    # alpha / eta beyond 1e154 overflows alpha^2 / eta^2 in epc-line-3, and
+    # eta * eta underflows to zero below 1e-162
+    rc = main(["certify", "--regime", "vi-unrestricted", "--mu", mu,
+               "--lip", lip, "--alpha", "1", "--eta", eta])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert f"violated = {violated}\n" in out
+
+
 def test_certify_restricted_regime(capsys):
     rc = main(["certify", "--regime", "vi-restricted", "--mu", "1",
                "--lip", "100"])

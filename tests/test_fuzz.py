@@ -1,12 +1,14 @@
 """Seeded fuzzing of the config format and of the CLI's malformed inputs."""
 
 import argparse
+import math
 import random
 import re
 
 import pytest
 
 import viaccel as va
+import viaccel.certify as C
 import viaccel.problems as P
 from viaccel.core import format_float
 from viaccel.cli import (DEFAULTS, KEY_TYPES, KINDS, OPT_PARAM_KEYS,
@@ -362,3 +364,41 @@ def test_certify_on_extreme_constants_never_raises(seed, capsys):
         assert (rc == 2) == captured.err.startswith("error: "), argv
         assert ("iteration_bound = " in captured.out) == \
             (rc == 0 and "--gap" in argv), argv
+
+
+def _coefficient(rng):
+    """0, 1, or log-uniform in [1e-300, 1e300], as the CLI reads it."""
+    return rng.choice(("0", "1", format_float(10.0 ** rng.uniform(-300, 300))))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_certify_on_extreme_coefficients_never_raises(seed, capsys):
+    """Explicit coefficients over the float range: exit 0 or 3, or 2
+    exactly where the parameter types refuse a value (theta outside
+    (0, 1], c = 0)."""
+    rng = random.Random(7000 + seed)
+    lo, hi = (math.log10(v) for v in C.CONSTANT_RANGE)
+    for _ in range(100):
+        regime = rng.choice(va.REGIMES)
+        mu = 10.0 ** rng.uniform(lo, hi)
+        lip = mu * 10.0 ** rng.uniform(0.0, hi - math.log10(mu))
+        argv = ["certify", "--regime", regime, "--mu", format_float(mu),
+                "--lip", format_float(min(lip, 10.0 ** hi))]
+        keys = OPT_PARAM_KEYS[9:11] if regime == va.REGIME_OPT \
+            else VI_PARAM_KEYS
+        values = {key: _coefficient(rng) for key in keys}
+        refused = False
+        if regime == va.REGIME_OPT:
+            values["t"] = ",".join(_coefficient(rng) for _ in range(9))
+            try:
+                va.OptParams(t=[float(v) for v in values["t"].split(",")],
+                             theta=float(values["theta"]),
+                             c=float(values["c"]))
+            except ValueError:
+                refused = True
+        for key, value in values.items():
+            argv += [f"--{key}", value]
+        rc = main(argv)  # an exception fails the test
+        captured = capsys.readouterr()
+        assert (rc == 2) if refused else (rc in (0, 3)), argv
+        assert (rc == 2) == captured.err.startswith("error: "), argv
