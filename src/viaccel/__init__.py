@@ -24,15 +24,14 @@ from .harness import (TRACE_FIELDS, ContractionReport, DivergenceError,
                       power_iteration_norm, reference_minimum,
                       vi_distance_potential, write_trace_csv,
                       write_trace_jsonl)
-from .presets import (OPT_TUNED_FIRST_ORDER, PAPER_DEFAULT, PRESETS,
-                      TABLE, VI_TUNED, table_preset)
+from .presets import PAPER_DEFAULT, PRESETS, TABLE, TUNED, table_preset
 from .problems import (LinearOperatorSpec, estimate_constants,
                        gen_bilinear_saddle, gen_linear_vi, gen_logistic,
                        gen_quadratic, parse_problem, read_problem,
                        serialize_problem, solve_linear_reference,
                        write_problem)
 from .solvers import (METHODS, OptParams, OptState, StopRule, ViParams,
-                      ViState, opt_state, run, step_extra_point,
+                      ViState, check_run, opt_state, run, step_extra_point,
                       step_opt_extra_point, vi_state)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -185,12 +185,6 @@ def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:
 # ---------------------------------------------------------------------------
 # method assembly
 
-def _vi_regime(problem: MonotoneProblem) -> str:
-    if problem.domain_restricted or not problem.feasible_set.unbounded_whole_space:
-        return C.REGIME_VI_RESTRICTED
-    return C.REGIME_VI_UNRESTRICTED
-
-
 def assemble_params(regime: str, preset: Optional[str], params: dict,
                     mu: float, lip: float):
     """The one path from a preset token or coefficient entries to step
@@ -237,22 +231,39 @@ def assemble_params(regime: str, preset: Optional[str], params: dict,
                        theta=params["theta"], c=params["c"]), False
 
 
-def build_method(spec: MethodSpec, target):
-    """Resolve (run_target, params, certificate-regime) for one method.
+class Plan(NamedTuple):
+    """One configured method, resolved and checked: run's arguments, and
+    the certificate and atol that a run with a potential is checked at."""
 
-    Operator methods on an objective run against its gradient problem; an
-    explicit coefficient outside a named method's mask is an error. The
-    returned regime is non-None only for extra-point and
-    opt-extra-point runs at the paper defaults, which carry a provable
-    certificate.
+    name: str
+    target: Union[MonotoneProblem, SmoothObjective]
+    params: Union[S.ViParams, S.OptParams]
+    start: np.ndarray
+    stop: S.StopRule
+    cert: Optional[C.RateCertificate]
+    potential: Optional[Callable]
+    atol: float
+
+
+def build_method(spec: MethodSpec, target, stop: Optional[dict] = None) -> Plan:
+    """One configured method's Plan, checked last by solvers.check_run.
+
+    VI methods start at the projected all-ones point and run against an
+    objective's gradient problem; opt-extra-point starts at all ones. A
+    coefficient outside a named method's mask is an error. Only extra-point
+    and opt-extra-point at the paper defaults carry a certificate, and a
+    feasible one a potential if the target records its solution, or its
+    minimizer and optimal value. Method stop entries override the section's.
     """
     if spec.name not in S.METHODS:
         raise ValueError(f"unknown method {spec.name!r}; "
                          f"expected one of {S.METHODS}")
-    if spec.name in S.OPT_METHODS:
+    opt = spec.name in S.OPT_METHODS
+    if opt:
         if not isinstance(target, SmoothObjective):
             raise ValueError(f"{spec.name} needs a smooth objective")
         run_target, regime = target, C.REGIME_OPT
+        start = np.ones(target.dimension)
     else:
         mask = S.VI_MASKS[spec.name]
         outside = [k for k in VI_PARAM_KEYS if k in spec.params and k not in mask]
@@ -261,29 +272,30 @@ def build_method(spec: MethodSpec, target):
                              f"(it takes {', '.join(mask)})")
         run_target = gradient_problem(target) \
             if isinstance(target, SmoothObjective) else target
-        regime = _vi_regime(run_target)
+        fset = run_target.feasible_set
+        regime = C.REGIME_VI_RESTRICTED if run_target.domain_restricted or \
+            not fset.unbounded_whole_space else C.REGIME_VI_UNRESTRICTED
+        start = fset.project(np.ones(run_target.dimension))
     params, from_defaults = assemble_params(regime, spec.preset, spec.params,
                                             run_target.mu, run_target.lip)
     if params is None:
         params = PR.table_preset(spec.name, target)
-    certified = from_defaults and spec.name in ("extra-point",) + S.OPT_METHODS
-    return run_target, params, regime if certified else None
-
-
-def _certified_potential(run_target, params, regime):
-    """Certificate plus matching potential when provable, else (None, None)."""
-    if regime is None:
-        return None, None
-    cert = C.certify(regime, run_target.mu, run_target.lip, params)
-    if not cert.feasible:
-        return cert, None
-    if regime == C.REGIME_OPT:
-        if run_target.minimizer is None or run_target.optimal_value is None:
-            return cert, None
-        return cert, H.opt_potential(run_target, params.c)
-    if run_target.solution is None:
-        return cert, None
-    return cert, H.vi_distance_potential(run_target, cert.theta_default)
+    cert = potential = None
+    atol = 0.0
+    if from_defaults and spec.name in ("extra-point",) + S.OPT_METHODS:
+        cert = C.certify(regime, run_target.mu, run_target.lip, params)
+        if cert.feasible and opt:
+            if run_target.minimizer is not None and \
+                    run_target.optimal_value is not None:
+                potential = H.opt_potential(run_target, params.c)
+                atol = 1e-12 * (1.0 + abs(run_target.optimal_value))
+        elif cert.feasible and run_target.solution is not None:
+            potential = H.vi_distance_potential(run_target, cert.theta_default)
+    stop = {**DEFAULTS, **(stop or {}), **_given(spec, SECTION_KEYS["stop"])}
+    stop = S.StopRule(max_iter=stop["max_iter"], residual_tol=stop["tol"])
+    S.check_run(run_target, spec.name, params, start)
+    return Plan(spec.name, run_target, params, start, stop, cert, potential,
+                atol)
 
 
 # ---------------------------------------------------------------------------
@@ -349,39 +361,11 @@ def cmd_certify(args) -> int:
         bound = C.iteration_bound(cert, args.gap, args.tol)
         text += f"iteration_bound = {bound}\n"
     sys.stdout.write(text)
+    unused = _given(args, ("theta_default", "gap", "tol"))
+    if unused and not cert.feasible:
+        print(f"note: {', '.join(map(option, unused))} unused: the "
+              f"certificate is infeasible", file=sys.stderr)
     return 0 if cert.feasible else 3
-
-
-def _resolve(target, spec: MethodSpec, stop: dict) -> tuple:
-    """Everything one configured method needs to run, checked before any
-    method runs: (run_target, params, cert, potential, stop, atol)."""
-    run_target, params, regime = build_method(spec, target)
-    cert, potential = _certified_potential(run_target, params, regime)
-    atol = 0.0
-    if regime == C.REGIME_OPT and cert is not None and potential is not None:
-        atol = 1e-12 * (1.0 + abs(run_target.optimal_value))
-    stop = {**DEFAULTS, **stop, **_given(spec, SECTION_KEYS["stop"])}
-    return (run_target, params, cert, potential,
-            S.StopRule(max_iter=stop["max_iter"], residual_tol=stop["tol"]), atol)
-
-
-def _run_one(name: str, run_target, params, cert, potential, stop, atol):
-    """Run one resolved method; returns (trace, cert, report, error)."""
-    try:
-        trace = S.run(run_target, name, params, _start_point(run_target),
-                      stop, potential=potential)
-    except H.DivergenceError as err:
-        return err.trace, cert, None, "diverged"
-    report = None
-    if cert is not None and cert.feasible and potential is not None:
-        report = H.check_contraction(trace, cert, atol=atol)
-    return trace, cert, report, None
-
-
-def _start_point(target):
-    if isinstance(target, SmoothObjective):
-        return np.ones(target.dimension)
-    return target.feasible_set.project(np.ones(target.dimension))
 
 
 TRACE_WRITERS = {"csv": H.write_trace_csv, "jsonl": H.write_trace_jsonl}
@@ -405,7 +389,7 @@ def _summarize(results) -> bool:
     print(f"{'method':<18} {'status':<10} {'iters@tol':>10} "
           f"{'merit_primary':>14} {'merit_aux':>14} {'max_violation':>14}")
     failed = False
-    for name, trace, cert, report, error in results:
+    for plan, trace, report, error in results:
         status = error or trace.terminated_by
         failed |= error is not None
         iters = str(trace.iterations) if status == "tolerance" else ""
@@ -413,11 +397,11 @@ def _summarize(results) -> bool:
         if report is not None:
             viol = f"{report.max_violation:.3e}"
             failed |= not report.ok
-        elif cert is not None and not cert.feasible:
+        elif plan.cert is not None and not plan.cert.feasible:
             status += "/uncert"
         aux = trace.column("merit_aux")[-1]
         aux = "" if aux is None else f"{aux:.6e}"
-        print(f"{name:<18} {status:<10} {iters:>10} "
+        print(f"{plan.name:<18} {status:<10} {iters:>10} "
               f"{trace.column('merit_primary')[-1]:>14.6e} {aux:>14} "
               f"{viol:>14}")
     return failed
@@ -427,17 +411,23 @@ def _run_experiment(cfg: ExperimentConfig, strict: bool) -> int:
     """Build the problem and resolve every method and the output section,
     then run, write and summarize each method."""
     target = build_problem(cfg.problem)
-    runs = [(spec.name, _resolve(target, spec, cfg.stop))
-            for spec in cfg.methods]
+    plans = [build_method(spec, target, cfg.stop) for spec in cfg.methods]
     directory, formats, thinning = _output_plan(cfg.output)
     os.makedirs(directory, exist_ok=True)
     results = []
-    for name, plan in runs:
-        trace, cert, report, error = _run_one(name, *plan)
+    for plan in plans:
+        report = error = None
+        try:
+            trace = S.run(plan.target, plan.name, plan.params, plan.start,
+                          plan.stop, potential=plan.potential)
+        except H.DivergenceError as err:
+            trace, error = err.trace, "diverged"
+        if plan.potential is not None and error is None:
+            report = H.check_contraction(trace, plan.cert, atol=plan.atol)
         for fmt in formats:
-            TRACE_WRITERS[fmt](trace, os.path.join(directory, f"{name}.{fmt}"),
-                               thinning=thinning)
-        results.append((name, trace, cert, report, error))
+            TRACE_WRITERS[fmt](trace, os.path.join(
+                directory, f"{plan.name}.{fmt}"), thinning=thinning)
+        results.append((plan, trace, report, error))
     failed = _summarize(results)
     return 4 if strict and failed else 0
 

@@ -238,6 +238,29 @@ def _masked(method: str, params: ViParams) -> ViParams:
     return ViParams(**kept)
 
 
+def check_run(target, method: str, params, start) -> np.ndarray:
+    """run's preconditions, checked before any step; returns the start as a
+    vector. Beyond a known method, a target of its class and a feasible
+    start: extra-gradient needs eta > 0, and nesterov, whose half point is
+    never projected, beta = 0 on a domain-restricted problem."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    expected = SmoothObjective if method in OPT_METHODS else MonotoneProblem
+    if not isinstance(target, expected):
+        raise ValueError(f"{method} expects a {expected.__name__}")
+    z0 = as_vector(start, target.dimension)
+    if expected is MonotoneProblem:
+        if not target.feasible_set.contains(z0, tol=1e-12 * (1.0 + norm2(z0))):
+            raise ValueError("start point is not feasible")
+        if method == "extra-gradient" and params.eta <= 0.0:
+            raise ValueError("extra-gradient needs a positive half-step eta")
+        if method == "nesterov" and params.beta != 0.0 and \
+                target.domain_restricted:
+            raise ValueError("domain-restricted problems need the projected "
+                             "half point")
+    return z0
+
+
 def run(target, method: str, params, start, stop: StopRule,
         potential: Optional[Callable] = None) -> IterateTrace:
     """Drive one method and record a full per-iteration trace.
@@ -246,19 +269,15 @@ def run(target, method: str, params, start, stop: StopRule,
     SmoothObjective for "opt-extra-point". Operator methods step with their
     parameter mask of step_extra_point; the half point is projected on
     constrained or domain-restricted problems, except for "nesterov", whose
-    half point never is (it therefore refuses domain-restricted problems).
+    half point never is (so a nonzero beta refuses domain-restricted ones).
     Divergent iterates (norm non-finite or beyond DIVERGENCE_NORM) raise
-    DivergenceError carrying the partial trace.
+    DivergenceError carrying the partial trace; check_run's preconditions
+    raise ValueError before the first step.
 
     Every iteration is recorded; thinning is an export concern.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    z0 = check_run(target, method, params, start)
     opt = method in OPT_METHODS
-    expected = SmoothObjective if opt else MonotoneProblem
-    if not isinstance(target, expected):
-        raise ValueError(f"{method} expects a {expected.__name__}")
-    z0 = as_vector(start, target.dimension)
     trace = IterateTrace(kind=target.kind, method=method, params=params,
                          meta={"mu": target.mu, "lip": target.lip,
                                "sigma": target.sigma, "seed": target.seed})
@@ -267,13 +286,8 @@ def run(target, method: str, params, start, stop: StopRule,
         reference, step, variant = target.minimizer, step_opt_extra_point, "p"
         stop_merit = 0  # the gradient norm
     else:
-        fset = target.feasible_set
-        if not fset.contains(z0, tol=1e-12 * (1.0 + norm2(z0))):
-            raise ValueError("start point is not feasible")
-        if method == "extra-gradient" and params.eta <= 0.0:
-            raise ValueError("extra-gradient needs a positive half-step eta")
-        restricted = trace.meta["restricted"] = \
-            target.domain_restricted or not fset.unbounded_whole_space
+        restricted = trace.meta["restricted"] = target.domain_restricted \
+            or not target.feasible_set.unbounded_whole_space
         reference, step, params = target.solution, step_extra_point, \
             _masked(method, params)
         variant = restricted and method != "nesterov"

@@ -269,6 +269,33 @@ def test_certify_rejects_weight_outside_window(capsys):
     assert "outside the certified window" in err
 
 
+@pytest.mark.parametrize("regime, coefficients", [
+    ("vi-unrestricted", ["--alpha", "0", "--eta", "0.025"]),
+    ("vi-restricted", ["--alpha", "0.5", "--eta", "0.5"]),
+    ("opt", ["--t", "0.9,0.1,0.5,0.03,6,7,0.8,0.2,0.05", "--theta", "0.05",
+             "--c", "0.5"])])
+@pytest.mark.parametrize("flags, named", [
+    (["--theta-default", "0.5"], "--theta-default"),
+    (["--gap", "1", "--tol", "1e-3"], "--gap, --tol"),
+    (["--theta-default", "0.5", "--gap", "1", "--tol", "1e-3"],
+     "--theta-default, --gap, --tol")])
+def test_certify_names_the_flags_an_infeasible_certificate_leaves_unused(
+        regime, coefficients, flags, named, capsys):
+    argv = ["certify", "--regime", regime, "--mu", "1", "--lip", "10",
+            *coefficients]
+    assert main(argv) == 3
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    rc = main(argv + flags)
+    captured = capsys.readouterr()
+    if regime == "opt" and "--theta-default" in flags:
+        assert rc == 2 and captured.out == ""  # refused before certifying
+        return
+    assert rc == 3 and captured.out == printed.out  # the certificate, whole
+    assert captured.err == (f"note: {named} unused: the certificate is "
+                            "infeasible\n")
+
+
 @pytest.mark.parametrize("lip", ["1", "16"])  # infeasible, then feasible
 def test_certify_refuses_momentum_weight_in_the_opt_regime(lip, capsys):
     rc = main(["certify", "--regime", "opt", "--mu", "1", "--lip", lip,
@@ -392,20 +419,37 @@ def test_compare_without_methods_or_config_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("methods, extra", [
-    ("vanilla,opt-extra-point", []),
-    ("vanilla,extra-point", ["--formats", "csv,bogus"]),
-    ("vanilla,extra-point", ["--thinning", "0"]),
+LIN8 = ["--kind", "linear-vi", "--n", "8", "--seed", "1", "--sigma", "0.05"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (LIN8 + ["--methods", "vanilla,opt-extra-point", "--preset", "table"],
+     "opt-extra-point needs a smooth objective"),
+    (LIN8 + ["--methods", "vanilla,extra-point", "--preset", "table",
+             "--formats", "csv,bogus"], "unknown trace format 'bogus'"),
+    (LIN8 + ["--methods", "vanilla,extra-point", "--preset", "table",
+             "--thinning", "0"], "thinning must be a positive integer"),
+    # refused by run's own preconditions, checked when the plan is made
+    (["--problem", "dr.problem", "--methods", "vanilla,nesterov", "--preset",
+      "table"], "domain-restricted problems need the projected half point"),
+    (["--config", "exp.cfg"], "extra-gradient needs a positive half-step eta"),
 ])
 def test_compare_validates_the_whole_experiment_before_running(
-        methods, extra, tmp_path, capsys):
-    out = tmp_path / "out"
-    rc = main(["compare", "--kind", "linear-vi", "--n", "8", "--seed", "1",
-               "--sigma", "0.05", "--methods", methods, "--preset", "table",
-               "--out-dir", str(out), *extra])
+        args, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--kind", "linear-vi", "--n", "4", "--seed", "1",
+                 "--constrained", "--out", "p.problem"]) == 0
+    Path("dr.problem").write_text(Path("p.problem").read_text().replace(
+        "domain_restricted = false", "domain_restricted = true"))
+    Path("exp.cfg").write_text(
+        "problem.file = p.problem\nmethod.1.name = vanilla\n"
+        "method.1.preset = table\nmethod.2.name = extra-gradient\n"
+        "method.2.alpha = 0.01\n")
+    capsys.readouterr()
+    rc = main(["compare", *args, "--out-dir", "out"])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()  # no method ran, so no trace was written
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not Path("out").exists()  # no method ran, so no trace was written
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "bilinear-saddle"])
@@ -517,7 +561,7 @@ def test_compare_iters_at_tol_is_filled_on_logistic_instances(tmp_path, capsys):
 
 OPT_T = (0.8, 0.2, 0.5, 0.2, 0.4, 1.3, 0.75, 0.25, 0.25)
 EXPLICIT = {
-    "vi": {"alpha": 0.01, "beta": 0.02, "tau": 0.003},
+    "vi": {"alpha": 0.01, "beta": 0.02, "eta": 0.004, "tau": 0.003},
     "opt": {**{f"t{i}": v for i, v in enumerate(OPT_T, start=1)},
             "theta": 0.25, "c": 0.5},
 }
@@ -547,7 +591,8 @@ def test_build_method_resolves_presets_defaults_and_coefficients(
         spec = MethodSpec(name=method,
                           preset=case if case in va.PRESETS else None,
                           params=dict(explicit) if case == "explicit" else {})
-        _, params, got_regime = build_method(spec, target)
+        plan = build_method(spec, target)
+        params, got_regime = plan.params, plan.cert and plan.cert.regime
         if case == "table":
             want, want_regime = va.table_preset(method, target), None
         elif case == "explicit":
@@ -567,7 +612,8 @@ def test_opt_paper_default_takes_delta(resolver_targets):
     for preset in (None, "paper-default"):
         spec = MethodSpec(name="opt-extra-point", preset=preset,
                           params={"delta": 0.3})
-        _, params, regime = build_method(spec, target)
+        plan = build_method(spec, target)
+        params, regime = plan.params, plan.cert and plan.cert.regime
         assert params == va.default_params(va.REGIME_OPT, target.mu,
                                            target.lip, delta=0.3)
         assert regime == va.REGIME_OPT

@@ -15,6 +15,7 @@ from viaccel.cli import (DEFAULTS, KEY_TYPES, KINDS, OPT_PARAM_KEYS,
                          SECTION_KEYS, VI_PARAM_KEYS, ExperimentConfig,
                          MethodSpec, build_problem, main, make_parser, option,
                          parse_config, serialize_config)
+from viaccel.solvers import VI_MASKS
 
 # text values, some of which would read as a number or a boolean
 WORDS = ("linear-vi", "quadratic", "csv,jsonl", "runs/out", "x_y", "007",
@@ -321,6 +322,76 @@ def test_compare_problem_file_takes_no_generator_flags(seed, problem_file,
     assert out.exists() == (rc == 0)
     if rc == 2:
         assert "problem.file does not take" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def contract_problems(tmp_path_factory):
+    """Problem files of every variant: free, orthant, domain-restricted
+    orthant, objective."""
+    root = tmp_path_factory.mktemp("contract")
+    objective = va.gen_quadratic(4, 2, 0.05)
+    free, orthant = (va.gen_linear_vi(4, 1, 0.05, constrained=c)[0]
+                     for c in (False, True))
+    for name, problem in (("free", free), ("orthant", orthant),
+                          ("objective", objective)):
+        va.write_problem(root / f"{name}.problem", problem)
+    (root / "restricted.problem").write_text(
+        (root / "orthant.problem").read_text().replace(
+            "domain_restricted = false", "domain_restricted = true"))
+    return root
+
+
+def _method_entries(rng, i, method):
+    """A random preset or explicit coefficients for config method i, some
+    invalid: a missing or zero entry, a key outside the method's mask."""
+    entries = [f"method.{i}.name = {method}"]
+    how = rng.choice(["none", *va.PRESETS, "explicit"])
+    if how in va.PRESETS:
+        entries.append(f"method.{i}.preset = {how}")
+    elif how == "explicit" and method == "opt-extra-point":
+        keys = OPT_PARAM_KEYS[:11] if rng.random() < 0.7 else \
+            rng.sample(OPT_PARAM_KEYS, 3)
+        entries += [f"method.{i}.{key} = {rng.choice([0.05, 0.2, 0.5])}"
+                    for key in keys]
+    elif how == "explicit":
+        mask = VI_MASKS[method]
+        keys = [k for k in VI_PARAM_KEYS
+                if (k in mask and rng.random() < 0.8) or rng.random() < 0.05]
+        entries += [f"method.{i}.{key} = {rng.choice([0.0, 0.01, 0.05, 0.3])}"
+                    for key in keys]
+    return entries, how
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_compare_runs_every_method_or_none(seed, contract_problems, tmp_path,
+                                           monkeypatch, capsys):
+    # the experiment contract: exit 0 with every method's trace, or exit 2
+    # with none, however a later method is refused
+    rng = random.Random(7000 + seed)
+    problem = contract_problems / (rng.choice(
+        ["free", "orthant", "restricted", "objective"]) + ".problem")
+    methods = rng.sample(va.METHODS, rng.randint(1, 4))
+    lines = [f"problem.file = {problem}"]
+    hows = set()
+    for i, method in enumerate(methods, start=1):
+        entries, how = _method_entries(rng, i, method)
+        lines += entries
+        hows.add(how)
+    lines += ["stop.max_iter = 30", "output.directory = out"]
+    monkeypatch.chdir(tmp_path)
+    preset = hows.pop() if len(hows) == 1 else "explicit"
+    if preset != "explicit" and rng.random() < 0.5:  # the flag path
+        argv = ["--problem", str(problem), "--methods", ",".join(methods),
+                "--max-iter", "30", "--out-dir", "out"]
+        argv += ["--preset", preset] if preset in va.PRESETS else []
+    else:
+        (tmp_path / "exp.cfg").write_text("\n".join(lines) + "\n")
+        argv = ["--config", "exp.cfg"]
+    rc = main(["compare", *argv])
+    out = tmp_path / "out"
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert (rc, written) in ((0, sorted(f"{m}.csv" for m in methods)), (2, []))
+    assert (rc == 2) == capsys.readouterr().err.startswith("error: ")
 
 
 def _compare_flags():

@@ -376,6 +376,31 @@ def test_nesterov_run_refuses_domain_restricted_problems():
                np.full(2, 0.5), va.StopRule(max_iter=3))
 
 
+@pytest.mark.parametrize("method, params, start, message", [
+    ("nesterov", va.ViParams(alpha=0.1, beta=0.1), [0.5, 0.5],
+     "need the projected half point"),
+    ("extra-gradient", va.ViParams(alpha=0.1), [0.5, 0.5], "positive half-step"),
+    ("vanilla", va.ViParams(alpha=0.1), [2.0, 0.5], "start point is not feasible"),
+    ("vanilla", va.ViParams(alpha=0.1), [0.5], "expected dimension 2"),
+    ("opt-extra-point", va.ViParams(alpha=0.1), [0.5, 0.5], "expects a Smooth"),
+    ("newton", va.ViParams(alpha=0.1), [0.5, 0.5], "unknown method"),
+])
+def test_run_checks_its_preconditions_before_any_step(method, params, start,
+                                                      message):
+    pr = va.MonotoneProblem(dimension=2, operator=lambda z: z.copy(),
+                            feasible_set=va.Box(np.zeros(2), np.ones(2)),
+                            mu=1.0, lip=1.0, solution=np.zeros(2),
+                            domain_restricted=True)
+    for check in (lambda: va.check_run(pr, method, params, start),
+                  lambda: va.run(pr, method, params, start,
+                                 va.StopRule(max_iter=0))):
+        with pytest.raises(ValueError, match=message):
+            check()
+    # nesterov without momentum builds no half point, so it may run
+    z0 = va.check_run(pr, "nesterov", va.ViParams(alpha=0.1), [0.5, 0.5])
+    assert z0.dtype == np.float64 and z0.tolist() == [0.5, 0.5]
+
+
 def test_state_caches_match_fresh_operator_evaluations():
     prob, _ = va.gen_linear_vi(6, 2, 0.05)
     prm = va.default_params(va.REGIME_VI_UNRESTRICTED, prob.mu, prob.lip)
