@@ -292,7 +292,14 @@ def build_method(spec: MethodSpec, target, stop: Optional[dict] = None) -> Plan:
         elif cert.feasible and run_target.solution is not None:
             potential = H.vi_distance_potential(run_target, cert.theta_default)
     stop = {**DEFAULTS, **(stop or {}), **_given(spec, SECTION_KEYS["stop"])}
-    stop = S.StopRule(max_iter=stop["max_iter"], residual_tol=stop["tol"])
+    try:
+        stop = S.StopRule(max_iter=stop["max_iter"], residual_tol=stop["tol"])
+    except ValueError as exc:  # StopRule names its field: name the key
+        field_, rest = str(exc).split(" ", 1)
+        key = "tol" if field_ == "residual_tol" else field_
+        named = f"the {key} of method {spec.name}" \
+            if getattr(spec, key) is not None else f"{option(key)} / stop.{key}"
+        raise ValueError(f"{named} {rest}, got {stop[key]}") from None
     S.check_run(run_target, spec.name, params, start)
     return Plan(spec.name, run_target, params, start, stop, cert, potential,
                 atol)

@@ -37,14 +37,18 @@ def norm2(z: np.ndarray) -> float:
     return math.sqrt(z.dot(z))
 
 
+# Round-trip text for a float: 17 significant digits, '.' separator.
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x, missing: Optional[str] = None) -> str:
-    """Round-trip text for a float: 17 significant digits, '.' separator.
+    """A float's FLOAT_FORMAT text.
 
     With ``missing`` given, None and nan render as that string instead.
     """
     if missing is not None and (x is None or math.isnan(x)):
         return missing
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 def typed(key: str, text: str, typ):

@@ -27,10 +27,16 @@ PRESETS = (PAPER_DEFAULT, TABLE)
 def _opt_row(objective: SmoothObjective, t1: float, t5: float, t6: float,
              t7: float, t8: float, t9: float) -> OptParams:
     """A tuned nine-coefficient row: t2 = 1 - t1, t3 and t4 are fixed,
-    c = mu / 2 and theta = 2 t9 c."""
+    c = mu / 2 and theta = 2 t9 c, which must not pass 1."""
     c = objective.mu / 2.0
+    theta = 2.0 * t9 * c
+    if theta > 1.0:
+        raise ValueError(
+            f"the {TABLE} preset of opt-extra-point on {objective.kind} "
+            f"instances sets theta = {t9:g} mu, so it needs mu at most "
+            f"1/{t9:g}; this instance has mu = {objective.mu!r}")
     return OptParams(t=(t1, 1.0 - t1, 0.9, 0.0277, t5, t6, t7, t8, t9),
-                     theta=2.0 * t9 * c, c=c)
+                     theta=theta, c=c)
 
 
 # Tuned rows per instance family (kind, constrained): linear-vi free and on

@@ -14,14 +14,16 @@ instance whose operator output is bit-identical. One schema per kind
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import (FeasibleSet, MonotoneProblem, NonnegativeOrthant,
-                   SmoothObjective, WholeSpace, format_float, norm2, typed)
+from .core import (FLOAT_FORMAT, FeasibleSet, MonotoneProblem,
+                   NonnegativeOrthant, SmoothObjective, WholeSpace,
+                   format_float, norm2, typed)
 from .harness import finite_diff_jacobian, power_iteration_norm
 
 FORMAT_HEADER = "vi-accel-problem v1"
@@ -55,12 +57,15 @@ def _linear_vi_operator(M: np.ndarray, offset: np.ndarray) -> dict:
 
 
 def _bilinear_matrix(B: np.ndarray, mu_x: float, mu_y: float) -> np.ndarray:
+    """[[mu_x I, B], [-B', mu_y I]], assembled in place: no square
+    temporary is made beside M."""
     nx, ny = B.shape
-    M = np.zeros((nx + ny, nx + ny))
-    M[:nx, :nx] = mu_x * np.eye(nx)
-    M[nx:, nx:] = mu_y * np.eye(ny)
+    M = np.empty((nx + ny, nx + ny))
+    for block, mu in ((M[:nx, :nx], mu_x), (M[nx:, nx:], mu_y)):
+        block[...] = 0.0 * mu  # the zeros of mu * I, which take mu's sign
+        np.fill_diagonal(block, mu)
     M[:nx, nx:] = B
-    M[nx:, :nx] = -B.T
+    np.negative(B.T, out=M[nx:, :nx])
     return M
 
 
@@ -286,7 +291,9 @@ def gen_quadratic(n: int, seed: int, target_sigma: float) -> SmoothObjective:
     if n > 2:
         d[1:-1] = np.exp(rng.uniform(math.log(mu), math.log(lip), n - 2))
     M = (U.T * d) @ U
-    M = 0.5 * (M + M.T)
+    del U  # the basis is as large as M and not needed past here
+    M += M.T  # numpy buffers the overlapping transpose: M + M.T bit for bit
+    M *= 0.5
     q = rng.uniform(-1.0, 1.0, n)
     xs = np.linalg.solve(M, -q)
 
@@ -327,7 +334,8 @@ def gen_bilinear_saddle(nx: int, ny: int, seed: int, mu_x: float = 1.0,
     The stacked first-order field of (mu_x/2)|x|^2 + x'By - (mu_y/2)|y|^2
     with seeded uniform [-1, 1] coupling entries; with no linear term the
     saddle point is the origin. mu = min(mu_x, mu_y) exactly; lip is the
-    norm of the assembled block matrix.
+    norm of the assembled block matrix. meta["bilinear"] is a view of that
+    matrix, so B is held once and writing to it changes the operator.
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be positive")
@@ -344,7 +352,7 @@ def gen_bilinear_saddle(nx: int, ny: int, seed: int, mu_x: float = 1.0,
                            lip=power_iteration_norm(M),
                            solution=np.zeros(dim), kind="bilinear-saddle",
                            seed=seed,
-                           meta={"bilinear": B, "mu_x": float(mu_x),
+                           meta={"bilinear": M[:nx, nx:], "mu_x": float(mu_x),
                                  "mu_y": float(mu_y), "nx": nx, "ny": ny})
 
 
@@ -473,9 +481,12 @@ def _check(kind: str, values: dict) -> None:
     for name, form in schema(kind).items():
         value = values.get(name)
         if (form is float or isinstance(form, tuple)) and value is not None:
-            bad = np.extract(~np.isfinite(value), value)
-            if bad.size:
-                raise ValueError(f"{name} must be finite, got {bad[0]}")
+            # np.extract copies a strided view (a generated meta.bilinear)
+            # whole, so it only runs on a block known to hold a bad value
+            finite = np.isfinite(value)
+            if not finite.all():
+                bad = np.extract(~finite, value)[0]
+                raise ValueError(f"{name} must be finite, got {bad}")
     for name, shape in blocks.items():
         want = [values.get(side if side == "n" else f"meta.{side}")
                 for side in shape]
@@ -487,13 +498,10 @@ def _check(kind: str, values: dict) -> None:
                              f"({', '.join(shape)}) = ({sizes}), got {got}")
 
 
-def serialize_problem(obj: Union[MonotoneProblem, SmoothObjective]) -> str:
-    """Render an instance of a stored kind (see LAYOUTS) to the v1 text
-    format: its schema's entries, leaving out None attributes.
-
-    Raises ValueError, naming the entry, for an instance whose text
-    parse_problem would refuse.
-    """
+def _problem_lines(obj: Union[MonotoneProblem, SmoothObjective]):
+    """serialize_problem's lines, without newlines. Every entry is checked
+    before this returns; the blocks are rendered as the lines are drawn,
+    each row by one format string."""
     if type(obj) is not LAYOUTS.get(obj.kind, (None,))[0]:
         raise ValueError(f"cannot serialize {type(obj).__name__} kind "
                          f"{obj.kind!r}")
@@ -515,16 +523,32 @@ def serialize_problem(obj: Union[MonotoneProblem, SmoothObjective]) -> str:
         if value is None:
             continue
         if isinstance(form, tuple):
-            rows = np.atleast_2d(np.asarray(value, dtype=float))
-            blocks += [f"begin {name}",
-                       *(" ".join(map(format_float, row)) for row in rows),
-                       f"end {name}"]
+            blocks.append((name, np.atleast_2d(np.asarray(value, dtype=float))))
         else:
             text = format_float(value) if form is float else \
                 str(value).lower() if form is bool else str(value)
             typed(name, text, form)  # raises for a value the reader refuses
             lines.append(f"{name} = {text}")
-    return "\n".join(lines + blocks) + "\n"
+    return itertools.chain(lines, _block_lines(blocks))
+
+
+def _block_lines(blocks):
+    for name, rows in blocks:
+        yield f"begin {name}"
+        row_format = " ".join([FLOAT_FORMAT] * rows.shape[1])
+        for row in rows:
+            yield row_format % tuple(row.tolist())
+        yield f"end {name}"
+
+
+def serialize_problem(obj: Union[MonotoneProblem, SmoothObjective]) -> str:
+    """Render an instance of a stored kind (see LAYOUTS) to the v1 text
+    format: its schema's entries, leaving out None attributes.
+
+    Raises ValueError, naming the entry, for an instance whose text
+    parse_problem would refuse.
+    """
+    return "\n".join([*_problem_lines(obj), ""])
 
 
 def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
@@ -595,9 +619,12 @@ def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
 
 
 def write_problem(path, obj) -> None:
-    text = serialize_problem(obj)  # before opening: a refused one writes nothing
+    """Write serialize_problem's text line by line, never held whole; a
+    refused instance is refused before the file is opened."""
+    lines = _problem_lines(obj)
     with open(path, "w") as fh:
-        fh.write(text)
+        for line in lines:
+            print(line, file=fh)
 
 
 def read_problem(path) -> Union[MonotoneProblem, SmoothObjective]:

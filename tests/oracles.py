@@ -15,6 +15,12 @@ library stops the search at its fixed point, uses ndarray.dot and
 core.norm2, and orthogonalises in place; the tests require identical
 instance text.
 
+The serialization oracles build the bilinear operator matrix from an
+identity and a negated transpose, and render problem text one value at a
+time with format(x, ".17g"), the whole text joined and then given its
+last newline. The library assembles the matrix in place and renders each
+block row with one format string; the tests require identical bytes.
+
 The recursion audits evaluate the printed one-step distance bounds of the
 two VI regimes on measured points, and the central-difference gradient
 checks the objectives' analytic gradients.
@@ -25,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from viaccel import problems as P
 from viaccel.core import (MonotoneProblem, NonnegativeOrthant, SmoothObjective,
                           WholeSpace, as_vector, norm2)
 from viaccel.solvers import OptState, ViState
@@ -255,6 +262,49 @@ def gen_linear_vi(n, seed, target_sigma, constrained=False):
         meta={"diag": diag, "skew": skew, "offset": offset,
               "target_sigma": float(target_sigma),
               "constrained": bool(constrained)})
+
+
+def bilinear_matrix(B, mu_x, mu_y):
+    """[[mu_x I, B], [-B', mu_y I]] from scaled identities and -B.T."""
+    nx, ny = B.shape
+    M = np.zeros((nx + ny, nx + ny))
+    M[:nx, :nx] = mu_x * np.eye(nx)
+    M[nx:, nx:] = mu_y * np.eye(ny)
+    M[:nx, nx:] = B
+    M[nx:, :nx] = -B.T
+    return M
+
+
+def serialize_problem(obj):
+    """An instance's v1 text, every value formatted on its own."""
+    def text_of(x):
+        return format(float(x), ".17g")
+
+    set_names = {cls: name for name, cls in P.FEASIBLE_SETS.items()}
+    lines, blocks = [P.FORMAT_HEADER], []
+    for name, form in P.schema(obj.kind).items():
+        if name == "class":
+            value = P.CLASSES[type(obj)][0]
+        elif name == "n":
+            value = obj.dimension
+        elif name == "feasible_set":
+            value = set_names[type(obj.feasible_set)]
+        elif name.startswith("meta."):
+            value = obj.meta.get(name[len("meta."):])
+        else:
+            value = getattr(obj, name, None)
+        if value is None:
+            continue
+        if isinstance(form, tuple):
+            rows = np.atleast_2d(np.asarray(value, dtype=float))
+            blocks += [f"begin {name}",
+                       *(" ".join(map(text_of, row)) for row in rows),
+                       f"end {name}"]
+        else:
+            text = text_of(value) if form is float else \
+                str(value).lower() if form is bool else str(value)
+            lines.append(f"{name} = {text}")
+    return "\n".join(lines + blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -557,6 +557,63 @@ def test_compare_iters_at_tol_is_filled_on_logistic_instances(tmp_path, capsys):
     assert row["iters@tol"].isdigit()
 
 
+def test_table_opt_row_names_its_limit_on_mu(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    gen = ["generate", "--kind", "logistic", "--n", "4", "--num-samples", "3",
+           "--seed", "1", "--out", str(path)]
+    solve = ["solve", "--problem", str(path), "--method", "opt-extra-point",
+             "--preset", "table", "--max-iter", "50", "--out-dir", str(tmp_path)]
+    assert main(gen + ["--lam", "0.05"]) == 0
+    capsys.readouterr()
+    assert main(solve) == 2
+    assert capsys.readouterr().err == (
+        "error: the table preset of opt-extra-point on logistic instances "
+        "sets theta = 71.6115 mu, so it needs mu at most 1/71.6115; this "
+        "instance has mu = 0.05\n")
+    assert not (tmp_path / "opt-extra-point.csv").exists()
+    assert main(gen) == 0  # the default --lam 0.005
+    assert main(solve) == 0
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--tol", "nan"], "--tol / stop.tol must be nonnegative and finite, "
+                       "got nan"),
+    (["--tol=-1e-3"], "--tol / stop.tol must be nonnegative and finite, "
+                      "got -0.001"),
+    (["--max-iter", "-1"], "--max-iter / stop.max_iter must be nonnegative, "
+                           "got -1"),
+])
+def test_stop_flags_out_of_range_are_named_as_written(flags, error, tmp_path,
+                                                      capsys):
+    prob_path = _gen(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", str(prob_path), "--method", "vanilla",
+               *flags, "--out-dir", str(out)])
+    assert rc == 2 and capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, error", [
+    ("stop.tol = inf", "--tol / stop.tol must be nonnegative and finite, "
+                       "got inf"),
+    ("stop.max_iter = -2", "--max-iter / stop.max_iter must be nonnegative, "
+                           "got -2"),
+    ("method.2.max_iter = -3", "the max_iter of method extra-point must be "
+                               "nonnegative, got -3"),
+])
+def test_stop_config_entries_out_of_range_are_named(entry, error, tmp_path,
+                                                    capsys):
+    key = entry.split(" = ")[0]
+    text = re.sub(rf"(?m)^{re.escape(key)} = .*\n", "", CONFIG_TEXT)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text + entry + "\n")
+    rc = main(["compare", "--config", str(cfg_path), "--out-dir",
+               str(tmp_path / "out")])
+    assert rc == 2 and capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # --- parameter resolution -----------------------------------------------------------
 
 OPT_T = (0.8, 0.2, 0.5, 0.2, 0.4, 1.3, 0.75, 0.25, 0.25)

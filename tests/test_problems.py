@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,91 @@ def test_file_round_trip(tmp_path):
     va.write_problem(path, prob)
     back = va.read_problem(path)
     assert va.serialize_problem(back) == va.serialize_problem(prob)
+
+
+def _special_values(obj, name):
+    """obj with its meta block `name` overwritten by values whose text is
+    easy to get wrong: signed zero, the smallest subnormal, the largest
+    finite floats, integral floats and 1/3."""
+    block = obj.meta[name].reshape(-1)
+    specials = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                3.0, -12.0, 1e16, 1.0 / 3.0]
+    block[:len(specials)] = specials[:block.size]
+    return obj
+
+
+SERIALIZED = {
+    "linear-vi": lambda: va.gen_linear_vi(9, 4, 5e-2)[0],
+    "linear-vi orthant": lambda: va.gen_linear_vi(6, 1, 5e-2, constrained=True)[0],
+    "quadratic": lambda: va.gen_quadratic(7, 3, 0.5),
+    "quadratic n=500": lambda: va.gen_quadratic(500, 12, 1e-2),
+    "logistic": lambda: va.gen_logistic(6, 9, 0.01, 3),
+    "bilinear-saddle": lambda: va.gen_bilinear_saddle(3, 4, 2, 0.3, 2.0),
+    "bilinear-saddle 500x500": lambda: va.gen_bilinear_saddle(500, 500, 11),
+    "special values, logistic": lambda: _special_values(
+        va.gen_logistic(3, 4, 0.01, 1), "data"),
+    "special values, bilinear": lambda: _special_values(
+        va.gen_bilinear_saddle(2, 5, 1), "bilinear"),
+}
+
+
+@pytest.mark.parametrize("name", SERIALIZED)
+def test_serialize_matches_the_per_value_renderer(name):
+    obj = SERIALIZED[name]()
+    text = va.serialize_problem(obj)
+    assert text == oracles.serialize_problem(obj)
+    back = P.parse_problem(text)
+    assert va.serialize_problem(back) == oracles.serialize_problem(back) == text
+
+
+@pytest.mark.parametrize("name", [n for n in SERIALIZED if "500" not in n])
+def test_write_problem_writes_the_serialized_bytes(name, tmp_path):
+    obj = SERIALIZED[name]()
+    path = tmp_path / "p.txt"
+    va.write_problem(path, obj)
+    assert path.read_bytes() == va.serialize_problem(obj).encode()
+
+
+@pytest.mark.parametrize("mu_x, mu_y", [(1.0, 1.0), (0.3, 2.0), (-1.5, 0.0)])
+def test_bilinear_matrix_matches_the_identity_built_one(mu_x, mu_y):
+    B = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 6))
+    M = P._bilinear_matrix(B, mu_x, mu_y)
+    assert M.flags.c_contiguous
+    assert M.tobytes() == oracles.bilinear_matrix(B, mu_x, mu_y).tobytes()
+
+
+def _traced(fn):
+    """fn's result, the bytes it still holds under tracemalloc once it
+    returns, and its peak; a first untraced call keeps one-time set-up out
+    of the counts."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_bilinear_saddle_holds_its_coupling_block_once():
+    prob, held, _ = _traced(lambda: va.gen_bilinear_saddle(300, 300, 1))
+    M = prob.operator.__self__
+    assert np.shares_memory(prob.meta["bilinear"], M)
+    assert held < M.nbytes + 64 * 1024  # M is 8 * 600^2 bytes
+
+
+def test_serialize_peak_stays_near_twice_its_text():
+    prob = va.gen_bilinear_saddle(300, 300, 1)
+    text, _, peak = _traced(lambda: va.serialize_problem(prob))
+    assert peak <= 2.2 * len(text)
+
+
+def test_write_problem_streams_its_blocks(tmp_path):
+    prob = va.gen_bilinear_saddle(300, 300, 1)
+    path = tmp_path / "p.txt"
+    _, _, peak = _traced(lambda: va.write_problem(path, prob))
+    assert peak < path.stat().st_size / 4
 
 
 def test_parse_rejects_malformed_text():
