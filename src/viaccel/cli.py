@@ -26,9 +26,10 @@ from . import presets as PR
 from . import problems as P
 from . import solvers as S
 from .core import (MonotoneProblem, SmoothObjective, format_float,
-                   gradient_problem, typed)
+                   gradient_problem, natural_residual, norm2, typed)
 from .problems import KINDS
 
+EPS = float(np.finfo(np.float64).eps)
 VI_PARAM_KEYS = ("alpha", "beta", "gamma", "eta", "tau")
 OPT_PARAM_KEYS = tuple(f"t{i}" for i in range(1, 10)) + ("theta", "c", "delta")
 # The value of a key that is not given. Stop and output keys default in
@@ -291,6 +292,16 @@ def build_method(spec: MethodSpec, target, stop: Optional[dict] = None) -> Plan:
                 atol = 1e-12 * (1.0 + abs(run_target.optimal_value))
         elif cert.feasible and run_target.solution is not None:
             potential = H.vi_distance_potential(run_target, cert.theta_default)
+            # The potential cannot resolve distances below how far the
+            # stored z* may sit from the exact solution: its rounding,
+            # 4 eps (1 + ||z*||), plus the error bound (1 + L) / mu times
+            # its natural residual. Below that floor a converged run only
+            # shows rounding noise.
+            zs = run_target.solution
+            err = 4.0 * EPS * (1.0 + norm2(zs)) + \
+                (1.0 + run_target.lip) / run_target.mu * \
+                natural_residual(run_target, zs)
+            atol = (1.0 + cert.theta_default) * err * err
     stop = {**DEFAULTS, **(stop or {}), **_given(spec, SECTION_KEYS["stop"])}
     try:
         stop = S.StopRule(max_iter=stop["max_iter"], residual_tol=stop["tol"])

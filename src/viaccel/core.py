@@ -106,9 +106,12 @@ class NonnegativeOrthant(FeasibleSet):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = int(dimension)
+        self._zeros = np.zeros(self.dimension)
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(z, 0.0)
+        # a zero vector operand: the same bits as the scalar 0.0, dispatched
+        # faster
+        return np.maximum(z, self._zeros)
 
     def __repr__(self):
         return f"NonnegativeOrthant({self.dimension})"
@@ -305,31 +308,56 @@ def gradient_problem(objective: SmoothObjective) -> MonotoneProblem:
     )
 
 
-def vi_merits(problem: MonotoneProblem, z: np.ndarray,
-              fz: Optional[np.ndarray] = None) -> tuple:
-    """Merit pair (primary, natural residual) of a trusted vector z.
+def bind_vi_merits(problem: MonotoneProblem) -> Callable:
+    """The merit pair of a problem as ``merits(z, fz) -> (primary, natural
+    residual)`` for a trusted vector z and its operator value fz.
 
     The natural residual is ||z - P(z - F(z))||. The primary merit is
     ||F(z)|| on the whole space and the complementarity gap |z . F(z)| on
-    any other set. ``fz`` passes an already computed F(z).
+    any other set. The projection and the set's kind are looked up once;
+    fz and the residual's difference are fresh 1-D arrays, so their norms
+    are taken as sqrt(x . x), the bits of norm2. The returned function's
+    ``calls`` maps "project" to the projections one evaluation makes.
     """
-    if fz is None:
-        fz = problem.operator(z)
     fset = problem.feasible_set
-    d = z - fset.project(z - fz)
-    res = math.sqrt(d.dot(d))  # norm2(d): d is a fresh contiguous array
-    if fset.unbounded_whole_space:
-        return norm2(fz), res
-    return float(abs(z.dot(fz))), res
+    project, whole = fset.project, fset.unbounded_whole_space
+
+    def merits(z: np.ndarray, fz: np.ndarray) -> tuple:
+        d = z - project(z - fz)
+        primary = math.sqrt(fz.dot(fz)) if whole else float(abs(z.dot(fz)))
+        return primary, math.sqrt(d.dot(d))
+
+    merits.calls = {"project": 1}
+    return merits
+
+
+def vi_merits(problem: MonotoneProblem, z: np.ndarray,
+              fz: Optional[np.ndarray] = None) -> tuple:
+    """Merit pair (primary, natural residual) of a trusted vector z (see
+    bind_vi_merits); ``fz`` passes an already computed F(z)."""
+    return bind_vi_merits(problem)(z, problem.operator(z) if fz is None
+                                   else fz)
+
+
+def bind_objective_merits(objective: SmoothObjective) -> Callable:
+    """The merit pair of an objective as ``merits(fx, gx) ->
+    (||grad f(x)||, f(x) - f*)`` from fx = f(x) and the fresh 1-D
+    gx = grad f(x); the gap is None when the objective records no optimal
+    value. The returned function's ``calls`` is empty: it calls no
+    oracle."""
+    fs = objective.optimal_value
+
+    def merits(fx: float, gx: np.ndarray) -> tuple:
+        return math.sqrt(gx.dot(gx)), None if fs is None else float(fx - fs)
+
+    merits.calls = {}
+    return merits
 
 
 def objective_merits(objective: SmoothObjective, fx: float,
                      gx: np.ndarray) -> tuple:
-    """Merit pair (||grad f(x)||, f(x) - f*) from fx = f(x) and
-    gx = grad f(x); the gap is None when the objective records no optimal
-    value."""
-    fs = objective.optimal_value
-    return norm2(gx), None if fs is None else float(fx - fs)
+    """Merit pair (||grad f(x)||, f(x) - f*) (see bind_objective_merits)."""
+    return bind_objective_merits(objective)(fx, gx)
 
 
 def natural_residual(problem: MonotoneProblem, z) -> float:

@@ -10,14 +10,15 @@ iteration.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .core import (MonotoneProblem, SmoothObjective, as_vector, format_float,
-                   norm2, objective_merits, vi_merits)
+from .core import (FLOAT_FORMAT, MonotoneProblem, SmoothObjective,
+                   as_vector, format_float, norm2, objective_merits,
+                   vi_merits)
 
 # Iterates whose norm passes this guard terminate a run as divergent.
 DIVERGENCE_NORM = 1e12
@@ -79,9 +80,9 @@ def merit(target, z) -> tuple:
     """Merit pair (primary, aux) for a point.
 
     Monotone problems on the whole space report (||F(z)||, natural residual);
-    the two coincide there. Constrained problems report (|z . F(z)|, natural
-    residual). Objectives report (||grad f(x)||, f(x) - f*) with the second
-    entry None when no optimal value is known.
+    the two agree there up to one rounding. Constrained problems report
+    (|z . F(z)|, natural residual). Objectives report (||grad f(x)||,
+    f(x) - f*) with the second entry None when no optimal value is known.
     """
     z = as_vector(z, target.dimension)
     if isinstance(target, SmoothObjective):
@@ -316,15 +317,15 @@ def reference_minimum(objective: SmoothObjective) -> tuple:
     reached.
     """
     from .certify import REGIME_OPT, default_params
-    from .solvers import opt_state, step_opt_extra_point
+    from .solvers import opt_state, opt_stepper
 
-    params = default_params(REGIME_OPT, objective.mu, objective.lip)
+    step = opt_stepper(objective, default_params(REGIME_OPT, objective.mu,
+                                                 objective.lip), "grad-step")
     state = opt_state(objective, np.zeros(objective.dimension))
     for k in range(500000):
         if norm2(state.g_curr) <= 1e-12:
             return state.x_curr, float(state.f_curr), k
-        state = step_opt_extra_point(objective, state, params,
-                                     y_rule="grad-step")
+        state = step(state)
     raise RuntimeError("reference minimization did not reach gradient norm "
                        "1e-12 in 500000 iterations")
 
@@ -335,20 +336,54 @@ def reference_minimum(objective: SmoothObjective) -> tuple:
 CSV_HEADER = ",".join(TRACE_FIELDS)
 
 
-def _rows(trace: IterateTrace, thinning: int, missing: str) -> Iterator:
-    """Every thinning-th row of a trace plus its last, as TRACE_FIELDS text;
-    absent values render as missing. Rows are made one at a time, so a long
-    trace is never held twice as text."""
+def _lines(trace: IterateTrace, thinning: int, missing: str,
+           layout: Callable) -> Iterator:
+    """Every thinning-th row of a trace plus its last, as text lines.
+
+    Each column's spec is picked once: "%d" when all its values are ints,
+    FLOAT_FORMAT when all are floats and none is nan, the missing text
+    itself when all are None, and otherwise "%s" over each value's own
+    text (an int as str, a float by format_float, None and nan as
+    missing). layout joins the specs, in TRACE_FIELDS order, into one line
+    format. Lines are made one at a time and no column is copied, so a
+    long trace is never held twice.
+    """
     if thinning < 1:
         raise ValueError("thinning must be a positive integer")
-    cols = [trace.column(name) for name in TRACE_FIELDS]
-    last = len(cols[0]) - 1
-    kept = list(range(0, last + 1, thinning))
-    if kept and kept[-1] != last:
-        kept.append(last)
-    for i in kept:
-        yield [str(col[i]) if isinstance(col[i], int) else
-               format_float(col[i], missing) for col in cols]
+
+    def cell(v):
+        return str(v) if isinstance(v, int) else format_float(v, missing)
+
+    specs, live = [], []  # live: (column, per-value text rule or None)
+    for name in TRACE_FIELDS:
+        col = trace.column(name)
+        kinds = set(map(type, col))
+        if kinds == {type(None)}:
+            specs.append(missing)
+            continue
+        if kinds == {int}:
+            specs.append("%d")
+            live.append((col, None))
+        elif all(issubclass(t, float) for t in kinds) and \
+                not any(map(math.isnan, col)):
+            specs.append(FLOAT_FORMAT)
+            live.append((col, None))
+        else:
+            specs.append("%s")
+            live.append((col, cell))
+    fmt = layout(specs)
+
+    def kept(col):
+        return col if thinning == 1 else islice(col, 0, None, thinning)
+
+    lines = (fmt % row for row in zip(*(
+        kept(col) if rule is None else map(rule, kept(col))
+        for col, rule in live)))
+    n = len(trace.column("k"))
+    if n and (n - 1) % thinning:
+        lines = chain(lines, [fmt % tuple(
+            col[-1] if rule is None else rule(col[-1]) for col, rule in live)])
+    return lines
 
 
 def write_trace_csv(trace: IterateTrace, path, thinning: int = 1) -> None:
@@ -356,20 +391,19 @@ def write_trace_csv(trace: IterateTrace, path, thinning: int = 1) -> None:
     iteration.
 
     Floats carry 17 significant digits ('.' decimal separator), empty
-    fields stand for absent optionals, rows end with a single newline.
+    fields stand for absent optionals and nan, rows end with a single
+    newline.
     """
-    rows = [CSV_HEADER] + [",".join(r) for r in _rows(trace, thinning, "")]
+    lines = _lines(trace, thinning, "", lambda specs: ",".join(specs) + "\n")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        fh.writelines(lines)
 
 
 def write_trace_jsonl(trace: IterateTrace, path, thinning: int = 1) -> None:
-    """Write a trace as JSON Lines with the same fields and formatting."""
-    lines = ["{" + ", ".join(f"\"{k}\": {v}" for k, v in zip(TRACE_FIELDS, r))
-             + "}" for r in _rows(trace, thinning, "null")]
+    """Write a trace as JSON Lines with the same fields and formatting;
+    null stands for absent optionals and nan."""
+    lines = _lines(trace, thinning, "null", lambda specs: "{" + ", ".join(
+        f"\"{k}\": {spec}" for k, spec in zip(TRACE_FIELDS, specs)) + "}\n")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
-def now_ns() -> int:
-    return time.perf_counter_ns()
+        fh.writelines(lines)

@@ -10,25 +10,27 @@ and the classical methods are parameter masks of it, applied once by run():
 vanilla projection keeps alpha only, extra-gradient (alpha, eta),
 past-gradient/optimistic steps (alpha, tau), heavy-ball (alpha, gamma), and
 the accelerated extrapolation method (alpha, beta) with gamma := beta and a
-half point that is never projected. The stepper skips every term whose
-coefficient is zero, so each mask performs exactly its method's arithmetic.
+half point that is never projected. The stepper (vi_stepper, bound once per
+run) skips every term whose coefficient is zero, so each mask performs
+exactly its method's arithmetic.
 
 The optimization scheme keeps two sequences (x, v) and nine coefficients;
-see step_opt_extra_point.
+see opt_stepper.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter_ns
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (MonotoneProblem, SmoothObjective, as_vector, norm2,
-                   objective_merits, vi_merits)
+from .core import (MonotoneProblem, SmoothObjective, as_vector,
+                   bind_objective_merits, bind_vi_merits, norm2)
 from .harness import (DIVERGENCE_NORM, TRACE_FIELDS, DivergenceError,
-                      IterateTrace, now_ns)
+                      IterateTrace)
 
 # The coefficients each named VI method keeps; run() zeroes the others.
 VI_MASKS = {
@@ -44,6 +46,10 @@ OPT_METHODS = ("opt-extra-point",)
 METHODS = VI_METHODS + OPT_METHODS
 
 Y_RULES = ("p", "grad-step")
+
+# Builds a state tuple without the NamedTuple's Python-level __new__: the
+# same object at half the cost, for the steppers' hot path.
+_new_state = tuple.__new__
 
 
 def _finite_nonneg(name: str, value: float) -> float:
@@ -137,55 +143,85 @@ def opt_state(objective: SmoothObjective, x0) -> OptState:
     return OptState(x0, x0.copy(), *objective.value_and_gradient(x0))
 
 
+def vi_stepper(problem: MonotoneProblem, params: ViParams,
+               restricted: bool = False) -> Callable:
+    """One step of the general five-parameter rule, bound to a problem and
+    its coefficients: returns ``step(state) -> ViState``.
+
+    The operator and projection are looked up once, and each nonzero
+    coefficient c is held as the vector np.full(n, c): numpy applies it as
+    the same IEEE operation as the float c, at less dispatch cost. Terms
+    whose coefficient is zero are skipped; with eta = beta = 0 the half
+    point is the current iterate and its cached operator value is reused.
+    That makes the named specializations reproduce bit for bit. Building
+    an unprojected half point on a domain-restricted problem raises
+    ValueError here, before any step.
+
+    No input array is written: every array a step computes is fresh, and
+    the returned state carries the others over from its input. The
+    returned function's ``calls`` maps "operator" and "project" to the
+    calls one step makes.
+    """
+    n = problem.dimension
+    al = np.full(n, params.alpha)
+    be, ga, eta, ta = (None if c == 0.0 else np.full(n, c) for c in
+                       (params.beta, params.gamma, params.eta, params.tau))
+    half_point = be is not None or eta is not None
+    if half_point and problem.domain_restricted and not restricted:
+        raise ValueError("domain-restricted problems need the projected "
+                         "half point")
+    momentum = be is not None or ga is not None
+    project_half = half_point and restricted
+    operator, project = problem.operator, problem.feasible_set.project
+
+    def step(state: ViState) -> ViState:
+        zc, fc = state.z_curr, state.f_curr
+        if momentum:
+            dz = zc - state.z_prev
+        if half_point:
+            half = zc
+            if be is not None:
+                half = half + be * dz
+            if eta is not None:
+                half = half - eta * fc
+            if project_half:
+                half = project(half)
+            f_half = operator(half)
+        else:
+            half, f_half = zc, fc
+        nxt = zc - al * f_half
+        if ga is not None:
+            nxt = nxt + ga * dz
+        if ta is not None:
+            nxt = nxt - ta * (fc - state.f_prev)
+        z_new = project(nxt)
+        return _new_state(ViState, (z_new, zc, operator(z_new), fc, half))
+
+    step.calls = {"operator": 1 + half_point, "project": 1 + project_half}
+    return step
+
+
 def step_extra_point(problem: MonotoneProblem, state: ViState,
                      params: ViParams, restricted: bool = False) -> ViState:
-    """One step of the general five-parameter rule.
-
-    Terms whose coefficient is zero are skipped; with eta = beta = 0 the
-    half point is the current iterate and its cached operator value is
-    reused. That makes the named specializations reproduce bit for bit.
-    Building an unprojected half point on a domain-restricted problem
-    raises ValueError.
-
-    No input array is written: every array the step computes is fresh,
-    and the returned state carries the others over from ``state``.
-    """
-    al, be, ga, eta, ta = params.alpha, params.beta, params.gamma, params.eta, params.tau
-    zc, zp, fc = state.z_curr, state.z_prev, state.f_curr
-    operator, project = problem.operator, problem.feasible_set.project
-    dz = zc - zp if be != 0.0 or ga != 0.0 else None
-    if eta == 0.0 and be == 0.0:
-        half, f_half = zc, fc
-    else:
-        if problem.domain_restricted and not restricted:
-            raise ValueError("domain-restricted problems need the projected "
-                             "half point")
-        half = zc
-        if be != 0.0:
-            half = half + be * dz
-        if eta != 0.0:
-            half = half - eta * fc
-        if restricted:
-            half = project(half)
-        f_half = operator(half)
-    step = zc - al * f_half
-    if ga != 0.0:
-        step = step + ga * dz
-    if ta != 0.0:
-        step = step - ta * (fc - state.f_prev)
-    z_new = project(step)
-    return ViState(z_new, zc, operator(z_new), fc, half)
+    """One step of the general five-parameter rule (see vi_stepper)."""
+    return vi_stepper(problem, params, restricted)(state)
 
 
-def step_opt_extra_point(objective: SmoothObjective, state: OptState,
-                         params: OptParams, y_rule: str = "p") -> OptState:
-    """One step of the nine-coefficient two-sequence minimization scheme.
+def opt_stepper(objective: SmoothObjective, params: OptParams,
+                y_rule: str = "p") -> Callable:
+    """One step of the nine-coefficient two-sequence minimization scheme,
+    bound to an objective and its coefficients: returns
+    ``step(state) -> OptState``.
 
     p mixes the sequences with (t1, t2); y is either p itself or one
-    gradient step from p (y_rule "p" or "grad-step"); z takes a t3-scaled
-    gradient step from y; the new x combines gradients at z and y with the
-    t4..t6 weights; the new v is the (t7, t8, t9) convex-plus-gradient
-    update. One fused value_and_gradient call fills the new state's cache.
+    gradient step from p (y_rule "p" or "grad-step", checked here once); z
+    takes a t3-scaled gradient step from y; the new x combines gradients
+    at z and y with the t4..t6 weights; the new v is the (t7, t8, t9)
+    convex-plus-gradient update. One fused value_and_gradient call fills
+    the new state's cache. The coefficients, L and t3/L, t4/L, t5/L are
+    held as length-n vectors (see vi_stepper). The returned function's
+    ``calls`` maps "gradient" and "value_and_gradient" to the calls one
+    step makes.
 
     The two y-rules do not certify alike. With y = p, the rule run() uses,
     the paper-default certificate fails at step 0 on
@@ -196,21 +232,33 @@ def step_opt_extra_point(objective: SmoothObjective, state: OptState,
     """
     if y_rule not in Y_RULES:
         raise ValueError(f"y_rule must be one of {Y_RULES}")
-    t1, t2, t3, t4, t5, t6, t7, t8, t9 = params.t
-    L = objective.lip
-    x, v = state.x_curr, state.v_curr
+    grad_step = y_rule == "grad-step"
+    n, L = objective.dimension, objective.lip
+    t1, t2, _, _, _, t6, t7, t8, t9 = (np.full(n, c) for c in params.t)
+    t3_l, t4_l, t5_l = (np.full(n, c / L) for c in params.t[2:5])
+    lip = np.full(n, L)
+    gradient, fused = objective.gradient, objective.value_and_gradient
 
-    p = t1 * x + t2 * v
-    if y_rule == "p":
-        y = p
-    else:
-        y = p - objective.gradient(p) / L
-    gy = objective.gradient(y)
-    z = y - (t3 / L) * gy
-    gz = objective.gradient(z)
-    x_new = y - (t4 / L) * gz - (t5 / L) * (gz - gy) + t6 * (z - y)
-    v_new = t7 * v + t8 * y - t9 * gy
-    return OptState(x_new, v_new, *objective.value_and_gradient(x_new))
+    def step(state: OptState) -> OptState:
+        x, v = state.x_curr, state.v_curr
+        p = t1 * x + t2 * v
+        y = p - gradient(p) / lip if grad_step else p
+        gy = gradient(y)
+        z = y - t3_l * gy
+        gz = gradient(z)
+        x_new = y - t4_l * gz - t5_l * (gz - gy) + t6 * (z - y)
+        v_new = t7 * v + t8 * y - t9 * gy
+        fx, gx = fused(x_new)
+        return _new_state(OptState, (x_new, v_new, fx, gx))
+
+    step.calls = {"gradient": 2 + grad_step, "value_and_gradient": 1}
+    return step
+
+
+def step_opt_extra_point(objective: SmoothObjective, state: OptState,
+                         params: OptParams, y_rule: str = "p") -> OptState:
+    """One step of the nine-coefficient scheme (see opt_stepper)."""
+    return opt_stepper(objective, params, y_rule)(state)
 
 
 @dataclass(frozen=True)
@@ -267,14 +315,19 @@ def run(target, method: str, params, start, stop: StopRule,
 
     target is a MonotoneProblem for the operator methods or a
     SmoothObjective for "opt-extra-point". Operator methods step with their
-    parameter mask of step_extra_point; the half point is projected on
+    parameter mask of vi_stepper; the half point is projected on
     constrained or domain-restricted problems, except for "nesterov", whose
     half point never is (so a nonzero beta refuses domain-restricted ones).
     Divergent iterates (norm non-finite or beyond DIVERGENCE_NORM) raise
     DivergenceError carrying the partial trace; check_run's preconditions
     raise ValueError before the first step.
 
-    Every iteration is recorded; thinning is an export concern.
+    Every iteration is recorded; thinning is an export concern. The
+    stepper and the merits are bound once, before the first step, and
+    trace.meta["oracle_calls"] counts the oracle calls the run made
+    ("operator" and "project", or "gradient" and "value_and_gradient"),
+    worked out from the bound stepper's per-step calls, a divergent
+    partial trace included.
     """
     z0 = check_run(target, method, params, start)
     opt = method in OPT_METHODS
@@ -283,36 +336,48 @@ def run(target, method: str, params, start, stop: StopRule,
                                "sigma": target.sigma, "seed": target.seed})
     if opt:
         trace.meta["f_star"] = target.optimal_value
-        reference, step, variant = target.minimizer, step_opt_extra_point, "p"
-        stop_merit = 0  # the gradient norm
+        reference = target.minimizer
+        step = opt_stepper(target, params, "p")
+        merits = bind_objective_merits(target)
+        start_calls = {"value_and_gradient": 1}  # opt_state's fused call
     else:
         restricted = trace.meta["restricted"] = target.domain_restricted \
             or not target.feasible_set.unbounded_whole_space
-        reference, step, params = target.solution, step_extra_point, \
-            _masked(method, params)
-        variant = restricted and method != "nesterov"
-        stop_merit = 1  # the natural residual
+        reference = target.solution
+        step = vi_stepper(target, _masked(method, params),
+                          restricted and method != "nesterov")
+        merits = bind_vi_merits(target)
+        # vi_state's F(z0) and check_run's feasibility projection
+        start_calls = {"operator": 1, "project": 1}
     add_k, add_primary, add_aux, add_dsq, add_pot, add_ns = (
         trace.column(name).append for name in TRACE_FIELDS)
     # a zero tolerance never stops a run, not even at a zero residual
     tol = stop.residual_tol if stop.residual_tol > 0.0 else -math.inf
+    stop_merit = 0 if opt else 1  # the gradient norm or the natural residual
 
-    t0 = now_ns()
+    def record_calls(steps: int) -> None:
+        rows = len(trace.column("k"))
+        trace.meta["oracle_calls"] = {
+            name: start_calls.get(name, 0) + step.calls.get(name, 0) * steps
+            + merits.calls.get(name, 0) * rows
+            for name in (*start_calls, *step.calls, *merits.calls)}
+
+    t0 = perf_counter_ns()
     state = opt_state(target, z0) if opt else vi_state(target, z0)
     z = state[0]  # the iterate: z_curr or x_curr
     for k in range(stop.max_iter + 1):
         if k:
-            # variant: opt's y-rule, or whether the VI half point is projected
-            state = step(target, state, params, variant)
+            state = step(state)
             z = state[0]
             # a non-finite entry makes the norm nan or inf, which fails the test
             if not math.sqrt(z.dot(z)) <= DIVERGENCE_NORM or \
                     (opt and not np.isfinite(state.v_curr).all()):
                 trace.terminated_by = "divergence"
                 trace.final_point = z
+                record_calls(k)
                 raise DivergenceError(trace)
-        pair = objective_merits(target, state.f_curr, state.g_curr) if opt \
-            else vi_merits(target, z, state.f_curr)
+        pair = merits(state.f_curr, state.g_curr) if opt \
+            else merits(z, state.f_curr)
         add_k(k)
         add_primary(pair[0])
         add_aux(pair[1])
@@ -322,10 +387,10 @@ def run(target, method: str, params, start, stop: StopRule,
             d = z - reference
             add_dsq(float(d.dot(d)))
         add_pot(None if potential is None else float(potential(state)))
-        add_ns(now_ns() - t0)
-        res = pair[stop_merit]
-        if res <= tol:
+        add_ns(perf_counter_ns() - t0)
+        if pair[stop_merit] <= tol:
             trace.terminated_by = "tolerance"
             break
+    record_calls(trace.iterations)
     trace.final_point = z
     return trace

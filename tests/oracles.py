@@ -1,9 +1,10 @@
 """Reference implementations that spell out the plain arithmetic.
 
 The library runs every variational-inequality method as a parameter mask
-of solvers.step_extra_point, which updates its temporaries in place, and
-the minimization scheme through the generic nine-coefficient step. These
-hand-written updates, the five-parameter rule among them, exist only to
+of one stepper bound per run (solvers.vi_stepper), whose coefficients are
+vectors, and the minimization scheme through the generic nine-coefficient
+step (solvers.opt_stepper). These hand-written updates, with float
+coefficients and the five-parameter rule among them, exist only to
 cross-check that: the tests compare the library against them bit for bit
 (or to roundoff, for the reduced minimization form).
 
@@ -21,6 +22,12 @@ time with format(x, ".17g"), the whole text joined and then given its
 last newline. The library assembles the matrix in place and renders each
 block row with one format string; the tests require identical bytes.
 
+The trace-text oracles render a trace one value at a time: an int as
+str, a float by format_float, None and nan as the missing text, each row
+joined and the whole text built before it is returned. The library picks
+one format per column and streams its rows; the tests require identical
+bytes.
+
 The recursion audits evaluate the printed one-step distance bounds of the
 two VI regimes on measured points, and the central-difference gradient
 checks the objectives' analytic gradients.
@@ -33,7 +40,8 @@ import numpy as np
 
 from viaccel import problems as P
 from viaccel.core import (MonotoneProblem, NonnegativeOrthant, SmoothObjective,
-                          WholeSpace, as_vector, norm2)
+                          WholeSpace, as_vector, format_float, norm2)
+from viaccel.harness import CSV_HEADER, TRACE_FIELDS
 from viaccel.solvers import OptState, ViState
 
 
@@ -305,6 +313,35 @@ def serialize_problem(obj):
                 str(value).lower() if form is bool else str(value)
             lines.append(f"{name} = {text}")
     return "\n".join(lines + blocks) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# trace text
+
+def trace_rows(trace, thinning, missing):
+    """Every thinning-th row of a trace plus its last, as TRACE_FIELDS text,
+    each value rendered on its own."""
+    cols = [trace.column(name) for name in TRACE_FIELDS]
+    last = len(cols[0]) - 1
+    kept = list(range(0, last + 1, thinning))
+    if kept and kept[-1] != last:
+        kept.append(last)
+    for i in kept:
+        yield [str(col[i]) if isinstance(col[i], int) else
+               format_float(col[i], missing) for col in cols]
+
+
+def trace_csv(trace, thinning=1):
+    """A trace's CSV text: the header, then one line per kept row."""
+    rows = [CSV_HEADER] + [",".join(r) for r in trace_rows(trace, thinning, "")]
+    return "\n".join(rows) + "\n"
+
+
+def trace_jsonl(trace, thinning=1):
+    """A trace's JSON Lines text, one object per kept row."""
+    lines = ["{" + ", ".join(f"\"{k}\": {v}" for k, v in zip(TRACE_FIELDS, r))
+             + "}" for r in trace_rows(trace, thinning, "null")]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, outputs, and experiment configs."""
 
+import dataclasses
 import decimal
 import inspect
 import math
@@ -373,6 +374,44 @@ def test_solve_divergence_is_reported_and_gated_by_strict(tmp_path, capsys):
     rc_strict = main(base + ["--strict"])
     capsys.readouterr()
     assert rc_strict == 4
+
+
+def _converged_solve(tmp_path, flags):
+    """A certified extra-point run that reaches its fixed point long before
+    it stops, checked under --tol 0 --strict."""
+    path = tmp_path / f"p{len(flags)}.txt"
+    assert main(["generate", "--kind", "linear-vi", "--n", "6", "--seed", "1",
+                 "--sigma", "0.5", *flags, "--out", str(path)]) == 0
+    return main(["solve", "--problem", str(path), "--method", "extra-point",
+                 "--preset", "paper-default", "--max-iter", "2000", "--tol",
+                 "0", "--strict", "--out-dir", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("flags", [[], ["--constrained"]])
+def test_a_converged_run_passes_strict_at_zero_tol(tmp_path, capsys, flags):
+    # the distance potential settles at rounding level (about 1.7e-32 on
+    # the free instance, 1.2e-26 on the orthant, whose stored solution has
+    # a natural residual near 1e-12); steps there are not violations
+    rc = _converged_solve(tmp_path, flags)
+    out = capsys.readouterr().out
+    assert rc == 0, out
+
+
+def test_strict_still_flags_an_alpha_too_large_for_the_certificate(
+        tmp_path, capsys, monkeypatch):
+    # run at 10.8 times the certified alpha: the run converges, but more
+    # slowly than the certificate's rate, from the first steps on
+    real = va.solvers.run
+
+    def run(target, method, params, *args, **kwargs):
+        fast = dataclasses.replace(params, alpha=10.8 * params.alpha)
+        return real(target, method, fast, *args, **kwargs)
+
+    monkeypatch.setattr(va.solvers, "run", run)
+    rc = _converged_solve(tmp_path, [])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "max-iter" in out and "diverged" not in out
 
 
 def test_solve_zero_iterations_yields_single_record(tmp_path, capsys):

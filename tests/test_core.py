@@ -223,3 +223,30 @@ def test_norm2_matches_linalg_norm_bit_for_bit():
             got, want = norm2(v), np.linalg.norm(v)
             assert np.float64(got).tobytes() == want.tobytes()
         assert norm2(np.array([1e200, -1e200])) == np.inf
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+           1.0 / 3.0, -1.0, 2.0, 1e300, 1.7976931348623157e308,
+           -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("n", [1, 7, 20, 33])
+def test_vector_operands_keep_the_scalar_bits(n):
+    # the steppers hold each coefficient c as np.full(n, c), and the
+    # orthant projects against a zero vector: both must give the bits of
+    # the scalar forms
+    rng = np.random.default_rng(n)
+    coefficients = SPECIAL + list(rng.standard_normal(8)
+                                  * 10.0 ** rng.integers(-300, 300, 8))
+    pool = np.array(SPECIAL + list(rng.standard_normal(40)
+                                   * 10.0 ** rng.integers(-300, 300, 40)))
+    with np.errstate(all="ignore"):
+        for _ in range(6):
+            x, y = rng.choice(pool, n), rng.choice(pool, n)
+            for c in coefficients:
+                v = np.full(n, c)
+                for scalar, vector in ((c * x, v * x), (x - c * y, x - v * y),
+                                       (x + c * y, x + v * y), (x / c, x / v)):
+                    assert scalar.tobytes() == vector.tobytes(), c
+            assert np.maximum(x, 0.0).tobytes() == \
+                va.NonnegativeOrthant(n).project(x).tobytes()

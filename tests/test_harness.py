@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -399,3 +400,78 @@ def test_power_iteration_norm_stops_at_its_fixed_point_bit_for_bit(
 def test_scale_search_runs_at_most_half_its_power_steps(monkeypatch):
     _, counts = _scale_search_matrices(monkeypatch, [(20, 101, 1e-2)])
     assert counts.sum() <= 0.5 * 500 * len(counts)
+
+
+def _special_trace():
+    """A trace whose columns take every spec: ints, floats over the special
+    values, floats with a nan, None, and columns mixing them."""
+    tr = IterateTrace(kind="custom", method="vanilla",
+                      params=va.ViParams(alpha=0.1))
+    floats = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, 1e16,
+              123456789.0, 1.7976931348623157e308, math.inf, -math.inf,
+              np.float64(0.1), 2.5]
+    mixed = [None, 1.5, math.nan, 7, None, np.float64(-0.25), True,
+             np.int64(3), np.float32(0.1), math.inf, 2.0, None]
+    for k, (f, m) in enumerate(zip(floats, mixed)):
+        tr.append(k, f, m, None, [0.5, math.nan][k % 2], k * 1000 + 7)
+    return tr
+
+
+def _writer_traces():
+    prob, _ = va.gen_linear_vi(4, 0, 0.05)
+    zero = va.run(prob, "vanilla", va.ViParams(alpha=0.05), np.ones(4),
+                  va.StopRule(max_iter=0))
+    with pytest.raises(va.DivergenceError) as info:
+        va.run(prob, "vanilla", va.ViParams(alpha=1e3), np.ones(4),
+               va.StopRule(max_iter=100),
+               potential=va.vi_distance_potential(prob, 0.1))
+    obj = va.gen_quadratic(5, 1, 0.1)
+    obj.optimal_value = None  # a gap column of None only
+    opt = va.run(obj, "opt-extra-point",
+                 va.default_params(va.REGIME_OPT, obj.mu, obj.lip),
+                 np.ones(5), va.StopRule(max_iter=12))
+    empty = IterateTrace(kind="custom", method="vanilla",
+                         params=va.ViParams(alpha=0.1))
+    return {"run": _small_trace(), "special": _special_trace(),
+            "zero-iterations": zero, "divergent": info.value.trace,
+            "opt without f*": opt, "empty": empty}
+
+
+@pytest.mark.parametrize("thinning", [1, 2, 3, 7, 40])
+def test_trace_writers_match_the_per_value_renderer(tmp_path, thinning):
+    for name, tr in _writer_traces().items():
+        assert thinning < 40 or len(tr.column("k")) < 40
+        for writer, oracle in ((va.write_trace_csv, oracles.trace_csv),
+                               (va.write_trace_jsonl, oracles.trace_jsonl)):
+            path = tmp_path / "trace.txt"
+            writer(tr, path, thinning=thinning)
+            assert path.read_bytes() == \
+                oracle(tr, thinning).encode("ascii"), (name, writer)
+
+
+def test_trace_writers_render_nan_as_an_absent_value(tmp_path):
+    tr = _special_trace()
+    va.write_trace_csv(tr, tmp_path / "t.csv")
+    va.write_trace_jsonl(tr, tmp_path / "t.jsonl")
+    rows = list(csv.DictReader((tmp_path / "t.csv").read_text().splitlines()))
+    objs = [json.loads(ln) for ln in
+            (tmp_path / "t.jsonl").read_text().splitlines()[:3]]
+    assert [r["potential"] for r in rows[:2]] == ["0.5", ""]
+    assert [o["potential"] for o in objs[:2]] == [0.5, None]
+    assert rows[2]["merit_aux"] == "" and objs[2]["merit_aux"] is None
+
+
+def test_trace_writers_stream_their_rows(tmp_path):
+    tr = IterateTrace(kind="custom", method="vanilla",
+                      params=va.ViParams(alpha=0.1))
+    for k in range(20000):
+        tr.append(k, k / 3.0, 1.0 / (k + 1), None, math.sqrt(k), 1000 * k)
+    for writer in (va.write_trace_csv, va.write_trace_jsonl):
+        path = tmp_path / "long.txt"
+        tracemalloc.start()
+        try:
+            writer(tr, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4, writer

@@ -1,5 +1,7 @@
 """Stepper worked examples, specialization identities, and run() behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -323,7 +325,7 @@ def test_run_makes_exactly_the_masks_oracle_calls(method, constrained):
     prob.feasible_set.project = counted("project", prob.feasible_set.project)
     a = 1.0 / (4.0 * prob.lip)
     prm = va.ViParams(alpha=a, beta=0.3, gamma=0.2, eta=0.8 * a, tau=0.5 * a)
-    va.run(prob, method, prm, np.ones(6), va.StopRule(max_iter=50))
+    tr = va.run(prob, method, prm, np.ones(6), va.StopRule(max_iter=50))
     ops, projections = STEP_CALLS[method]
     if not constrained:
         projections = 2
@@ -331,6 +333,36 @@ def test_run_makes_exactly_the_masks_oracle_calls(method, constrained):
     # and the merit at k = 0
     assert counts == {"operator": 1 + 50 * ops,
                       "project": 2 + 50 * projections}
+    assert tr.meta["oracle_calls"] == counts
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("method", VI_METHODS)
+def test_divergent_run_records_the_oracle_calls_it_made(method, constrained):
+    prob, _ = va.gen_linear_vi(6, 3, 5e-2, constrained=constrained)
+    counts = {"operator": 0, "project": 0}
+
+    def counted(name, fn):
+        def wrapped(z):
+            counts[name] += 1
+            return fn(z)
+        return wrapped
+
+    prob.operator = counted("operator", prob.operator)
+    prob.feasible_set.project = counted("project", prob.feasible_set.project)
+    a = 40.0 / prob.lip
+    prm = va.ViParams(alpha=a, beta=0.3, gamma=0.2, eta=0.8 * a, tau=0.5 * a)
+    with pytest.raises(va.DivergenceError) as info:
+        va.run(prob, method, prm, np.ones(6), va.StopRule(max_iter=10000))
+    tr = info.value.trace
+    steps = len(tr.column("k"))  # the last step's iterate has no row
+    ops, projections = STEP_CALLS[method]
+    if not constrained:
+        projections = 2
+    assert steps >= 2
+    assert counts == {"operator": 1 + steps * ops,
+                      "project": 1 + steps * projections}
+    assert tr.meta["oracle_calls"] == counts
 
 
 def test_opt_run_makes_two_gradient_calls_and_one_fused_call_per_step():
@@ -346,12 +378,29 @@ def test_opt_run_makes_two_gradient_calls_and_one_fused_call_per_step():
     for name in counts:
         setattr(obj, name, counted(name, getattr(obj, name)))
     prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
-    va.run(obj, "opt-extra-point", prm, np.ones(12), va.StopRule(max_iter=50),
-           potential=va.opt_potential(obj, prm.c))
+    tr = va.run(obj, "opt-extra-point", prm, np.ones(12),
+                va.StopRule(max_iter=50),
+                potential=va.opt_potential(obj, prm.c))
     # f and grad f at the start, then per step grad f at y and z and one
     # fused call at the new x; merits and the potential read the cache
     assert counts == {"gradient": 2 * 50, "value": 0,
                       "value_and_gradient": 1 + 50}
+    assert tr.meta["oracle_calls"] == {"gradient": 2 * 50,
+                                       "value_and_gradient": 1 + 50}
+    # a divergent run records the calls of every step it took
+    for name in counts:
+        counts[name] = 0
+    t = list(prm.t)
+    t[2] = 60.0  # z overshoots along every curvature
+    with pytest.raises(va.DivergenceError) as info:
+        va.run(obj, "opt-extra-point", dataclasses.replace(prm, t=tuple(t)),
+               np.ones(12), va.StopRule(max_iter=10000))
+    steps = len(info.value.trace.column("k"))
+    assert steps >= 2
+    assert counts == {"gradient": 2 * steps, "value": 0,
+                      "value_and_gradient": 1 + steps}
+    assert info.value.trace.meta["oracle_calls"] == {
+        "gradient": 2 * steps, "value_and_gradient": 1 + steps}
 
 
 @pytest.mark.parametrize("y_rule", Y_RULES)
@@ -431,6 +480,20 @@ def test_domain_restricted_gating():
     with pytest.raises(ValueError):
         va.step_extra_point(pr, st, va.ViParams(alpha=0.1, beta=0.1, gamma=0.1))
     va.step_extra_point(pr, st, va.ViParams(alpha=0.1, gamma=0.1, tau=0.01))
+
+
+def test_steppers_check_their_inputs_once_when_bound():
+    pr = va.MonotoneProblem(dimension=2, operator=lambda z: z.copy(),
+                            feasible_set=va.Box(np.zeros(2), np.ones(2)),
+                            mu=1.0, lip=1.0, solution=np.zeros(2),
+                            domain_restricted=True)
+    # no state is needed to refuse a stepper
+    with pytest.raises(ValueError, match="projected half point"):
+        S.vi_stepper(pr, va.ViParams(alpha=0.1, eta=0.1))
+    obj = _quad_objective()
+    with pytest.raises(ValueError, match="y_rule"):
+        S.opt_stepper(obj, va.default_params(va.REGIME_OPT, 1.0, 1.0),
+                      "midpoint")
 
 
 def test_opt_step_worked_example_both_y_rules():
