@@ -17,7 +17,7 @@ from .certify import (REGIME_OPT, REGIME_VI_RESTRICTED,
                       iteration_bound, theta_interval)
 from .core import (Box, EuclideanBall, FeasibleSet, MonotoneProblem,
                    NonnegativeOrthant, SmoothObjective, WholeSpace,
-                   as_vector, gradient_problem, natural_residual, project)
+                   as_vector, gradient_problem, project)
 from .harness import (TRACE_FIELDS, ContractionReport, DivergenceError,
                       IterateTrace, check_contraction, finite_diff_jacobian,
                       merit, ogda_potential, opt_potential,
@@ -31,7 +31,7 @@ from .problems import (LinearOperatorSpec, estimate_constants,
                        serialize_problem, solve_linear_reference,
                        write_problem)
 from .solvers import (METHODS, OptParams, OptState, StopRule, ViParams,
-                      ViState, check_run, opt_state, run, step_extra_point,
-                      step_opt_extra_point, vi_state)
+                      ViState, check_run, opt_state, opt_stepper, run,
+                      vi_state, vi_stepper)
 
 __version__ = "0.1.0"

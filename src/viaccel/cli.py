@@ -26,7 +26,7 @@ from . import presets as PR
 from . import problems as P
 from . import solvers as S
 from .core import (MonotoneProblem, SmoothObjective, format_float,
-                   gradient_problem, natural_residual, norm2, typed)
+                   gradient_problem, norm2, typed)
 from .problems import KINDS
 
 EPS = float(np.finfo(np.float64).eps)
@@ -300,7 +300,7 @@ def build_method(spec: MethodSpec, target, stop: Optional[dict] = None) -> Plan:
             zs = run_target.solution
             err = 4.0 * EPS * (1.0 + norm2(zs)) + \
                 (1.0 + run_target.lip) / run_target.mu * \
-                natural_residual(run_target, zs)
+                H.merit(run_target, zs)[1]
             atol = (1.0 + cert.theta_default) * err * err
     stop = {**DEFAULTS, **(stop or {}), **_given(spec, SECTION_KEYS["stop"])}
     try:

@@ -44,9 +44,10 @@ FLOAT_FORMAT = "%.17g"
 def format_float(x, missing: Optional[str] = None) -> str:
     """A float's FLOAT_FORMAT text.
 
-    With ``missing`` given, None and nan render as that string instead.
+    With ``missing`` given, None and every non-finite float (nan, inf,
+    -inf) render as that string instead.
     """
-    if missing is not None and (x is None or math.isnan(x)):
+    if missing is not None and (x is None or not math.isfinite(x)):
         return missing
     return FLOAT_FORMAT % float(x)
 
@@ -206,7 +207,8 @@ class MonotoneProblem:
             raise ValueError("need 0 < mu <= lip < inf")
         if self.solution is not None:
             self.solution = as_vector(self.solution, self.dimension)
-            res = natural_residual(self, self.solution)
+            res = bind_vi_merits(self)(self.solution,
+                                       self.operator(self.solution))[1]
             bound = SOLUTION_RTOL * (1.0 + norm2(self.solution))
             if res > bound:
                 raise ValueError(
@@ -331,14 +333,6 @@ def bind_vi_merits(problem: MonotoneProblem) -> Callable:
     return merits
 
 
-def vi_merits(problem: MonotoneProblem, z: np.ndarray,
-              fz: Optional[np.ndarray] = None) -> tuple:
-    """Merit pair (primary, natural residual) of a trusted vector z (see
-    bind_vi_merits); ``fz`` passes an already computed F(z)."""
-    return bind_vi_merits(problem)(z, problem.operator(z) if fz is None
-                                   else fz)
-
-
 def bind_objective_merits(objective: SmoothObjective) -> Callable:
     """The merit pair of an objective as ``merits(fx, gx) ->
     (||grad f(x)||, f(x) - f*)`` from fx = f(x) and the fresh 1-D
@@ -352,19 +346,3 @@ def bind_objective_merits(objective: SmoothObjective) -> Callable:
 
     merits.calls = {}
     return merits
-
-
-def objective_merits(objective: SmoothObjective, fx: float,
-                     gx: np.ndarray) -> tuple:
-    """Merit pair (||grad f(x)||, f(x) - f*) (see bind_objective_merits)."""
-    return bind_objective_merits(objective)(fx, gx)
-
-
-def natural_residual(problem: MonotoneProblem, z) -> float:
-    """Fixed-point residual ||z - P(z - F(z))|| with unit step.
-
-    Zero exactly at solutions of the variational inequality, for every
-    feasible-set variant, which makes it a uniform stopping merit. When the
-    problem is domain restricted, ``z`` must be feasible.
-    """
-    return vi_merits(problem, as_vector(z, problem.dimension))[1]

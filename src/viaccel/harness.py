@@ -17,8 +17,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .core import (FLOAT_FORMAT, MonotoneProblem, SmoothObjective,
-                   as_vector, format_float, norm2, objective_merits,
-                   vi_merits)
+                   as_vector, bind_objective_merits, bind_vi_merits,
+                   format_float, norm2)
 
 # Iterates whose norm passes this guard terminate a run as divergent.
 DIVERGENCE_NORM = 1e12
@@ -77,17 +77,22 @@ class DivergenceError(RuntimeError):
 
 
 def merit(target, z) -> tuple:
-    """Merit pair (primary, aux) for a point.
+    """Merit pair (primary, aux) for a point: the pair run records, built
+    by the same binders, with z checked as a finite vector of the target's
+    dimension.
 
     Monotone problems on the whole space report (||F(z)||, natural residual);
     the two agree there up to one rounding. Constrained problems report
-    (|z . F(z)|, natural residual). Objectives report (||grad f(x)||,
-    f(x) - f*) with the second entry None when no optimal value is known.
+    (|z . F(z)|, natural residual). The natural residual
+    ||z - P(z - F(z))|| is zero exactly at solutions, for every feasible
+    set; on a domain-restricted problem z must be feasible. Objectives
+    report (||grad f(x)||, f(x) - f*) with the second entry None when no
+    optimal value is known.
     """
     z = as_vector(z, target.dimension)
     if isinstance(target, SmoothObjective):
-        return objective_merits(target, *target.value_and_gradient(z))
-    return vi_merits(target, z)
+        return bind_objective_merits(target)(*target.value_and_gradient(z))
+    return bind_vi_merits(target)(z, target.operator(z))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +346,9 @@ def _lines(trace: IterateTrace, thinning: int, missing: str,
     """Every thinning-th row of a trace plus its last, as text lines.
 
     Each column's spec is picked once: "%d" when all its values are ints,
-    FLOAT_FORMAT when all are floats and none is nan, the missing text
-    itself when all are None, and otherwise "%s" over each value's own
-    text (an int as str, a float by format_float, None and nan as
+    FLOAT_FORMAT when all are finite floats, the missing text itself when
+    all are None, and otherwise "%s" over each value's own text (an int
+    as str, a float by format_float, None and non-finite floats as
     missing). layout joins the specs, in TRACE_FIELDS order, into one line
     format. Lines are made one at a time and no column is copied, so a
     long trace is never held twice.
@@ -365,7 +370,7 @@ def _lines(trace: IterateTrace, thinning: int, missing: str,
             specs.append("%d")
             live.append((col, None))
         elif all(issubclass(t, float) for t in kinds) and \
-                not any(map(math.isnan, col)):
+                all(map(math.isfinite, col)):
             specs.append(FLOAT_FORMAT)
             live.append((col, None))
         else:
@@ -391,8 +396,8 @@ def write_trace_csv(trace: IterateTrace, path, thinning: int = 1) -> None:
     iteration.
 
     Floats carry 17 significant digits ('.' decimal separator), empty
-    fields stand for absent optionals and nan, rows end with a single
-    newline.
+    fields stand for absent optionals and non-finite floats, rows end
+    with a single newline.
     """
     lines = _lines(trace, thinning, "", lambda specs: ",".join(specs) + "\n")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -402,7 +407,7 @@ def write_trace_csv(trace: IterateTrace, path, thinning: int = 1) -> None:
 
 def write_trace_jsonl(trace: IterateTrace, path, thinning: int = 1) -> None:
     """Write a trace as JSON Lines with the same fields and formatting;
-    null stands for absent optionals and nan."""
+    null stands for absent optionals and non-finite floats."""
     lines = _lines(trace, thinning, "null", lambda specs: "{" + ", ".join(
         f"\"{k}\": {spec}" for k, spec in zip(TRACE_FIELDS, specs)) + "}\n")
     with open(path, "w", encoding="ascii", newline="\n") as fh:

@@ -559,23 +559,28 @@ def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
     and block shapes checked, before any operator is built; a malformed
     file raises ValueError naming the entry.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != FORMAT_HEADER:
+    return _parse_lines(text.splitlines())
+
+
+def _parse_lines(lines) -> Union[MonotoneProblem, SmoothObjective]:
+    """parse_problem over an iterable of lines, each drawn once: an open
+    file is read line by line and never held whole."""
+    lines = filter(None, (ln.strip() for ln in lines))  # drop blank lines
+    if next(lines, None) != FORMAT_HEADER:
         raise ValueError(f"missing header line {FORMAT_HEADER!r}")
 
     given = {}  # name -> the text of a `name = value` line, or a block
-    rest = iter(lines[1:])
-    for ln in rest:
+    for ln in lines:
         if ln.startswith("begin "):
             name, rows = ln[len("begin "):].strip(), []
-            for row in rest:
+            for row in lines:
                 if row == f"end {name}":
                     break
                 rows.append([float(v) for v in row.split()])
             else:
                 raise ValueError(f"unterminated block {name!r}")
             value = np.array(rows, dtype=float)
+            del rows  # its float lists take 4x the block: free them now
         elif " = " in ln:
             name, value = (part.strip() for part in ln.split(" = ", 1))
         else:
@@ -628,5 +633,6 @@ def write_problem(path, obj) -> None:
 
 
 def read_problem(path) -> Union[MonotoneProblem, SmoothObjective]:
+    """Read a problem file (see parse_problem) line by line."""
     with open(path) as fh:
-        return parse_problem(fh.read())
+        return _parse_lines(fh)

@@ -201,12 +201,6 @@ def vi_stepper(problem: MonotoneProblem, params: ViParams,
     return step
 
 
-def step_extra_point(problem: MonotoneProblem, state: ViState,
-                     params: ViParams, restricted: bool = False) -> ViState:
-    """One step of the general five-parameter rule (see vi_stepper)."""
-    return vi_stepper(problem, params, restricted)(state)
-
-
 def opt_stepper(objective: SmoothObjective, params: OptParams,
                 y_rule: str = "p") -> Callable:
     """One step of the nine-coefficient two-sequence minimization scheme,
@@ -253,12 +247,6 @@ def opt_stepper(objective: SmoothObjective, params: OptParams,
 
     step.calls = {"gradient": 2 + grad_step, "value_and_gradient": 1}
     return step
-
-
-def step_opt_extra_point(objective: SmoothObjective, state: OptState,
-                         params: OptParams, y_rule: str = "p") -> OptState:
-    """One step of the nine-coefficient scheme (see opt_stepper)."""
-    return opt_stepper(objective, params, y_rule)(state)
 
 
 @dataclass(frozen=True)

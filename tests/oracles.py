@@ -137,7 +137,7 @@ def step_extra_point(problem, state, params, restricted=False):
 def step_opt_extra_point_simplified(objective, state, theta, delta):
     """The reduced form of the default-parameter scheme with y = p.
 
-    Algebraically identical to step_opt_extra_point at the default
+    Algebraically identical to opt_stepper's step at the default
     coefficient choice, using grad f(y) = (L / delta) (y - z) to eliminate
     the gradient from the v update:
 

@@ -154,7 +154,7 @@ def test_criterion_06_unified_stepper_reproduces_named_methods():
             sa = va.vi_state(prob, z0)
             sb = va.vi_state(prob, z0)
             for _ in range(100):
-                sa = va.step_extra_point(prob, sa, prm)
+                sa = va.vi_stepper(prob, prm)(sa)
                 sb = named(sb)
                 scale = float(np.linalg.norm(sb.z_curr))
                 ok &= float(np.linalg.norm(sa.z_curr - sb.z_curr)) \
@@ -182,7 +182,7 @@ def test_criterion_07_accelerated_minimization_bounds():
     sa = va.opt_state(obj, np.ones(20))
     sb = va.opt_state(obj, np.ones(20))
     for _ in range(100):
-        sa = va.step_opt_extra_point(obj, sa, params, y_rule="p")
+        sa = va.opt_stepper(obj, params, y_rule="p")(sa)
         sb = oracles.step_opt_extra_point_simplified(obj, sb, params.theta,
                                                      params.t[2])
         scale = max(1.0, float(np.linalg.norm(sa.x_curr)))
@@ -216,8 +216,7 @@ def test_criterion_08_one_step_recursion_audits():
                 st = va.ViState(z_curr=zc, z_prev=zp,
                                 f_curr=prob.operator(zc),
                                 f_prev=prob.operator(zp))
-                out = va.step_extra_point(prob, st, params,
-                                          restricted=constrained)
+                out = va.vi_stepper(prob, params, restricted=constrained)(st)
                 t = terms(params, prob.mu, prob.lip, prob.operator,
                           zp, zc, out.z_half, out.z_curr, prob.solution)
                 ok &= t["slack"] >= -1e-8 * (1.0 + abs(t["lhs"]) + abs(t["rhs"]))

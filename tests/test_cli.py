@@ -1010,6 +1010,24 @@ def test_readme_cli_examples_give_their_documented_exit_codes(
         assert main(argv) == code, argv
 
 
+def test_readme_library_quick_start_runs(capsys):
+    """The quick start's python block runs as written; its run converges
+    with a passing check, and its three bound steps are run's first
+    three."""
+    section = README[README.index("## Library quick start"):]
+    start = section.index("```python\n") + len("```python\n")
+    scope = {}
+    exec(compile(section[start:section.index("```", start)], "README.md",
+                 "exec"), scope)
+    assert capsys.readouterr().out.splitlines()[0].endswith(" tolerance True")
+    prob, params = scope["prob"], scope["params"]
+    trace = va.run(prob, "extra-point", params, np.ones(20),
+                   va.StopRule(max_iter=3))
+    assert scope["state"].z_curr.tobytes() == trace.final_point.tobytes()
+    assert va.merit(prob, trace.final_point) == \
+        (trace.column("merit_primary")[-1], trace.column("merit_aux")[-1])
+
+
 def test_readme_names_each_kinds_flags_and_defaults():
     sentence = README.split("Kinds: ")[1].split(". ")[0]
     flags = {kind: re.findall(r"`(--[a-z-]+)`", group)

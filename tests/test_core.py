@@ -203,14 +203,14 @@ def test_natural_residual_zero_at_solution_positive_away():
     p = va.MonotoneProblem(dimension=2, operator=op,
                            feasible_set=va.NonnegativeOrthant(2),
                            mu=1.0, lip=1.0, solution=[1.0, 0.0])
-    assert va.natural_residual(p, [1.0, 0.0]) <= 1e-15
+    assert va.merit(p, [1.0, 0.0])[1] <= 1e-15
     # step point (1, -1) projects to (1, 0), so the residual is exactly 1
-    assert va.natural_residual(p, [2.0, 0.0]) == pytest.approx(1.0, abs=0)
+    assert va.merit(p, [2.0, 0.0])[1] == pytest.approx(1.0, abs=0)
     # whole space: residual is just ||F(z)||
     q = va.MonotoneProblem(dimension=2, operator=lambda z: z.copy(),
                            feasible_set=va.WholeSpace(2), mu=1.0, lip=1.0,
                            solution=[0.0, 0.0])
-    assert va.natural_residual(q, [3.0, 4.0]) == pytest.approx(5.0)
+    assert va.merit(q, [3.0, 4.0])[1] == pytest.approx(5.0)
 
 
 def test_norm2_matches_linalg_norm_bit_for_bit():

@@ -208,7 +208,7 @@ def test_unrestricted_recursion_bound_holds_on_stepper_output():
         zp = rng.standard_normal(5)
         st = va.ViState(z_curr=zc, z_prev=zp, f_curr=prob.operator(zc),
                         f_prev=prob.operator(zp))
-        out = va.step_extra_point(prob, st, params)
+        out = va.vi_stepper(prob, params)(st)
         terms = oracles.unrestricted_recursion_terms(
             params, prob.mu, prob.lip, prob.operator,
             zp, zc, out.z_half, out.z_curr, prob.solution)
@@ -225,7 +225,7 @@ def test_restricted_recursion_bound_holds_on_stepper_output():
         zp = prob.feasible_set.project(rng.standard_normal(5))
         st = va.ViState(z_curr=zc, z_prev=zp, f_curr=prob.operator(zc),
                         f_prev=prob.operator(zp))
-        out = va.step_extra_point(prob, st, params, restricted=True)
+        out = va.vi_stepper(prob, params, restricted=True)(st)
         terms = oracles.restricted_recursion_terms(
             params, prob.mu, prob.lip, prob.operator,
             zp, zc, out.z_half, out.z_curr, prob.solution)
@@ -450,15 +450,42 @@ def test_trace_writers_match_the_per_value_renderer(tmp_path, thinning):
 
 
 def test_trace_writers_render_nan_as_an_absent_value(tmp_path):
+    """nan, inf and -inf are written as None is: blank in CSV, null in
+    JSONL."""
     tr = _special_trace()
     va.write_trace_csv(tr, tmp_path / "t.csv")
     va.write_trace_jsonl(tr, tmp_path / "t.jsonl")
     rows = list(csv.DictReader((tmp_path / "t.csv").read_text().splitlines()))
-    objs = [json.loads(ln) for ln in
-            (tmp_path / "t.jsonl").read_text().splitlines()[:3]]
+    # row 6 holds a bool, which run never records
+    objs = [None if k == 6 else json.loads(ln) for k, ln in
+            enumerate((tmp_path / "t.jsonl").read_text().splitlines())]
     assert [r["potential"] for r in rows[:2]] == ["0.5", ""]
     assert [o["potential"] for o in objs[:2]] == [0.5, None]
     assert rows[2]["merit_aux"] == "" and objs[2]["merit_aux"] is None
+    assert [r["merit_primary"] for r in rows[7:10]] == \
+        ["1.7976931348623157e+308", "", ""]
+    assert [o["merit_primary"] for o in objs[7:10]] == \
+        [1.7976931348623157e308, None, None]
+    assert rows[9]["merit_aux"] == "" and objs[9]["merit_aux"] is None
+
+
+def test_jsonl_trace_of_an_overflowing_run_is_json(tmp_path):
+    """A valid run whose merits overflow to inf writes null there, so every
+    row of its JSONL trace parses."""
+    prob = va.MonotoneProblem(dimension=2, operator=lambda z: 1e200 * z,
+                              feasible_set=va.WholeSpace(2), mu=1e200,
+                              lip=1e200, solution=np.zeros(2))
+    with np.errstate(over="ignore"):  # ||F(z)||^2 overflows
+        tr = va.run(prob, "vanilla", va.ViParams(alpha=0.25 / prob.lip),
+                    np.ones(2), va.StopRule(max_iter=3))
+    assert tr.column("merit_primary") == [math.inf] * 4
+    path = tmp_path / "trace.jsonl"
+    va.write_trace_jsonl(tr, path)
+    objs = [json.loads(ln) for ln in path.read_text().splitlines()]
+    assert [o["k"] for o in objs] == [0, 1, 2, 3]
+    assert all(o["merit_primary"] is None and o["merit_aux"] is None
+               and o["potential"] is None for o in objs)
+    assert [o["dist_sq"] for o in objs] == tr.column("dist_sq")
 
 
 def test_trace_writers_stream_their_rows(tmp_path):

@@ -442,6 +442,37 @@ def test_write_problem_streams_its_blocks(tmp_path):
     assert peak < path.stat().st_size / 4
 
 
+@pytest.mark.parametrize("name", [n for n in SERIALIZED if "500" not in n])
+def test_read_problem_gives_parse_problems_instance(name, tmp_path):
+    """Reading a file line by line gives parse_problem's instance of its
+    text bit for bit: the same entries and the same oracle values."""
+    path = tmp_path / "p.txt"
+    va.write_problem(path, SERIALIZED[name]())
+    read, parsed = va.read_problem(path), P.parse_problem(path.read_text())
+    assert type(read) is type(parsed)
+    assert va.serialize_problem(read) == va.serialize_problem(parsed)
+    z = np.linspace(-1.0, 2.0, read.dimension)
+    with np.errstate(all="ignore"):  # the special values overflow
+        if isinstance(read, va.MonotoneProblem):
+            assert read.operator(z).tobytes() == parsed.operator(z).tobytes()
+        else:
+            (fr, gr), (fp, gp) = (o.value_and_gradient(z)
+                                  for o in (read, parsed))
+            assert np.float64(fr).tobytes() == np.float64(fp).tobytes()
+            assert gr.tobytes() == gp.tobytes()
+
+
+def test_read_problem_streams_its_file(tmp_path):
+    """The file is never held whole, and a block's parsed rows are freed
+    before the operator is built from it. On this 1.76 MiB file the peak
+    is 2.0 times its size: 5.6 when the text was read whole, 3.6 when the
+    rows outlived their block."""
+    path = tmp_path / "p.txt"
+    va.write_problem(path, va.gen_bilinear_saddle(300, 300, 1))
+    _, _, peak = _traced(lambda: va.read_problem(path))
+    assert peak < 2.5 * path.stat().st_size
+
+
 def test_parse_rejects_malformed_text():
     with pytest.raises(ValueError):
         P.parse_problem("not the right header\nkind = linear-vi\n")

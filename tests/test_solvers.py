@@ -136,7 +136,7 @@ def test_extra_point_step_example():
     st = va.ViState(z_curr=np.array([1.0]), z_prev=np.array([0.0]),
                     f_curr=np.array([1.0]), f_prev=np.array([0.0]))
     prm = va.ViParams(alpha=0.25, beta=0.1, gamma=0.1, eta=0.25, tau=0.05)
-    out = va.step_extra_point(p, st, prm)
+    out = va.vi_stepper(p, prm)(st)
     assert out.z_half[0] == pytest.approx(0.85, rel=1e-15)
     assert out.z_curr[0] == pytest.approx(0.8375, rel=1e-15)
 
@@ -177,7 +177,7 @@ def test_extra_point_specializes_to_named_steppers_bitwise():
         sa = va.vi_state(prob, z0)
         sb = va.vi_state(prob, z0)
         for _ in range(100):
-            sa = va.step_extra_point(prob, sa, prm)
+            sa = va.vi_stepper(prob, prm)(sa)
             sb = named(sb)
             assert np.array_equal(sa.z_curr, sb.z_curr)
 
@@ -243,7 +243,7 @@ def test_opt_run_matches_the_plain_loop_bitwise():
     tr = va.run(obj, "opt-extra-point", prm, x0, va.StopRule(max_iter=300),
                 potential=phi)
     _assert_trace_matches_the_plain_loop(
-        tr, obj, lambda s: va.step_opt_extra_point(obj, s, prm, y_rule="p"),
+        tr, obj, va.opt_stepper(obj, prm, y_rule="p"),
         va.opt_state(obj, x0), phi)
 
 
@@ -260,7 +260,7 @@ def test_step_writes_no_input_array(method, constrained):
     st = va.ViState(z_curr=zc, z_prev=zp, f_curr=prob.operator(zc),
                     f_prev=prob.operator(zp), z_half=zh)
     before = [v.copy() for v in st]
-    out = va.step_extra_point(prob, st, prm, restricted=constrained)
+    out = va.vi_stepper(prob, prm, restricted=constrained)(st)
     for name, kept in zip(va.ViState._fields, before):
         assert np.array_equal(getattr(st, name), kept), name
     assert out.z_prev is zc and out.f_prev is st.f_curr
@@ -412,7 +412,7 @@ def test_opt_state_caches_match_fresh_evaluations(y_rule):
         for _ in range(10):
             assert float(st.f_curr).hex() == float(obj.value(st.x_curr)).hex()
             assert st.g_curr.tobytes() == obj.gradient(st.x_curr).tobytes()
-            st = va.step_opt_extra_point(obj, st, prm, y_rule=y_rule)
+            st = va.opt_stepper(obj, prm, y_rule=y_rule)(st)
 
 
 def test_nesterov_run_refuses_domain_restricted_problems():
@@ -455,7 +455,7 @@ def test_state_caches_match_fresh_operator_evaluations():
     prm = va.default_params(va.REGIME_VI_UNRESTRICTED, prob.mu, prob.lip)
     st = va.vi_state(prob, np.ones(6))
     for _ in range(10):
-        st = va.step_extra_point(prob, st, prm)
+        st = va.vi_stepper(prob, prm)(st)
         assert np.array_equal(st.f_curr, prob.operator(st.z_curr))
         assert np.array_equal(st.f_prev, prob.operator(st.z_prev))
 
@@ -474,12 +474,12 @@ def test_domain_restricted_gating():
     assert box.contains(out.z_half, tol=0.0)
     # the projected variant also keeps the extra-point half step feasible
     prm = va.ViParams(alpha=0.1, beta=0.2, gamma=0.2, eta=0.1, tau=0.01)
-    out2 = va.step_extra_point(pr, st, prm, restricted=True)
+    out2 = va.vi_stepper(pr, prm, restricted=True)(st)
     assert box.contains(out2.z_half, tol=0.0)
     # only a half point off the current iterate needs the projection
     with pytest.raises(ValueError):
-        va.step_extra_point(pr, st, va.ViParams(alpha=0.1, beta=0.1, gamma=0.1))
-    va.step_extra_point(pr, st, va.ViParams(alpha=0.1, gamma=0.1, tau=0.01))
+        va.vi_stepper(pr, va.ViParams(alpha=0.1, beta=0.1, gamma=0.1))(st)
+    va.vi_stepper(pr, va.ViParams(alpha=0.1, gamma=0.1, tau=0.01))(st)
 
 
 def test_steppers_check_their_inputs_once_when_bound():
@@ -500,11 +500,11 @@ def test_opt_step_worked_example_both_y_rules():
     obj = _quad_objective()
     prm = va.default_params(va.REGIME_OPT, 1.0, 1.0)
     st = va.opt_state(obj, [1.0])
-    assert va.step_opt_extra_point(obj, st, prm, y_rule="grad-step").x_curr[0] == 0.0
-    got = va.step_opt_extra_point(obj, st, prm, y_rule="p").x_curr[0]
+    assert va.opt_stepper(obj, prm, y_rule="grad-step")(st).x_curr[0] == 0.0
+    got = va.opt_stepper(obj, prm, y_rule="p")(st).x_curr[0]
     assert got == pytest.approx(4.0 / 9.0, rel=1e-14)
     with pytest.raises(ValueError):
-        va.step_opt_extra_point(obj, st, prm, y_rule="midpoint")
+        va.opt_stepper(obj, prm, y_rule="midpoint")(st)
 
 
 def test_simplified_opt_stepper_matches_generic():
@@ -515,7 +515,7 @@ def test_simplified_opt_stepper_matches_generic():
     sa = va.opt_state(obj, x0.copy())
     sb = va.opt_state(obj, x0.copy())
     for _ in range(50):
-        sa = va.step_opt_extra_point(obj, sa, prm, y_rule="p")
+        sa = va.opt_stepper(obj, prm, y_rule="p")(sa)
         sb = oracles.step_opt_extra_point_simplified(obj, sb, theta, delta)
         scale = max(1.0, float(np.linalg.norm(sa.x_curr)))
         assert np.linalg.norm(sa.x_curr - sb.x_curr) <= 1e-12 * scale
