@@ -15,9 +15,8 @@ from .certify import (REGIME_OPT, REGIME_VI_RESTRICTED,
                       certify_opt, certify_vi_restricted,
                       certify_vi_unrestricted, default_params,
                       iteration_bound, theta_interval)
-from .core import (Box, EuclideanBall, FeasibleSet, MonotoneProblem,
-                   NonnegativeOrthant, SmoothObjective, WholeSpace,
-                   as_vector, gradient_problem, project)
+from .core import (FeasibleSet, MonotoneProblem, NonnegativeOrthant,
+                   SmoothObjective, WholeSpace, as_vector, gradient_problem)
 from .harness import (TRACE_FIELDS, ContractionReport, DivergenceError,
                       IterateTrace, check_contraction, finite_diff_jacobian,
                       merit, ogda_potential, opt_potential,

@@ -572,8 +572,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OverflowError, OSError,
-            RuntimeError) as err:
+    except (ValueError, TypeError, OverflowError, OSError, RuntimeError,
+            MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

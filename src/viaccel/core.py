@@ -118,52 +118,6 @@ class NonnegativeOrthant(FeasibleSet):
         return f"NonnegativeOrthant({self.dimension})"
 
 
-class Box(FeasibleSet):
-    """{z : lower <= z <= upper} with entrywise clamping."""
-
-    def __init__(self, lower, upper):
-        self.lower = as_vector(lower)
-        self.upper = as_vector(upper, self.lower.shape[0])
-        if np.any(self.lower > self.upper):
-            raise ValueError("box requires lower <= upper entrywise")
-        self.dimension = self.lower.shape[0]
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        return np.clip(z, self.lower, self.upper)
-
-    def __repr__(self):
-        return f"Box(dim={self.dimension})"
-
-
-class EuclideanBall(FeasibleSet):
-    """{z : ||z - center|| <= radius}; projection scales radially."""
-
-    def __init__(self, center, radius: float):
-        self.center = as_vector(center)
-        self.radius = float(radius)
-        if not np.isfinite(self.radius) or self.radius <= 0:
-            raise ValueError("ball radius must be positive and finite")
-        self.dimension = self.center.shape[0]
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        d = z - self.center
-        nd = norm2(d)
-        if nd <= self.radius:
-            return z
-        return self.center + (self.radius / nd) * d
-
-    def __repr__(self):
-        return f"EuclideanBall(dim={self.dimension}, radius={self.radius})"
-
-
-def project(feasible_set: FeasibleSet, z) -> np.ndarray:
-    """Euclidean projection of ``z`` onto ``feasible_set``.
-
-    Raises ValueError on dimension mismatch or non-finite input.
-    """
-    return feasible_set.project(as_vector(z, feasible_set.dimension))
-
-
 @dataclass
 class MonotoneProblem:
     """A strongly monotone operator over a feasible set.

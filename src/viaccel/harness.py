@@ -60,11 +60,6 @@ class IterateTrace:
     def column(self, name: str) -> list:
         return self.columns[name]
 
-    def append(self, *row) -> None:
-        """Add one iteration's values, in TRACE_FIELDS order."""
-        for col, value in zip(self.columns.values(), row):
-            col.append(value)
-
 
 class DivergenceError(RuntimeError):
     """Raised when iterates blow up; carries the trace accumulated so far."""

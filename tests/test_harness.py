@@ -33,7 +33,7 @@ def _synthetic_trace(potentials, method="vanilla", meta=None):
     tr = IterateTrace(kind="custom", method=method,
                       params=va.ViParams(alpha=0.1), meta=meta or {})
     for k, p in enumerate(potentials):
-        tr.append(k, 1.0, None, None, p, 0)
+        oracles.append_row(tr, k, 1.0, None, None, p, 0)
     return tr
 
 
@@ -160,7 +160,7 @@ def test_check_contraction_skips_thinned_pairs():
     tr = IterateTrace(kind="custom", method="vanilla",
                       params=va.ViParams(alpha=0.1))
     for k, p in ((0, 1.0), (2, 0.5)):
-        tr.append(k, 1.0, None, None, p, 0)
+        oracles.append_row(tr, k, 1.0, None, None, p, 0)
     report = va.check_contraction(tr, _manual_cert(0.9))
     assert report.checked_steps == 0
     assert report.ok
@@ -413,7 +413,8 @@ def _special_trace():
     mixed = [None, 1.5, math.nan, 7, None, np.float64(-0.25), True,
              np.int64(3), np.float32(0.1), math.inf, 2.0, None]
     for k, (f, m) in enumerate(zip(floats, mixed)):
-        tr.append(k, f, m, None, [0.5, math.nan][k % 2], k * 1000 + 7)
+        oracles.append_row(tr, k, f, m, None, [0.5, math.nan][k % 2],
+                           k * 1000 + 7)
     return tr
 
 
@@ -492,7 +493,8 @@ def test_trace_writers_stream_their_rows(tmp_path):
     tr = IterateTrace(kind="custom", method="vanilla",
                       params=va.ViParams(alpha=0.1))
     for k in range(20000):
-        tr.append(k, k / 3.0, 1.0 / (k + 1), None, math.sqrt(k), 1000 * k)
+        oracles.append_row(tr, k, k / 3.0, 1.0 / (k + 1), None,
+                           math.sqrt(k), 1000 * k)
     for writer in (va.write_trace_csv, va.write_trace_jsonl):
         path = tmp_path / "long.txt"
         tracemalloc.start()

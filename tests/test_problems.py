@@ -122,6 +122,53 @@ def test_reference_solver_worked_examples():
     assert np.allclose(sol, [1.0, 0.0], rtol=0, atol=1e-9)
 
 
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 50, 100])
+def test_orthant_reference_solve_matches_the_hand_written_loop(n):
+    # the generator's operators over 6 seeds and 4 ratios, each solved on
+    # the orthant by vi_stepper and by the plain projected half-step loop
+    for seed in (0, 1, 7, 101, 202, 1101):
+        for sigma in (1.0, 1e-1, 1e-2, 1e-3):
+            prob, spec = va.gen_linear_vi(n, seed, sigma)
+            fset = va.NonnegativeOrthant(n)
+            got = va.solve_linear_reference(spec, fset, lip=prob.lip)
+            want = oracles.solve_linear_reference(spec.m, spec.q, fset,
+                                                  prob.lip)
+            assert got.tobytes() == want.tobytes(), (seed, sigma)
+
+
+@pytest.mark.parametrize("n,seed", [(2, 101), (2, 7), (5, 0)])
+def test_orthant_reference_solve_finishes_on_the_support(monkeypatch, n, seed):
+    # at sigma 1e-4 these do not reach residual 1e-12 in 10^6 steps, but
+    # their support is right by step 100
+    monkeypatch.setattr(P, "REFERENCE_MAX_STEPS", 100)
+    prob, _ = va.gen_linear_vi(n, seed, 1e-4, constrained=True)
+    zs = prob.solution
+    w = prob.operator(zs)
+    tol = 1e-9 * (1.0 + float(np.linalg.norm(zs)) + float(np.linalg.norm(w)))
+    assert zs.min() >= 0.0 and zs.max() > 0.0
+    assert w.min() >= -tol
+    assert abs(float(zs @ w)) <= tol
+    assert va.merit(prob, zs)[1] <= 1e-9 * (1.0 + float(np.linalg.norm(zs)))
+    if seed == 101:
+        assert zs[0] == 0.0 and zs[1] == pytest.approx(14810.474567, rel=1e-9)
+
+
+def test_orthant_support_finish_keeps_the_complementarity_check(monkeypatch):
+    # with no step taken the finish solves on the origin's empty support:
+    # right for a nonnegative offset, refused for a negative entry
+    monkeypatch.setattr(P, "REFERENCE_MAX_STEPS", 0)
+    eye, ones, skew0 = np.eye(2), np.ones(2), np.zeros((2, 2))
+    spec_pos = P.LinearOperatorSpec(m=eye, q=ones, q_diag=ones, a_skew=skew0)
+    orthant = va.NonnegativeOrthant(2)
+    sol = va.solve_linear_reference(spec_pos, orthant, lip=1.0)
+    assert sol.tolist() == [0.0, 0.0]
+    spec_mix = P.LinearOperatorSpec(m=eye, q=np.array([-1.0, 1.0]),
+                                    q_diag=ones, a_skew=skew0)
+    with pytest.raises(RuntimeError, match="complementarity check"):
+        va.solve_linear_reference(spec_mix, orthant, lip=1.0)
+
+
 # --- strongly convex objectives ----------------------------------------------
 
 def test_quadratic_spectrum_is_pinned():

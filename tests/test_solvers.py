@@ -417,7 +417,7 @@ def test_opt_state_caches_match_fresh_evaluations(y_rule):
 
 def test_nesterov_run_refuses_domain_restricted_problems():
     pr = va.MonotoneProblem(dimension=2, operator=lambda z: z.copy(),
-                            feasible_set=va.Box(np.zeros(2), np.ones(2)),
+                            feasible_set=oracles.Box(np.zeros(2), np.ones(2)),
                             mu=1.0, lip=1.0, solution=np.zeros(2),
                             domain_restricted=True)
     with pytest.raises(ValueError):
@@ -437,7 +437,7 @@ def test_nesterov_run_refuses_domain_restricted_problems():
 def test_run_checks_its_preconditions_before_any_step(method, params, start,
                                                       message):
     pr = va.MonotoneProblem(dimension=2, operator=lambda z: z.copy(),
-                            feasible_set=va.Box(np.zeros(2), np.ones(2)),
+                            feasible_set=oracles.Box(np.zeros(2), np.ones(2)),
                             mu=1.0, lip=1.0, solution=np.zeros(2),
                             domain_restricted=True)
     for check in (lambda: va.check_run(pr, method, params, start),
@@ -461,7 +461,7 @@ def test_state_caches_match_fresh_operator_evaluations():
 
 
 def test_domain_restricted_gating():
-    box = va.Box(np.zeros(2), np.ones(2))
+    box = oracles.Box(np.zeros(2), np.ones(2))
     pr = va.MonotoneProblem(dimension=2, operator=lambda z: z.copy(),
                             feasible_set=box, mu=1.0, lip=1.0,
                             solution=np.zeros(2), domain_restricted=True)
@@ -484,7 +484,7 @@ def test_domain_restricted_gating():
 
 def test_steppers_check_their_inputs_once_when_bound():
     pr = va.MonotoneProblem(dimension=2, operator=lambda z: z.copy(),
-                            feasible_set=va.Box(np.zeros(2), np.ones(2)),
+                            feasible_set=oracles.Box(np.zeros(2), np.ones(2)),
                             mu=1.0, lip=1.0, solution=np.zeros(2),
                             domain_restricted=True)
     # no state is needed to refuse a stepper
@@ -585,7 +585,7 @@ def test_run_step_overflowing_to_inf_is_divergence():
     assert info.value.trace.terminated_by == "divergence"
     assert info.value.trace.column("k") == [0]
     with pytest.raises(ValueError):  # the boundary still validates input
-        va.project(va.WholeSpace(1), [np.inf])
+        oracles.project(va.WholeSpace(1), [np.inf])
 
 
 def test_run_records_meta_and_is_deterministic():
