@@ -407,7 +407,7 @@ def _summarize(results) -> bool:
     print(f"{'method':<18} {'status':<10} {'iters@tol':>10} "
           f"{'merit_primary':>14} {'merit_aux':>14} {'max_violation':>14}")
     failed = False
-    for plan, trace, report, error in results:
+    for label, plan, trace, report, error in results:
         status = error or trace.terminated_by
         failed |= error is not None
         iters = str(trace.iterations) if status == "tolerance" else ""
@@ -419,7 +419,7 @@ def _summarize(results) -> bool:
             status += "/uncert"
         aux = trace.column("merit_aux")[-1]
         aux = "" if aux is None else f"{aux:.6e}"
-        print(f"{plan.name:<18} {status:<10} {iters:>10} "
+        print(f"{label:<18} {status:<10} {iters:>10} "
               f"{trace.column('merit_primary')[-1]:>14.6e} {aux:>14} "
               f"{viol:>14}")
     return failed
@@ -427,13 +427,16 @@ def _summarize(results) -> bool:
 
 def _run_experiment(cfg: ExperimentConfig, strict: bool) -> int:
     """Build the problem and resolve every method and the output section,
-    then run, write and summarize each method."""
+    then run, write and summarize each method: as <name>, or <name>.<i>
+    when the name repeats, i its position in the experiment."""
     target = build_problem(cfg.problem)
     plans = [build_method(spec, target, cfg.stop) for spec in cfg.methods]
     directory, formats, thinning = _output_plan(cfg.output)
     os.makedirs(directory, exist_ok=True)
+    names = [plan.name for plan in plans]
     results = []
-    for plan in plans:
+    for i, plan in enumerate(plans, start=1):
+        label = f"{plan.name}.{i}" if names.count(plan.name) > 1 else plan.name
         report = error = None
         try:
             trace = S.run(plan.target, plan.name, plan.params, plan.start,
@@ -444,8 +447,8 @@ def _run_experiment(cfg: ExperimentConfig, strict: bool) -> int:
             report = H.check_contraction(trace, plan.cert, atol=plan.atol)
         for fmt in formats:
             TRACE_WRITERS[fmt](trace, os.path.join(
-                directory, f"{plan.name}.{fmt}"), thinning=thinning)
-        results.append((plan, trace, report, error))
+                directory, f"{label}.{fmt}"), thinning=thinning)
+        results.append((label, plan, trace, report, error))
     failed = _summarize(results)
     return 4 if strict and failed else 0
 

@@ -249,19 +249,22 @@ def gradient_problem(objective: SmoothObjective) -> MonotoneProblem:
 
     The gradient of a mu-strongly convex, lip-smooth function is mu-strongly
     monotone and lip-Lipschitz, so every operator method applies unchanged.
+    The minimizer, checked under the objective's rule, is carried over as
+    the solution unchecked (MonotoneProblem's rule is lip times tighter).
     """
-    return MonotoneProblem(
+    problem = MonotoneProblem(
         dimension=objective.dimension,
         operator=objective.gradient,
         feasible_set=WholeSpace(objective.dimension),
         mu=objective.mu,
         lip=objective.lip,
-        solution=objective.minimizer,
         domain_restricted=False,
         kind=f"gradient-of-{objective.kind}",
         seed=objective.seed,
         meta=dict(objective.meta),
     )
+    problem.solution = objective.minimizer
+    return problem
 
 
 def bind_vi_merits(problem: MonotoneProblem) -> Callable:

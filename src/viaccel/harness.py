@@ -27,18 +27,21 @@ DIVERGENCE_NORM = 1e12
 # The per-iteration fields of a trace, in column and export order.
 TRACE_FIELDS = ("k", "merit_primary", "merit_aux", "dist_sq", "potential",
                 "elapsed_ns")
+# The columns that hold ints; the others hold floats or None.
+INT_FIELDS = ("k", "elapsed_ns")
 
 
 @dataclass
 class IterateTrace:
     """Per-iteration record of one solver run, one list per TRACE_FIELDS entry.
 
-    column("k") counts iterations (k = 0 is the start point). dist_sq is
-    None unless the problem carries a known solution, potential None unless
-    the run was given one. terminated_by is one of "tolerance", "max-iter",
-    "divergence". meta carries the problem constants needed by downstream
-    checks (mu, lip, sigma, and f_star when known). Iterates are
-    deterministic for identical inputs; elapsed_ns is wall-clock and is not.
+    run keeps this contract, divergent partial traces included, and the
+    checker and writers rely on it: row i is iteration i (k = 0 is the start
+    point); k and elapsed_ns hold ints; every other column holds floats, or
+    None in every row when the run did not record it; meta carries sigma
+    (with mu, lip, seed, and f_star for objectives). terminated_by is one of
+    "tolerance", "max-iter", "divergence". Iterates are deterministic for
+    identical inputs; elapsed_ns is wall-clock and is not.
     """
 
     kind: str
@@ -188,7 +191,8 @@ _ENDPOINT_BOUNDS = {
 
 def check_contraction(trace: IterateTrace, cert, rtol: float = 1e-9,
                       atol: float = 0.0) -> ContractionReport:
-    """Compare per-iteration potential decay against a certified rate.
+    """Compare per-iteration potential decay against a certified rate, on a
+    trace as run records it (see IterateTrace).
 
     For each consecutive pair with V_k > atol the step passes when
     V_{k+1} <= (rate + rtol) V_k + atol; a pair at the potential's exact
@@ -205,46 +209,34 @@ def check_contraction(trace: IterateTrace, cert, rtol: float = 1e-9,
     """
     rate = cert.rate
     pot = trace.column("potential")
-    ks = trace.column("k")
-    if all(p is None for p in pot):
+    if not pot or pot[0] is None:
         raise ValueError("trace carries no potential data to check")
 
     max_violation = -math.inf
     violating = []
-    checked = 0
-    for i in range(len(pot) - 1):
-        vk, vn = pot[i], pot[i + 1]
-        if vk is None or vn is None:
-            continue
-        if ks[i + 1] != ks[i] + 1:
-            continue  # thinned trace; ratios are per-iteration only
+    for k in range(len(pot) - 1):
+        vk, vn = pot[k], pot[k + 1]
         if not vk > atol:
             if vn <= vk + atol:  # settled at the minimum: ratio 0
-                checked += 1
                 max_violation = max(max_violation, 0.0 - rate)
             else:  # potential grew from (numerical) zero
-                checked += 1
                 max_violation = math.inf
-                violating.append(ks[i])
+                violating.append(k)
             continue
-        checked += 1
         max_violation = max(max_violation, vn / vk - rate)
         if vn > (rate + rtol) * vk + atol:
-            violating.append(ks[i])
+            violating.append(k)
 
     endpoint = None
-    sigma = trace.meta.get("sigma")
     column, factor = _ENDPOINT_BOUNDS.get(trace.method, (None, None))
-    if sigma is not None and column is not None:
-        v = trace.column(column)
-        if v and v[0] is not None:
-            endpoint = max((v[i] - 2.0 * factor(sigma, ks[i]) * v[0] - atol
-                            for i in range(len(v)) if v[i] is not None),
-                           default=None)
+    if column is not None and trace.column(column)[0] is not None:
+        v, sigma = trace.column(column), trace.meta["sigma"]
+        endpoint = max(v[k] - 2.0 * factor(sigma, k) * v[0] - atol
+                       for k in range(len(v)))
 
     return ContractionReport(
         rate=rate,
-        checked_steps=checked,
+        checked_steps=len(pot) - 1,
         max_violation=max_violation,
         violating_iters=tuple(violating),
         endpoint_excess=endpoint,
@@ -340,47 +332,41 @@ def _lines(trace: IterateTrace, thinning: int, missing: str,
            layout: Callable) -> Iterator:
     """Every thinning-th row of a trace plus its last, as text lines.
 
-    Each column's spec is picked once: "%d" when all its values are ints,
-    FLOAT_FORMAT when all are finite floats, the missing text itself when
-    all are None, and otherwise "%s" over each value's own text (an int
-    as str, a float by format_float, None and non-finite floats as
-    missing). layout joins the specs, in TRACE_FIELDS order, into one line
+    Each column's spec is picked once, from the trace contract (see
+    IterateTrace): the missing text itself for a column of None, "%d" for
+    the int columns, FLOAT_FORMAT for all-finite floats, and otherwise "%s"
+    over format_float(v, missing), so a non-finite float renders as
+    missing. layout joins the specs, in TRACE_FIELDS order, into one line
     format. Lines are made one at a time and no column is copied, so a
-    long trace is never held twice.
+    long trace is never held twice. A thinning beyond the row count keeps
+    the first and last rows.
     """
     if thinning < 1:
         raise ValueError("thinning must be a positive integer")
 
-    def cell(v):
-        return str(v) if isinstance(v, int) else format_float(v, missing)
-
     specs, live = [], []  # live: (column, per-value text rule or None)
     for name in TRACE_FIELDS:
         col = trace.column(name)
-        kinds = set(map(type, col))
-        if kinds == {type(None)}:
+        if col and col[0] is None:
             specs.append(missing)
-            continue
-        if kinds == {int}:
-            specs.append("%d")
-            live.append((col, None))
-        elif all(issubclass(t, float) for t in kinds) and \
-                all(map(math.isfinite, col)):
-            specs.append(FLOAT_FORMAT)
+        elif name in INT_FIELDS or all(map(math.isfinite, col)):
+            specs.append("%d" if name in INT_FIELDS else FLOAT_FORMAT)
             live.append((col, None))
         else:
             specs.append("%s")
-            live.append((col, cell))
+            live.append((col, lambda v: format_float(v, missing)))
     fmt = layout(specs)
 
+    n = len(trace.column("k"))
+    step = max(1, min(thinning, n))  # islice takes steps up to sys.maxsize
+
     def kept(col):
-        return col if thinning == 1 else islice(col, 0, None, thinning)
+        return col if step == 1 else islice(col, 0, None, step)
 
     lines = (fmt % row for row in zip(*(
         kept(col) if rule is None else map(rule, kept(col))
         for col, rule in live)))
-    n = len(trace.column("k"))
-    if n and (n - 1) % thinning:
+    if n and (n - 1) % step:
         lines = chain(lines, [fmt % tuple(
             col[-1] if rule is None else rule(col[-1]) for col, rule in live)])
     return lines

@@ -592,10 +592,17 @@ def _parse_lines(lines) -> Union[MonotoneProblem, SmoothObjective]:
     for ln in lines:
         if ln.startswith("begin "):
             name, rows = ln[len("begin "):].strip(), []
-            for row in lines:
+            for i, row in enumerate(lines, start=1):
                 if row == f"end {name}":
                     break
-                rows.append([float(v) for v in row.split()])
+                try:
+                    rows.append([float(v) for v in row.split()])
+                except ValueError:
+                    raise ValueError(f"block {name} row {i} is not a row of "
+                                     f"numbers: {row!r}") from None
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(f"block {name} row {i} has {len(rows[-1])}"
+                                     f" numbers, row 1 has {len(rows[0])}")
             else:
                 raise ValueError(f"unterminated block {name!r}")
             value = np.array(rows, dtype=float)

@@ -427,6 +427,53 @@ def test_solve_zero_iterations_yields_single_record(tmp_path, capsys):
     assert rows[1].split(",")[0] == "0"
 
 
+def test_a_thinning_beyond_sys_maxsize_writes_the_first_and_last_rows(
+        tmp_path, capsys):
+    lin = tmp_path / "lin.problem"
+    assert main(["generate", "--kind", "linear-vi", "--n", "4", "--seed", "1",
+                 "--sigma", "0.05", "--out", str(lin)]) == 0
+    solve = ["solve", "--problem", str(lin), "--method", "extra-point",
+             "--formats", "csv,jsonl"]
+    assert main(solve + ["--out-dir", str(tmp_path / "all")]) == 0
+    assert main(solve + ["--thinning", str(10**20),
+                         "--out-dir", str(tmp_path / "huge")]) == 0
+    cfg = tmp_path / "thin.cfg"
+    cfg.write_text(f"problem.file = {lin}\nmethod.1.name = extra-point\n"
+                   f"output.thinning = {10**20}\n")
+    assert main(["compare", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "cfg")]) == 0
+    assert "error" not in capsys.readouterr().err
+    rows = (tmp_path / "all" / "extra-point.csv").read_text().splitlines()
+    assert len(rows) > 3
+    for out in ("huge", "cfg"):
+        kept = (tmp_path / out / "extra-point.csv").read_text().splitlines()
+        assert [ln.rsplit(",", 1)[0] for ln in kept] == \
+            [ln.rsplit(",", 1)[0] for ln in (rows[0], rows[1], rows[-1])]
+    assert len((tmp_path / "huge" / "extra-point.jsonl").read_text()
+               .splitlines()) == 2
+
+
+def test_vi_methods_accept_a_quadratic_whose_objective_is_accepted(
+        tmp_path, capsys):
+    """A gradient problem keeps the minimizer its objective checked:
+    ||grad f|| = 2e-8 sits inside the objective's bound (5.9e-8), though
+    above MonotoneProblem's 1.3e-9."""
+    obj = va.gen_quadratic(4, 1, 0.05)
+    eigs, vecs = np.linalg.eigh(obj.meta["hessian"])
+    x = obj.minimizer + 2e-8 / eigs[-1] * vecs[:, -1]
+    obj.minimizer, obj.optimal_value = x, obj.value(x)
+    assert 1.9e-8 < np.linalg.norm(obj.gradient(x)) < 2.1e-8
+    path = tmp_path / "moved.problem"
+    va.write_problem(path, obj)
+    capsys.readouterr()
+    for method in ("opt-extra-point", "vanilla", "extra-point"):
+        assert main(["solve", "--problem", str(path), "--method", method,
+                     "--max-iter", "30", "--out-dir", str(tmp_path)]) == 0, \
+            capsys.readouterr().err
+    assert va.gradient_problem(va.read_problem(path)).solution.tolist() == \
+        x.tolist()
+
+
 # --- compare --------------------------------------------------------------------
 
 def test_compare_runs_named_methods_with_table_preset(tmp_path, capsys):
@@ -450,6 +497,39 @@ def test_compare_from_config_file(tmp_path, capsys):
     assert rc == 0
     assert "vanilla" in out and "extra-point" in out
     assert (tmp_path / "out" / "vanilla.csv").exists()
+
+
+def test_compare_keeps_each_run_of_a_repeated_method(tmp_path, capsys):
+    """A name given twice labels each of its runs' files and summary rows
+    <name>.<i>, i its position; a name given once keeps its plain files."""
+    quad = tmp_path / "quad.problem"
+    assert main(["generate", "--kind", "quadratic", "--n", "4", "--seed", "1",
+                 "--sigma", "0.05", "--out", str(quad)]) == 0
+    cfg = tmp_path / "rep.cfg"
+    cfg.write_text(f"problem.file = {quad}\n"
+                   "method.1.name = opt-extra-point\n"
+                   "method.2.name = opt-extra-point\n"
+                   "method.2.preset = table\n"
+                   "method.3.name = vanilla\n"
+                   "method.3.preset = table\n"
+                   "stop.max_iter = 50\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == \
+        ["opt-extra-point.1", "opt-extra-point.2", "vanilla"]
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["opt-extra-point.1.csv", "opt-extra-point.2.csv", "vanilla.csv"]
+    for i, preset in ((1, []), (2, ["--preset", "table"])):
+        assert main(["solve", "--problem", str(quad), "--method",
+                     "opt-extra-point", *preset, "--max-iter", "50",
+                     "--out-dir", str(tmp_path / f"s{i}")]) == 0
+        ran, alone = (
+            [ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
+            for path in (out / f"opt-extra-point.{i}.csv",
+                         tmp_path / f"s{i}" / "opt-extra-point.csv"))
+        assert ran == alone and len(ran) > 2
 
 
 def test_compare_without_methods_or_config_fails(capsys):

@@ -13,8 +13,9 @@ after a change to find the commands whose output moved.
 Commands whose output a change means to move stay out of the corpus and get
 tests of their own: an infeasible certificate with --theta-default or
 --gap/--tol, an experiment whose later method is refused by run's
-preconditions, a stop flag out of range, and the table preset of
-opt-extra-point on an instance whose mu is too large for it (MOVED).
+preconditions, a stop flag out of range, the table preset of
+opt-extra-point on an instance whose mu is too large for it, and an
+experiment that names one method twice (MOVED).
 """
 
 import contextlib
@@ -26,7 +27,7 @@ from pathlib import Path
 from viaccel.cli import main
 from viaccel.solvers import METHODS, VI_METHODS
 
-DIGEST = "4c9c5d9ee91f7b6ea413498e774fe35ad2df38d303cb6bb8290095d30215d8b0"
+DIGEST = "d33f6b8186bf532a53f9406b4eb7bfc26c47b54dbca8dac52f615629e32d0f41"
 
 PROBLEMS = {  # shared file -> the generate flags that make it
     "lin": ["--kind", "linear-vi", "--n", "6", "--seed", "1", "--sigma", "0.05"],
@@ -261,7 +262,8 @@ def _generate_commands():
 
 # commands the loops above make whose output moved on purpose
 MOVED = (["solve", "--problem", "../p/logi.problem", "--method",
-          "opt-extra-point", "--preset", "table", *STOP],)
+          "opt-extra-point", "--preset", "table", *STOP],
+         ["compare", "--config", "opt.cfg"])
 
 
 def corpus():
@@ -338,3 +340,31 @@ def test_cli_output_matches_the_recorded_digest(tmp_path, monkeypatch):
     for digest in command_digests(tmp_path, monkeypatch):
         total.update(digest.encode())
     assert total.hexdigest() == DIGEST
+
+
+def test_a_repeated_method_keeps_each_run_under_its_position(tmp_path,
+                                                              monkeypatch):
+    """opt.cfg names opt-extra-point twice: each of its runs writes
+    opt-extra-point.<i>.csv, i its position, with the bytes a solve of that
+    method writes; the method named once keeps its plain file name."""
+    shared = tmp_path / "p"
+    shared.mkdir()
+    _run(["generate", *PROBLEMS["quad"], "--out", "../p/quad.problem"],
+         tmp_path / "g", monkeypatch)
+    record = _run(["compare", "--config", "opt.cfg"], tmp_path / "cfg",
+                  monkeypatch)
+    assert record.split(b"\0")[1] == b"0"
+    runs = {"opt-extra-point.1.csv": [],
+            "opt-extra-point.2.csv": EXPLICIT["opt-extra-point"],
+            "extra-gradient.csv": ["--preset", "table"]}
+    assert sorted(p.name for p in (tmp_path / "cfg").iterdir()
+                  if p.name not in INPUTS) == sorted(runs)
+    for i, (name, flags) in enumerate(runs.items()):
+        method = name.split(".")[0]
+        _run(["solve", "--problem", "../p/quad.problem", "--method", method,
+              *flags, "--max-iter", "50"], tmp_path / f"s{i}", monkeypatch)
+        assert _file_bytes(tmp_path / "cfg" / name) == \
+            _file_bytes(tmp_path / f"s{i}" / f"{method}.csv"), name
+    table = record.split(b"\0")[2].decode().splitlines()
+    assert [row.split()[0] for row in table[1:]] == \
+        ["opt-extra-point.1", "opt-extra-point.2", "extra-gradient"]

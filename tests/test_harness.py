@@ -156,16 +156,6 @@ def test_check_contraction_zero_potential_counts_as_settled():
     assert not bad.ok and bad.max_violation == math.inf
 
 
-def test_check_contraction_skips_thinned_pairs():
-    tr = IterateTrace(kind="custom", method="vanilla",
-                      params=va.ViParams(alpha=0.1))
-    for k, p in ((0, 1.0), (2, 0.5)):
-        oracles.append_row(tr, k, 1.0, None, None, p, 0)
-    report = va.check_contraction(tr, _manual_cert(0.9))
-    assert report.checked_steps == 0
-    assert report.ok
-
-
 def test_check_contraction_endpoint_bounds_for_past_gradient():
     prob, _ = va.gen_linear_vi(20, 3, 1e-2)
     alpha = 1.0 / (2.0 * prob.lip)
@@ -404,14 +394,14 @@ def test_scale_search_runs_at_most_half_its_power_steps(monkeypatch):
 
 def _special_trace():
     """A trace whose columns take every spec: ints, floats over the special
-    values, floats with a nan, None, and columns mixing them."""
+    values, floats with a nan or an inf, and None."""
     tr = IterateTrace(kind="custom", method="vanilla",
                       params=va.ViParams(alpha=0.1))
     floats = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, 1e16,
               123456789.0, 1.7976931348623157e308, math.inf, -math.inf,
               np.float64(0.1), 2.5]
-    mixed = [None, 1.5, math.nan, 7, None, np.float64(-0.25), True,
-             np.int64(3), np.float32(0.1), math.inf, 2.0, None]
+    mixed = [0.75, 1.5, math.nan, 7.0, -3.0, np.float64(-0.25), 1.0, 3.0,
+             float(np.float32(0.1)), math.inf, 2.0, 1e-300]
     for k, (f, m) in enumerate(zip(floats, mixed)):
         oracles.append_row(tr, k, f, m, None, [0.5, math.nan][k % 2],
                            k * 1000 + 7)
@@ -438,9 +428,72 @@ def _writer_traces():
             "opt without f*": opt, "empty": empty}
 
 
-@pytest.mark.parametrize("thinning", [1, 2, 3, 7, 40])
-def test_trace_writers_match_the_per_value_renderer(tmp_path, thinning):
-    for name, tr in _writer_traces().items():
+def _run_traces():
+    """A trace of every shape run makes, by name: each method on each kind
+    it applies to, with and without a potential, opt with and without f*,
+    max_iter = 0, a divergent partial trace and a run whose merits
+    overflow."""
+    lin, _ = va.gen_linear_vi(5, 0, 0.05)
+    orth, _ = va.gen_linear_vi(5, 0, 0.05, constrained=True)
+    quad = va.gen_quadratic(5, 1, 0.1)
+    logi = va.gen_logistic(4, 3, 0.05, 1)
+    stop = va.StopRule(max_iter=30, residual_tol=1e-3)
+    traces = {}
+    for kind, prob in {"linear-vi": lin, "orthant": orth,
+                       "quadratic": va.gradient_problem(quad),
+                       "logistic": va.gradient_problem(logi),
+                       "bilinear": va.gen_bilinear_saddle(3, 2, 1)}.items():
+        whole = prob.feasible_set.unbounded_whole_space
+        params = va.default_params(va.REGIME_VI_UNRESTRICTED if whole else
+                                   va.REGIME_VI_RESTRICTED, prob.mu, prob.lip)
+        start = prob.feasible_set.project(np.ones(prob.dimension))
+        for method in va.solvers.VI_METHODS:
+            potentials = {"": None}
+            if prob.solution is not None:
+                potentials[" with a potential"] = \
+                    va.ogda_potential(prob) if method == "ogda" else \
+                    va.vi_distance_potential(prob, 0.1)
+            for label, phi in potentials.items():
+                traces[f"{method} on {kind}{label}"] = va.run(
+                    prob, method, params, start, stop, potential=phi)
+    blind = va.gen_quadratic(5, 1, 0.1)
+    blind.optimal_value = None
+    for kind, obj in {"quadratic": quad, "quadratic without f*": blind,
+                      "logistic": logi}.items():
+        params = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
+        traces[f"opt on {kind}"] = va.run(obj, "opt-extra-point", params,
+                                          np.ones(obj.dimension), stop)
+    params = va.default_params(va.REGIME_OPT, quad.mu, quad.lip)
+    traces["opt on quadratic with a potential"] = va.run(
+        quad, "opt-extra-point", params, np.ones(5), stop,
+        potential=va.opt_potential(quad, params.c))
+    traces["max_iter 0"] = va.run(lin, "extra-point", va.default_params(
+        va.REGIME_VI_UNRESTRICTED, lin.mu, lin.lip), np.ones(5),
+        va.StopRule(max_iter=0), potential=va.vi_distance_potential(lin, 0.1))
+    with pytest.raises(va.DivergenceError) as info:
+        va.run(lin, "vanilla", va.ViParams(alpha=1e3), np.ones(5),
+               va.StopRule(max_iter=100),
+               potential=va.vi_distance_potential(lin, 0.1))
+    traces["divergent partial"] = info.value.trace
+    huge = va.MonotoneProblem(dimension=2, operator=lambda z: 1e200 * z,
+                              feasible_set=va.WholeSpace(2), mu=1e200,
+                              lip=1e200, solution=np.zeros(2))
+    with np.errstate(over="ignore"):  # ||F(z)||^2 overflows
+        traces["overflowing merits"] = va.run(
+            huge, "vanilla", va.ViParams(alpha=0.25 / huge.lip), np.ones(2),
+            va.StopRule(max_iter=3))
+    return traces
+
+
+@pytest.fixture(scope="module")
+def run_traces():
+    return _run_traces()
+
+
+@pytest.mark.parametrize("thinning", [1, 2, 3, 7, 40, 10**20])
+def test_trace_writers_match_the_per_value_renderer(tmp_path, run_traces,
+                                                    thinning):
+    for name, tr in {**_writer_traces(), **run_traces}.items():
         assert thinning < 40 or len(tr.column("k")) < 40
         for writer, oracle in ((va.write_trace_csv, oracles.trace_csv),
                                (va.write_trace_jsonl, oracles.trace_jsonl)):
@@ -450,6 +503,41 @@ def test_trace_writers_match_the_per_value_renderer(tmp_path, thinning):
                 oracle(tr, thinning).encode("ascii"), (name, writer)
 
 
+def test_run_keeps_the_trace_contract(run_traces):
+    """Row i is iteration i, k and elapsed_ns hold ints, every other column
+    holds floats or None in every row, and meta carries sigma; so
+    check_contraction checks every pair."""
+    assert len(run_traces) == 61
+    for name, tr in run_traces.items():
+        k = tr.column("k")
+        assert k == list(range(len(k))) and k, name
+        for field in TRACE_FIELDS:
+            kinds = set(map(type, tr.column(field)))
+            assert kinds == {int} if field in ("k", "elapsed_ns") else \
+                kinds in ({float}, {type(None)}), (name, field, kinds)
+        assert "sigma" in tr.meta, name
+        if tr.column("potential")[0] is not None:
+            report = va.check_contraction(tr, _manual_cert(0.99))
+            assert report.checked_steps == len(k) - 1, name
+    assert {tr.terminated_by for tr in run_traces.values()} == \
+        {"tolerance", "max-iter", "divergence"}
+
+
+def test_a_thinning_beyond_the_row_count_keeps_the_first_and_last_rows(
+        tmp_path, run_traces):
+    """islice takes steps up to sys.maxsize only: a larger thinning writes
+    what a thinning of the row count does."""
+    for name, tr in run_traces.items():
+        rows = len(tr.column("k"))
+        for writer in (va.write_trace_csv, va.write_trace_jsonl):
+            writer(tr, tmp_path / "huge", thinning=10**20)
+            writer(tr, tmp_path / "rows", thinning=rows)
+            text = (tmp_path / "huge").read_bytes()
+            assert text == (tmp_path / "rows").read_bytes(), (name, writer)
+            assert len(text.splitlines()) == min(rows, 2) + \
+                (writer is va.write_trace_csv), (name, writer)
+
+
 def test_trace_writers_render_nan_as_an_absent_value(tmp_path):
     """nan, inf and -inf are written as None is: blank in CSV, null in
     JSONL."""
@@ -457,9 +545,8 @@ def test_trace_writers_render_nan_as_an_absent_value(tmp_path):
     va.write_trace_csv(tr, tmp_path / "t.csv")
     va.write_trace_jsonl(tr, tmp_path / "t.jsonl")
     rows = list(csv.DictReader((tmp_path / "t.csv").read_text().splitlines()))
-    # row 6 holds a bool, which run never records
-    objs = [None if k == 6 else json.loads(ln) for k, ln in
-            enumerate((tmp_path / "t.jsonl").read_text().splitlines())]
+    objs = [json.loads(ln) for ln in
+            (tmp_path / "t.jsonl").read_text().splitlines()]
     assert [r["potential"] for r in rows[:2]] == ["0.5", ""]
     assert [o["potential"] for o in objs[:2]] == [0.5, None]
     assert rows[2]["merit_aux"] == "" and objs[2]["merit_aux"] is None

@@ -11,6 +11,7 @@ import pytest
 import oracles
 import viaccel as va
 import viaccel.problems as P
+from viaccel.cli import main
 
 
 # --- linear operator instances ----------------------------------------------
@@ -550,6 +551,26 @@ def test_parse_checks_required_blocks_and_their_shapes():
     sad = va.serialize_problem(va.gen_bilinear_saddle(2, 3, 1))
     with pytest.raises(ValueError, match="meta.bilinear"):
         P.parse_problem(sad.replace("n = 5", "n = 6"))
+
+
+def test_malformed_block_rows_name_their_block_and_row(tmp_path, capsys):
+    good = va.serialize_problem(va.gen_linear_vi(4, 0, 0.1)[0])
+    lines = good.splitlines()
+    diag, skew = lines.index("begin meta.diag"), lines.index("begin meta.skew")
+    cases = {
+        r"block meta\.diag row 2 has 2 numbers, row 1 has 4":
+            lines[:diag + 2] + ["1 2"] + lines[diag + 2:],
+        r"block meta\.skew row 2 is not a row of numbers: 'x y z w'":
+            lines[:skew + 2] + ["x y z w"] + lines[skew + 3:],
+    }
+    for message, text in cases.items():
+        with pytest.raises(ValueError, match=message):
+            P.parse_problem("\n".join(text))
+        path = tmp_path / "bad.problem"
+        path.write_text("\n".join(text) + "\n")
+        assert main(["solve", "--problem", str(path), "--method",
+                     "vanilla"]) == 2
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
 
 def test_bilinear_files_check_their_sides_against_the_block():
