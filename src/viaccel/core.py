@@ -274,15 +274,18 @@ def bind_vi_merits(problem: MonotoneProblem) -> Callable:
     The natural residual is ||z - P(z - F(z))||. The primary merit is
     ||F(z)|| on the whole space and the complementarity gap |z . F(z)| on
     any other set. The projection and the set's kind are looked up once;
-    fz and the residual's difference are fresh 1-D arrays, so their norms
-    are taken as sqrt(x . x), the bits of norm2. The returned function's
-    ``calls`` maps "project" to the projections one evaluation makes.
+    z - P(z - F(z)) is formed in one scratch vector bound here, so a bound
+    routine is not reentrant: one run, one thread. fz and that scratch are
+    contiguous 1-D arrays, so their norms are taken as sqrt(x . x), the
+    bits of norm2. The returned function's ``calls`` maps "project" to the
+    projections one evaluation makes.
     """
     fset = problem.feasible_set
     project, whole = fset.project, fset.unbounded_whole_space
+    subtract, d = np.subtract, np.empty(problem.dimension)
 
     def merits(z: np.ndarray, fz: np.ndarray) -> tuple:
-        d = z - project(z - fz)
+        subtract(z, project(subtract(z, fz, d)), d)
         primary = math.sqrt(fz.dot(fz)) if whole else float(abs(z.dot(fz)))
         return primary, math.sqrt(d.dot(d))
 

@@ -286,13 +286,15 @@ def power_iteration_norm(M, iters: int = 500) -> float:
         return 0.0
     v /= nv
     last = None  # the previous step's norm
+    den = np.empty(())  # the step's norm, divided by as an array operand
     for _ in range(iters):
         w = apply_t(apply_m(v))
-        nw = norm2(w)
+        nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             return 0.0
-        step = w / nw
-        if nw == last and np.array_equal(step, v):
+        den[()] = nw
+        step = np.divide(w, den, w)
+        if nw == last and (step == v).all():
             break
         v, last = step, nw
     return norm2(apply_m(v))

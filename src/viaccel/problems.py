@@ -77,7 +77,7 @@ def _quadratic_functions(hessian: np.ndarray, linear: np.ndarray) -> dict:
     M, q = hessian, linear
 
     def value_at(x, mx):  # mx = M x
-        return float(0.5 * (x @ mx) + q @ x)
+        return float(0.5 * x.dot(mx) + q.dot(x))
 
     def value(x):
         return value_at(x, M @ x)

@@ -153,12 +153,18 @@ def vi_stepper(problem: MonotoneProblem, params: ViParams,
     the same IEEE operation as the float c, at less dispatch cost. Terms
     whose coefficient is zero are skipped; with eta = beta = 0 the half
     point is the current iterate and its cached operator value is reused.
-    That makes the named specializations reproduce bit for bit. Building
-    an unprojected half point on a domain-restricted problem raises
-    ValueError here, before any step.
+    That makes the named specializations reproduce bit for bit; with
+    beta == gamma (nesterov, the paper defaults) beta (z - z_prev) is
+    formed once and serves both points. Building an unprojected half
+    point on a domain-restricted problem raises ValueError here, before
+    any step.
 
-    No input array is written: every array a step computes is fresh, and
+    No input array is written, and every array a step returns is fresh:
     the returned state carries the others over from its input. The
+    intermediates live in scratch vectors allocated here, written with
+    ufunc out arguments; the last operation that builds a point the state
+    keeps allocates, unless a projection follows that returns a new array.
+    A bound stepper is therefore not reentrant: one run, one thread. The
     returned function's ``calls`` maps "operator" and "project" to the
     calls one step makes.
     """
@@ -171,30 +177,50 @@ def vi_stepper(problem: MonotoneProblem, params: ViParams,
         raise ValueError("domain-restricted problems need the projected "
                          "half point")
     momentum = be is not None or ga is not None
+    shared = be is not None and params.gamma == params.beta
     project_half = half_point and restricted
-    operator, project = problem.operator, problem.feasible_set.project
+    fset = problem.feasible_set
+    operator, project = problem.operator, fset.project
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    s_dz, s_bdz, s_t, s_half, s_nxt = (np.empty(n) for _ in range(5))
+    # The last operation that builds the half or next point allocates
+    # unless a projection follows that returns a new array; the identity
+    # returns its input. A set that hands back a point already inside it
+    # is caught after its projection.
+    identity = fset.unbounded_whole_space
+    half_out = None if identity or not project_half else s_half
+    nxt_out = None if identity else s_nxt
+    alpha_out = s_nxt if ga is not None or ta is not None else nxt_out
+    gamma_out = s_nxt if ta is not None else nxt_out
+    be_out = s_half if eta is not None else half_out
 
     def step(state: ViState) -> ViState:
         zc, fc = state.z_curr, state.f_curr
         if momentum:
-            dz = zc - state.z_prev
-        if half_point:
-            half = zc
+            dz = subtract(zc, state.z_prev, s_dz)
             if be is not None:
-                half = half + be * dz
+                bdz = multiply(be, dz, s_bdz)
+        if half_point:
+            half = zc if be is None else add(zc, bdz, be_out)
             if eta is not None:
-                half = half - eta * fc
+                half = subtract(half, multiply(eta, fc, s_t), half_out)
             if project_half:
                 half = project(half)
+                if half is s_half:
+                    half = half.copy()
             f_half = operator(half)
         else:
             half, f_half = zc, fc
-        nxt = zc - al * f_half
+        nxt = subtract(zc, multiply(al, f_half, s_t), alpha_out)
         if ga is not None:
-            nxt = nxt + ga * dz
+            nxt = add(nxt, bdz if shared else multiply(ga, dz, s_t),
+                      gamma_out)
         if ta is not None:
-            nxt = nxt - ta * (fc - state.f_prev)
+            nxt = subtract(nxt, multiply(ta, subtract(fc, state.f_prev, s_t),
+                                         s_t), nxt_out)
         z_new = project(nxt)
+        if z_new is s_nxt:
+            z_new = z_new.copy()
         return _new_state(ViState, (z_new, zc, operator(z_new), fc, half))
 
     step.calls = {"operator": 1 + half_point, "project": 1 + project_half}
@@ -213,7 +239,11 @@ def opt_stepper(objective: SmoothObjective, params: OptParams,
     at z and y with the t4..t6 weights; the new v is the (t7, t8, t9)
     convex-plus-gradient update. One fused value_and_gradient call fills
     the new state's cache. The coefficients, L and t3/L, t4/L, t5/L are
-    held as length-n vectors (see vi_stepper). The returned function's
+    held as length-n vectors (see vi_stepper). p, y, z and the terms of
+    the x and v updates live in scratch vectors allocated here, and only
+    the operations that finish the new x and v allocate, so every array a
+    step returns is fresh and no input array is written; a bound stepper
+    is not reentrant: one run, one thread. The returned function's
     ``calls`` maps "gradient" and "value_and_gradient" to the calls one
     step makes.
 
@@ -232,16 +262,26 @@ def opt_stepper(objective: SmoothObjective, params: OptParams,
     t3_l, t4_l, t5_l = (np.full(n, c / L) for c in params.t[2:5])
     lip = np.full(n, L)
     gradient, fused = objective.gradient, objective.value_and_gradient
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, \
+        np.divide
+    s_a, s_b, s_p, s_y, s_z, s_x = (np.empty(n) for _ in range(6))
 
     def step(state: OptState) -> OptState:
         x, v = state.x_curr, state.v_curr
-        p = t1 * x + t2 * v
-        y = p - gradient(p) / lip if grad_step else p
+        p = add(multiply(t1, x, s_a), multiply(t2, v, s_b), s_p)
+        y = subtract(p, divide(gradient(p), lip, s_a), s_y) if grad_step \
+            else p
         gy = gradient(y)
-        z = y - t3_l * gy
+        z = subtract(y, multiply(t3_l, gy, s_a), s_z)
         gz = gradient(z)
-        x_new = y - t4_l * gz - t5_l * (gz - gy) + t6 * (z - y)
-        v_new = t7 * v + t8 * y - t9 * gy
+        # x_new = y - t4_l gz - t5_l (gz - gy) + t6 (z - y)
+        x_new = subtract(y, multiply(t4_l, gz, s_a), s_x)
+        x_new = subtract(x_new, multiply(t5_l, subtract(gz, gy, s_a), s_a),
+                         s_x)
+        x_new = add(x_new, multiply(t6, subtract(z, y, s_a), s_a))
+        # v_new = t7 v + t8 y - t9 gy
+        v_new = add(multiply(t7, v, s_a), multiply(t8, y, s_b), s_a)
+        v_new = subtract(v_new, multiply(t9, gy, s_b))
         fx, gx = fused(x_new)
         return _new_state(OptState, (x_new, v_new, fx, gx))
 
@@ -315,7 +355,9 @@ def run(target, method: str, params, start, stop: StopRule,
     trace.meta["oracle_calls"] counts the oracle calls the run made
     ("operator" and "project", or "gradient" and "value_and_gradient"),
     worked out from the bound stepper's per-step calls, a divergent
-    partial trace included.
+    partial trace included. The distance to the reference point is formed
+    in a scratch vector of the run; like the stepper's and the merits'
+    scratch, it never reaches a state the potential or the trace sees.
     """
     z0 = check_run(target, method, params, start)
     opt = method in OPT_METHODS
@@ -350,6 +392,15 @@ def run(target, method: str, params, start, stop: StopRule,
             + merits.calls.get(name, 0) * rows
             for name in (*start_calls, *step.calls, *merits.calls)}
 
+    # Within DIVERGENCE_NORM / 2 - ||z*|| of z*, z is finite and, by the
+    # triangle inequality, well inside the divergence guard, so the guard
+    # skips its own norm; near = 0 keeps the guard whole.
+    near, dsq = 0.0, None
+    if reference is not None:
+        d, subtract = np.empty(target.dimension), np.subtract
+        ref_norm = norm2(reference)
+        if ref_norm < DIVERGENCE_NORM / 4:
+            near = (DIVERGENCE_NORM / 2 - ref_norm) ** 2
     t0 = perf_counter_ns()
     state = opt_state(target, z0) if opt else vi_state(target, z0)
     z = state[0]  # the iterate: z_curr or x_curr
@@ -357,23 +408,24 @@ def run(target, method: str, params, start, stop: StopRule,
         if k:
             state = step(state)
             z = state[0]
-            # a non-finite entry makes the norm nan or inf, which fails the test
-            if not math.sqrt(z.dot(z)) <= DIVERGENCE_NORM or \
-                    (opt and not np.isfinite(state.v_curr).all()):
-                trace.terminated_by = "divergence"
-                trace.final_point = z
-                record_calls(k)
-                raise DivergenceError(trace)
+        if reference is not None:
+            dsq = float(subtract(z, reference, d).dot(d))
+        # a non-finite entry makes a norm nan or inf, which fails its test;
+        # a finite v.v means a finite v
+        if k and ((not (near and dsq <= near)
+                   and not math.sqrt(z.dot(z)) <= DIVERGENCE_NORM)
+                  or opt and not (math.isfinite(state.v_curr.dot(state.v_curr))
+                                  or np.isfinite(state.v_curr).all())):
+            trace.terminated_by = "divergence"
+            trace.final_point = z
+            record_calls(k)
+            raise DivergenceError(trace)
         pair = merits(state.f_curr, state.g_curr) if opt \
             else merits(z, state.f_curr)
         add_k(k)
         add_primary(pair[0])
         add_aux(pair[1])
-        if reference is None:
-            add_dsq(None)
-        else:
-            d = z - reference
-            add_dsq(float(d.dot(d)))
+        add_dsq(dsq)
         add_pot(None if potential is None else float(potential(state)))
         add_ns(perf_counter_ns() - t0)
         if pair[stop_merit] <= tol:

@@ -247,10 +247,21 @@ def test_opt_run_matches_the_plain_loop_bitwise():
         va.opt_state(obj, x0), phi)
 
 
-@pytest.mark.parametrize("constrained", [False, True])
-@pytest.mark.parametrize("method", VI_METHODS)
-def test_step_writes_no_input_array(method, constrained):
-    prob, _ = va.gen_linear_vi(6, 3, 5e-2, constrained=constrained)
+def _assert_later_steps_keep(step, state, made):
+    """Scratch never reaches a state: a stepped state keeps its values
+    through the next two steps, and the arrays named in made are new in
+    each of the three states."""
+    kept = [np.copy(v) for v in state]
+    states = [state, step(state)]
+    states.append(step(states[1]))
+    for name, v, w in zip(state._fields, state, kept):
+        assert np.array_equal(v, w), name
+    arrays = [getattr(s, name) for s in states for name in made]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
+
+
+def _check_vi_step(prob, method, restricted):
     a = 1.0 / (4.0 * prob.lip)
     prm = S._masked(method, va.ViParams(alpha=a, beta=0.3, gamma=0.2,
                                         eta=0.8 * a, tau=0.5 * a))
@@ -260,18 +271,56 @@ def test_step_writes_no_input_array(method, constrained):
     st = va.ViState(z_curr=zc, z_prev=zp, f_curr=prob.operator(zc),
                     f_prev=prob.operator(zp), z_half=zh)
     before = [v.copy() for v in st]
-    out = va.vi_stepper(prob, prm, restricted=constrained)(st)
+    step = va.vi_stepper(prob, prm, restricted=restricted)
+    out = step(st)
     for name, kept in zip(va.ViState._fields, before):
         assert np.array_equal(getattr(st, name), kept), name
     assert out.z_prev is zc and out.f_prev is st.f_curr
-    fresh = [out.z_curr, out.f_curr]
+    made = ("z_curr", "f_curr")
     if prm.eta != 0.0 or prm.beta != 0.0:
-        fresh.append(out.z_half)
+        made += ("z_half",)
     else:
         assert out.z_half is zc
-    for new in fresh:
-        assert not any(np.shares_memory(new, v) for v in st)
+    for name in made:
+        assert not any(np.shares_memory(getattr(out, name), v) for v in st)
     assert not np.shares_memory(out.z_curr, out.f_curr)
+    _assert_later_steps_keep(step, out, made)
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("method", VI_METHODS)
+def test_step_writes_no_input_array(method, constrained):
+    prob, _ = va.gen_linear_vi(6, 3, 5e-2, constrained=constrained)
+    _check_vi_step(prob, method, constrained)
+
+
+@pytest.mark.parametrize("method", VI_METHODS)
+def test_step_keeps_states_on_a_set_that_returns_its_input(method):
+    # the ball projects a point inside it to that point itself, and every
+    # point of these steps lies inside
+    prob, _ = va.gen_linear_vi(6, 3, 5e-2)
+    ball = oracles.EuclideanBall(np.zeros(6), 1e3)
+    _check_vi_step(dataclasses.replace(prob, feasible_set=ball, solution=None),
+                   method, True)
+
+
+@pytest.mark.parametrize("y_rule", Y_RULES)
+def test_opt_step_writes_no_input_array(y_rule):
+    obj = va.gen_quadratic(6, 3, 5e-2)
+    step = va.opt_stepper(obj, va.default_params(va.REGIME_OPT, obj.mu,
+                                                 obj.lip), y_rule)
+    rng = np.random.default_rng(1)
+    x, v = rng.standard_normal(6), rng.standard_normal(6)
+    st = va.OptState(x, v, *obj.value_and_gradient(x))
+    before = [np.copy(a) for a in st]
+    out = step(st)
+    for name, kept in zip(va.OptState._fields, before):
+        assert np.array_equal(getattr(st, name), kept), name
+    made = ("x_curr", "v_curr", "g_curr")
+    for name in made:
+        assert not any(np.shares_memory(getattr(out, name), a)
+                       for a in (x, v, st.g_curr)), name
+    _assert_later_steps_keep(step, out, made)
 
 
 @pytest.mark.parametrize("constrained", [False, True])
@@ -281,8 +330,11 @@ def test_run_writes_neither_start_nor_kept_states(constrained):
     a = 1.0 / (4.0 * prob.lip)
     vi_prm = va.ViParams(alpha=a, beta=0.3, gamma=0.2, eta=0.8 * a, tau=0.5 * a)
     opt_prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
-    for method in METHODS:
-        target, prm = (obj, opt_prm) if method in OPT_METHODS else (prob, vi_prm)
+    # beta == gamma: extra-point forms beta (z - z_prev) once for both points
+    shared_prm = dataclasses.replace(vi_prm, gamma=vi_prm.beta)
+    runs = [(m, (obj, opt_prm) if m in OPT_METHODS else (prob, vi_prm))
+            for m in METHODS] + [("extra-point", (prob, shared_prm))]
+    for method, (target, prm) in runs:
         start = target.solution + 1.0 if target is prob else np.ones(6)
         kept_start = start.copy()
         seen, copies = [], []
@@ -567,13 +619,26 @@ def test_run_terminates_on_tolerance():
 
 
 def test_run_raises_divergence_with_partial_trace():
-    prob = _identity(1, solution=np.zeros(1))
-    with pytest.raises(va.DivergenceError) as info:
-        va.run(prob, "vanilla", va.ViParams(alpha=10.0), np.ones(1),
-               va.StopRule(max_iter=1000))
-    trace = info.value.trace
-    assert trace.terminated_by == "divergence"
-    assert len(trace.column("k")) >= 2  # the start plus at least one grown iterate
+    # vanilla at alpha = 10 on F(z) = z - s maps z - s to -9 (z - s), in
+    # exact integers here. With s = 0, |z| = 9^k stays inside the guard up
+    # to k = 12 (within DIVERGENCE_NORM / 2 of s, where run skips the
+    # guard's own norm) and leaves it at k = 13. With
+    # s = 9e11 >= DIVERGENCE_NORM / 4 that shortcut is off: z leaves at
+    # k = 12, only 9^12 from s.
+    assert 9e11 >= S.DIVERGENCE_NORM / 4
+    for s, rows in ((0.0, 13), (9e11, 12)):
+        prob = va.MonotoneProblem(dimension=1, operator=lambda z, s=s: z - s,
+                                  feasible_set=va.WholeSpace(1), mu=1.0,
+                                  lip=1.0, solution=[s])
+        with pytest.raises(va.DivergenceError) as info:
+            va.run(prob, "vanilla", va.ViParams(alpha=10.0), np.array([s + 1.0]),
+                   va.StopRule(max_iter=1000))
+        trace = info.value.trace
+        assert trace.terminated_by == "divergence"
+        assert trace.column("k") == list(range(rows)), s
+        assert trace.column("dist_sq")[-1] == float(9 ** (2 * (rows - 1)))
+        assert trace.final_point[0] == s + (-9.0) ** rows  # -2.54e12 at s = 0
+        assert abs(trace.final_point[0]) > S.DIVERGENCE_NORM
 
 
 def test_run_step_overflowing_to_inf_is_divergence():
