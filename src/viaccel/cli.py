@@ -4,8 +4,8 @@ Exit codes are stable: 0 success, 2 usage or validation error, 3 infeasible
 certificate, 4 certificate violation or divergence under --strict.
 
 Experiment configs are flat ``key = value`` text with dotted sections
-(problem.*, method.<i>.*, stop.*, output.*); parse -> serialize -> parse is
-the identity on the parsed form. All randomness flows from explicit seeds.
+(problem.*, method.<i>.*, stop.*, output.*). All randomness flows from
+explicit seeds.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from . import harness as H
 from . import presets as PR
 from . import problems as P
 from . import solvers as S
-from .core import (MonotoneProblem, SmoothObjective, format_float,
-                   gradient_problem, norm2, typed)
+from .core import (MonotoneProblem, SmoothObjective, gradient_problem,
+                   norm2, typed)
 from .problems import KINDS
 
 EPS = float(np.finfo(np.float64).eps)
@@ -125,34 +125,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if not all(spec.name for spec in specs):
         raise ValueError("every method entry needs a name")
     return ExperimentConfig(methods=specs, **sections)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-
-    def emit(key, value):
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = format_float(value)
-        lines.append(f"{key} = {value}")
-
-    for k in sorted(cfg.problem):
-        emit(f"problem.{k}", cfg.problem[k])
-    for i, spec in enumerate(cfg.methods, start=1):
-        emit(f"method.{i}.name", spec.name)
-        if spec.preset is not None:
-            emit(f"method.{i}.preset", spec.preset)
-        for k in sorted(spec.params):
-            emit(f"method.{i}.{k}", spec.params[k])
-        if spec.max_iter is not None:
-            emit(f"method.{i}.max_iter", spec.max_iter)
-        if spec.tol is not None:
-            emit(f"method.{i}.tol", spec.tol)
-    for section in ("stop", "output"):
-        for k, value in sorted(getattr(cfg, section).items()):
-            emit(f"{section}.{k}", value)
-    return "\n".join(lines) + "\n"
 
 
 def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:

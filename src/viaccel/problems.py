@@ -32,20 +32,13 @@ FORMAT_HEADER = "vi-accel-problem v1"
 
 @dataclass(frozen=True)
 class LinearOperatorSpec:
-    """Raw description of a diagonal-plus-skew linear operator F(z) = m z + q."""
+    """The arrays gen_linear_vi built its operator F(z) = m z + q from:
+    m = diag(q_diag) + a_skew, a_skew skew-symmetric, q_diag > 0."""
 
     m: np.ndarray
     q: np.ndarray
     q_diag: np.ndarray
     a_skew: np.ndarray
-
-    def __post_init__(self):
-        if not np.array_equal(self.m, np.diag(self.q_diag) + self.a_skew):
-            raise ValueError("m must equal diag(q_diag) + a_skew exactly")
-        if not np.array_equal(self.a_skew, -self.a_skew.T):
-            raise ValueError("a_skew must be exactly skew-symmetric")
-        if self.q_diag.min() <= 0.0:
-            raise ValueError("q_diag entries must be strictly positive")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +167,6 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
 
     diag = c * diag0
     M = np.diag(diag) + skew
-    spec = LinearOperatorSpec(m=M, q=offset, q_diag=diag, a_skew=skew)
 
     mu = float(diag.min())
     lip = last["norm"] if c == last["c"] else power_iteration_norm(M)
@@ -182,12 +174,13 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
             "target_sigma": float(target_sigma), "constrained": bool(constrained)}
 
     fset = NonnegativeOrthant(n) if constrained else WholeSpace(n)
-    solution = solve_linear_reference(spec, fset, lip=lip)
+    solution = solve_linear_reference(M, offset, fset, lip)
     problem = MonotoneProblem(dimension=n, **_linear_vi_operator(M, offset),
                               feasible_set=fset, mu=mu, lip=lip,
                               solution=solution,
                               kind="linear-vi", seed=seed, meta=meta)
-    return problem, spec
+    return problem, LinearOperatorSpec(m=M, q=offset, q_diag=diag,
+                                       a_skew=skew)
 
 
 # Extra-gradient steps the orthant reference solve takes before it
@@ -195,28 +188,29 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
 REFERENCE_MAX_STEPS = 1_000_000
 
 
-def solve_linear_reference(spec: LinearOperatorSpec, feasible_set: FeasibleSet,
+def solve_linear_reference(M: np.ndarray, q: np.ndarray,
+                           feasible_set: FeasibleSet,
                            lip: float) -> np.ndarray:
-    """Reference solution for a linear operator on the whole space or orthant.
+    """Reference solution for F(z) = M z + q, lip >= ||M||, on the whole
+    space or the orthant.
 
-    Whole space: Gaussian elimination on m z = -q. Orthant: extra-gradient
+    Whole space: Gaussian elimination on M z = -q. Orthant: extra-gradient
     steps of vi_stepper (alpha = eta = 1/(4 lip), projected half point)
     from the origin down to natural residual 1e-12. When
     REFERENCE_MAX_STEPS steps end above that, the last iterate's support S
-    is taken as the solution's: z solves m_SS z_S = -q_S with zeros
+    is taken as the solution's: z solves M_SS z_S = -q_S with zeros
     elsewhere. The point returned passes the complementarity conditions
-    (z >= 0, m z + q >= 0, z'(m z + q) = 0, each to
-    1e-9 (1 + ||z|| + ||m z + q||)); RuntimeError otherwise.
+    (z >= 0, M z + q >= 0, z'(M z + q) = 0, each to
+    1e-9 (1 + ||z|| + ||M z + q||)); RuntimeError otherwise.
     """
-    M, q = spec.m, spec.q
     if isinstance(feasible_set, WholeSpace):
         return np.linalg.solve(M, -q)
     if not isinstance(feasible_set, NonnegativeOrthant):
         raise ValueError("reference solve supports whole space and orthant only")
     n = len(q)
+    # the stepper and merits read no mu; mu = lip passes the class's check
     problem = MonotoneProblem(dimension=n, **_linear_vi_operator(M, q),
-                              feasible_set=feasible_set,
-                              mu=float(spec.q_diag.min()), lip=lip)
+                              feasible_set=feasible_set, mu=lip, lip=lip)
     alpha = 1.0 / (4.0 * lip)
     step = vi_stepper(problem, ViParams(alpha=alpha, eta=alpha),
                       restricted=True)

@@ -371,7 +371,7 @@ def run(target, method: str, params, start, stop: StopRule,
         merits = bind_objective_merits(target)
         start_calls = {"value_and_gradient": 1}  # opt_state's fused call
     else:
-        restricted = trace.meta["restricted"] = target.domain_restricted \
+        restricted = target.domain_restricted \
             or not target.feasible_set.unbounded_whole_space
         reference = target.solution
         step = vi_stepper(target, _masked(method, params),
@@ -401,36 +401,41 @@ def run(target, method: str, params, start, stop: StopRule,
         ref_norm = norm2(reference)
         if ref_norm < DIVERGENCE_NORM / 4:
             near = (DIVERGENCE_NORM / 2 - ref_norm) ** 2
-    t0 = perf_counter_ns()
-    state = opt_state(target, z0) if opt else vi_state(target, z0)
-    z = state[0]  # the iterate: z_curr or x_curr
-    for k in range(stop.max_iter + 1):
-        if k:
-            state = step(state)
-            z = state[0]
-        if reference is not None:
-            dsq = float(subtract(z, reference, d).dot(d))
-        # a non-finite entry makes a norm nan or inf, which fails its test;
-        # a finite v.v means a finite v
-        if k and ((not (near and dsq <= near)
-                   and not math.sqrt(z.dot(z)) <= DIVERGENCE_NORM)
-                  or opt and not (math.isfinite(state.v_curr.dot(state.v_curr))
-                                  or np.isfinite(state.v_curr).all())):
-            trace.terminated_by = "divergence"
-            trace.final_point = z
-            record_calls(k)
-            raise DivergenceError(trace)
-        pair = merits(state.f_curr, state.g_curr) if opt \
-            else merits(z, state.f_curr)
-        add_k(k)
-        add_primary(pair[0])
-        add_aux(pair[1])
-        add_dsq(dsq)
-        add_pot(None if potential is None else float(potential(state)))
-        add_ns(perf_counter_ns() - t0)
-        if pair[stop_merit] <= tol:
-            trace.terminated_by = "tolerance"
-            break
+    # an overflow or nan in the arithmetic is no numpy warning: one in the
+    # iterate fails the guard below (DivergenceError); one in a merit or
+    # the potential of an iterate within the guard is recorded as it comes
+    with np.errstate(over="ignore", invalid="ignore"):
+        t0 = perf_counter_ns()
+        state = opt_state(target, z0) if opt else vi_state(target, z0)
+        z = state[0]  # the iterate: z_curr or x_curr
+        for k in range(stop.max_iter + 1):
+            if k:
+                state = step(state)
+                z = state[0]
+            if reference is not None:
+                dsq = float(subtract(z, reference, d).dot(d))
+            # a non-finite entry makes a norm nan or inf, which fails its
+            # test; a finite v.v means a finite v
+            if k and ((not (near and dsq <= near)
+                       and not math.sqrt(z.dot(z)) <= DIVERGENCE_NORM)
+                      or opt and not (
+                          math.isfinite(state.v_curr.dot(state.v_curr))
+                          or np.isfinite(state.v_curr).all())):
+                trace.terminated_by = "divergence"
+                trace.final_point = z
+                record_calls(k)
+                raise DivergenceError(trace)
+            pair = merits(state.f_curr, state.g_curr) if opt \
+                else merits(z, state.f_curr)
+            add_k(k)
+            add_primary(pair[0])
+            add_aux(pair[1])
+            add_dsq(dsq)
+            add_pot(None if potential is None else float(potential(state)))
+            add_ns(perf_counter_ns() - t0)
+            if pair[stop_merit] <= tol:
+                trace.terminated_by = "tolerance"
+                break
     record_calls(trace.iterations)
     trace.final_point = z
     return trace

@@ -29,6 +29,10 @@ time with format(x, ".17g"), the whole text joined and then given its
 last newline. The library assembles the matrix in place and renders each
 block row with one format string; the tests require identical bytes.
 
+The config writer renders an experiment config as key = value lines,
+which cli.parse_config must read back to the same config; the library
+reads configs and never writes one.
+
 The trace-text oracles render a trace one value at a time: an int as
 str, a float by format_float, None and nan as the missing text, each row
 joined and the whole text built before it is returned. The library picks
@@ -368,6 +372,33 @@ def serialize_problem(obj):
                 str(value).lower() if form is bool else str(value)
             lines.append(f"{name} = {text}")
     return "\n".join(lines + blocks) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# config text
+
+def value_text(value):
+    """A config or problem-file value as text: true/false, a float by
+    format_float, anything else by str."""
+    return "true" if value is True else "false" if value is False else \
+        format_float(value) if isinstance(value, float) else str(value)
+
+
+def config_text(cfg):
+    """An experiment config's ``key = value`` lines: problem keys sorted,
+    each method's name, preset, sorted coefficients, max_iter and tol,
+    then the sorted stop and output keys; None entries are left out."""
+    entries = [(f"problem.{k}", v) for k, v in sorted(cfg.problem.items())]
+    for i, spec in enumerate(cfg.methods, start=1):
+        entries += [(f"method.{i}.{k}", v) for k, v in (
+            ("name", spec.name), ("preset", spec.preset),
+            *sorted(spec.params.items()), ("max_iter", spec.max_iter),
+            ("tol", spec.tol))]
+    for section in ("stop", "output"):
+        entries += [(f"{section}.{k}", v)
+                    for k, v in sorted(getattr(cfg, section).items())]
+    return "".join(f"{key} = {value_text(value)}\n"
+                   for key, value in entries if value is not None)
 
 
 # ---------------------------------------------------------------------------

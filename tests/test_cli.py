@@ -4,19 +4,22 @@ import dataclasses
 import decimal
 import inspect
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 import viaccel as va
 from viaccel import certify as C
 from viaccel.cli import (DEFAULTS, KEY_TYPES, KINDS, SECTION_KEYS,
                          ExperimentConfig, MethodSpec, build_method,
-                         build_problem, main, option, parse_config,
-                         serialize_config)
+                         build_problem, main, option, parse_config)
 from viaccel.solvers import VI_MASKS
 
 CONFIG_TEXT = """\
@@ -376,6 +379,23 @@ def test_solve_divergence_is_reported_and_gated_by_strict(tmp_path, capsys):
     assert rc_strict == 4
 
 
+def test_solve_overflow_under_an_error_filter_is_a_diverged_row(tmp_path):
+    # the step and the distance overflow: a diverged row and exit 0, with no
+    # numpy warning on stderr (under -W error it would end in a traceback)
+    prob_path = _gen(tmp_path)
+    src = str(Path(va.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "viaccel.cli", "solve",
+         "--problem", str(prob_path), "--method", "vanilla", "--alpha",
+         "1e300", "--max-iter", "5", "--out-dir", str(tmp_path / "runs")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    row = next(ln for ln in proc.stdout.splitlines()
+               if ln.startswith("vanilla "))
+    assert row.split()[1] == "diverged"
+
+
 def _converged_solve(tmp_path, flags):
     """A certified extra-point run that reaches its fixed point long before
     it stops, checked under --tol 0 --strict."""
@@ -585,12 +605,9 @@ def test_constrained_flag_on_another_kind_returns_two(command, kind, tmp_path,
 
 # --- experiment configs ------------------------------------------------------------
 
-def test_config_round_trip_is_identity():
+def test_config_parses_each_section_typed():
     cfg = parse_config(CONFIG_TEXT)
-    text = serialize_config(cfg)
-    again = parse_config(text)
-    assert again == cfg
-    assert serialize_config(again) == text
+    assert parse_config(oracles.config_text(cfg)) == cfg
     assert cfg.problem["kind"] == "linear-vi"
     assert cfg.problem["constrained"] is True
     assert [m.name for m in cfg.methods] == ["vanilla", "extra-point"]
@@ -609,15 +626,16 @@ def test_config_parsing_errors():
         parse_config("unknown.section = 1\nmethod.1.name = vanilla\n")
 
 
-def test_config_serialization_formats_floats_stably():
+def test_config_floats_parse_to_the_double_they_name():
     cfg = ExperimentConfig(problem={"kind": "quadratic", "n": 6, "seed": 0,
                                     "target_sigma": 0.05},
                            methods=[MethodSpec(name="vanilla",
                                                params={"alpha": 1.0 / 3.0})],
                            stop={"max_iter": 10},
                            output={})
-    text = serialize_config(cfg)
+    text = oracles.config_text(cfg)
     assert "method.1.alpha = 0.33333333333333331" in text
+    assert parse_config(text) == cfg
     assert parse_config(text).methods[0].params["alpha"] == 1.0 / 3.0
 
 
@@ -692,6 +710,23 @@ def test_compare_iters_at_tol_is_filled_on_logistic_instances(tmp_path, capsys):
     row = _table_row(capsys.readouterr().out, "opt-extra-point")
     assert rc == 0 and row["status"] == "tolerance"
     assert row["iters@tol"].isdigit()
+
+
+def test_compare_marks_a_run_the_defaults_cannot_certify(tmp_path, capsys):
+    # mu = 1e-15 puts kappa near 3.9e15, beyond where the paper defaults
+    # certify: the run has no certificate to check, so even --strict exits 0
+    path = tmp_path / "k.problem"
+    assert main(["generate", "--n", "4", "--seed", "1", "--out", str(path)]) == 0
+    path.write_text(re.sub(r"(?m)^mu = .*$", "mu = 1e-15", path.read_text()))
+    cmd = ["compare", "--problem", str(path), "--methods", "extra-point",
+           "--preset", "paper-default", "--max-iter", "20",
+           "--out-dir", str(tmp_path / "runs")]
+    for strict in ([], ["--strict"]):
+        capsys.readouterr()
+        assert main(cmd + strict) == 0
+        assert capsys.readouterr().out.splitlines()[-1].rstrip() == (
+            "extra-point        max-iter/uncert              1.185732e+00"
+            "   1.185732e+00")
 
 
 def test_table_opt_row_names_its_limit_on_mu(tmp_path, capsys):

@@ -92,34 +92,17 @@ def test_linear_vi_constrained_solution_satisfies_complementarity():
     assert not prob.feasible_set.unbounded_whole_space
 
 
-def test_linear_operator_spec_validation():
-    eye = np.eye(2)
-    with pytest.raises(ValueError):
-        P.LinearOperatorSpec(m=eye, q=np.zeros(2), q_diag=np.array([1.0, 2.0]),
-                             a_skew=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        P.LinearOperatorSpec(m=eye + 0.5, q=np.zeros(2), q_diag=np.ones(2),
-                             a_skew=np.full((2, 2), 0.5))
-    with pytest.raises(ValueError):
-        P.LinearOperatorSpec(m=np.diag([1.0, 0.0]), q=np.zeros(2),
-                             q_diag=np.array([1.0, 0.0]), a_skew=np.zeros((2, 2)))
-
-
 def test_reference_solver_worked_examples():
-    eye = np.eye(2)
-    skew0 = np.zeros((2, 2))
-    ones = np.ones(2)
-    spec = P.LinearOperatorSpec(m=eye, q=-ones, q_diag=ones, a_skew=skew0)
-    assert np.allclose(va.solve_linear_reference(spec, va.WholeSpace(2), lip=1.0),
-                       [1.0, 1.0], rtol=0, atol=1e-14)
+    eye, ones = np.eye(2), np.ones(2)
+    assert np.allclose(
+        va.solve_linear_reference(eye, -ones, va.WholeSpace(2), 1.0),
+        [1.0, 1.0], rtol=0, atol=1e-14)
     # orthant with positive offset: the origin already satisfies complementarity
-    spec_pos = P.LinearOperatorSpec(m=eye, q=ones, q_diag=ones, a_skew=skew0)
-    sol0 = va.solve_linear_reference(spec_pos, va.NonnegativeOrthant(2), lip=1.0)
+    orthant = va.NonnegativeOrthant(2)
+    sol0 = va.solve_linear_reference(eye, ones, orthant, 1.0)
     assert np.allclose(sol0, [0.0, 0.0], rtol=0, atol=1e-9)
     # mixed offset splits into one interior and one active coordinate
-    spec_mix = P.LinearOperatorSpec(m=eye, q=np.array([-1.0, 1.0]),
-                                    q_diag=ones, a_skew=skew0)
-    sol = va.solve_linear_reference(spec_mix, va.NonnegativeOrthant(2), lip=1.0)
+    sol = va.solve_linear_reference(eye, np.array([-1.0, 1.0]), orthant, 1.0)
     assert np.allclose(sol, [1.0, 0.0], rtol=0, atol=1e-9)
 
 
@@ -132,7 +115,7 @@ def test_orthant_reference_solve_matches_the_hand_written_loop(n):
         for sigma in (1.0, 1e-1, 1e-2, 1e-3):
             prob, spec = va.gen_linear_vi(n, seed, sigma)
             fset = va.NonnegativeOrthant(n)
-            got = va.solve_linear_reference(spec, fset, lip=prob.lip)
+            got = va.solve_linear_reference(spec.m, spec.q, fset, prob.lip)
             want = oracles.solve_linear_reference(spec.m, spec.q, fset,
                                                   prob.lip)
             assert got.tobytes() == want.tobytes(), (seed, sigma)
@@ -159,15 +142,11 @@ def test_orthant_support_finish_keeps_the_complementarity_check(monkeypatch):
     # with no step taken the finish solves on the origin's empty support:
     # right for a nonnegative offset, refused for a negative entry
     monkeypatch.setattr(P, "REFERENCE_MAX_STEPS", 0)
-    eye, ones, skew0 = np.eye(2), np.ones(2), np.zeros((2, 2))
-    spec_pos = P.LinearOperatorSpec(m=eye, q=ones, q_diag=ones, a_skew=skew0)
-    orthant = va.NonnegativeOrthant(2)
-    sol = va.solve_linear_reference(spec_pos, orthant, lip=1.0)
+    eye, orthant = np.eye(2), va.NonnegativeOrthant(2)
+    sol = va.solve_linear_reference(eye, np.ones(2), orthant, 1.0)
     assert sol.tolist() == [0.0, 0.0]
-    spec_mix = P.LinearOperatorSpec(m=eye, q=np.array([-1.0, 1.0]),
-                                    q_diag=ones, a_skew=skew0)
     with pytest.raises(RuntimeError, match="complementarity check"):
-        va.solve_linear_reference(spec_mix, orthant, lip=1.0)
+        va.solve_linear_reference(eye, np.array([-1.0, 1.0]), orthant, 1.0)
 
 
 # --- strongly convex objectives ----------------------------------------------

@@ -1,6 +1,7 @@
 """Stepper worked examples, specialization identities, and run() behavior."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -644,13 +645,48 @@ def test_run_raises_divergence_with_partial_trace():
 def test_run_step_overflowing_to_inf_is_divergence():
     # 2 - 1.7e308 * 2 overflows to -inf inside the step
     prob = _identity(1, solution=np.zeros(1))
-    with np.errstate(over="ignore"), pytest.raises(va.DivergenceError) as info:
+    with pytest.raises(va.DivergenceError) as info:
         va.run(prob, "vanilla", va.ViParams(alpha=1.7e308), np.array([2.0]),
                va.StopRule(max_iter=10))
     assert info.value.trace.terminated_by == "divergence"
     assert info.value.trace.column("k") == [0]
     with pytest.raises(ValueError):  # the boundary still validates input
         oracles.project(va.WholeSpace(1), [np.inf])
+
+
+def test_run_overflow_under_an_error_filter_is_divergence():
+    # F(z) = z at alpha = 1e300: z_1 = (1 - 1e300) z_0 is finite, but its
+    # squared distance to z* = 0 overflows; no numpy warning escapes run,
+    # whose guard reports the divergence with the partial trace
+    prob = _identity(3, solution=np.zeros(3))
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(va.DivergenceError) as info:
+            va.run(prob, "vanilla", va.ViParams(alpha=1e300), np.ones(3),
+                   va.StopRule(max_iter=5))
+    trace = info.value.trace
+    assert trace.terminated_by == "divergence"
+    assert trace.column("k") == [0]
+    assert trace.final_point.tolist() == [1.0 - 1e300] * 3
+    assert np.geterr() == before  # the caller's error state is restored
+
+
+def test_run_records_an_overflowing_merit_silently():
+    # F(z) = 1e200 z: the iterate shrinks by 3/4 a step and stays within the
+    # guard, but ||F z||^2 = 3e400 overflows; the rows record inf, with no
+    # numpy warning, and the run ends at max-iter
+    lip = 1e200
+    prob = va.MonotoneProblem(dimension=3, operator=lambda z: lip * z,
+                              feasible_set=va.WholeSpace(3), mu=lip, lip=lip,
+                              solution=np.zeros(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = va.run(prob, "vanilla", va.ViParams(alpha=1 / (4 * lip)),
+                       np.ones(3), va.StopRule(max_iter=3))
+    assert trace.terminated_by == "max-iter"
+    assert trace.column("merit_primary") == [np.inf] * 4
+    assert trace.column("dist_sq") == [3 * 0.75 ** (2 * k) for k in range(4)]
 
 
 def test_run_records_meta_and_is_deterministic():
