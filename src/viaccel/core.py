@@ -273,7 +273,8 @@ def bind_vi_merits(problem: MonotoneProblem) -> Callable:
 
     The natural residual is ||z - P(z - F(z))||. The primary merit is
     ||F(z)|| on the whole space and the complementarity gap |z . F(z)| on
-    any other set. The projection and the set's kind are looked up once;
+    any other set. The projection and the set's kind are looked up once,
+    and the whole space's identity projection is not called;
     z - P(z - F(z)) is formed in one scratch vector bound here, so a bound
     routine is not reentrant: one run, one thread. fz and that scratch are
     contiguous 1-D arrays, so their norms are taken as sqrt(x . x), the
@@ -285,11 +286,12 @@ def bind_vi_merits(problem: MonotoneProblem) -> Callable:
     subtract, d = np.subtract, np.empty(problem.dimension)
 
     def merits(z: np.ndarray, fz: np.ndarray) -> tuple:
-        subtract(z, project(subtract(z, fz, d)), d)
+        step = subtract(z, fz, d)
+        subtract(z, step if whole else project(step), d)
         primary = math.sqrt(fz.dot(fz)) if whole else float(abs(z.dot(fz)))
         return primary, math.sqrt(d.dot(d))
 
-    merits.calls = {"project": 1}
+    merits.calls = {"project": 0 if whole else 1}
     return merits
 
 

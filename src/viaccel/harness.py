@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Generator, Iterator, Optional
 
 import numpy as np
 
@@ -259,22 +259,29 @@ def finite_diff_jacobian(op: Callable, point) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def power_iteration_norm(M, iters: int = 500) -> float:
-    """Spectral-norm estimate of a matrix via power iteration on M^T M.
+def power_iteration_steps(M, iters: int = 500) -> Generator[float, None, float]:
+    """Power iteration on M^T M one step at a time: yields, for each step's
+    unit input v, nw = ||M^T M v||, and returns the spectral-norm estimate
+    ||M v|| of the last iterate. power_iteration_norm drains it.
 
-    The estimate approaches ||M||_2 from below with relative error on the
-    order of (s2/s1)^(2 iters) for leading singular values s1 > s2, so it
-    is a one-sided (never overshooting) bound up to roundoff. The start
-    vector is drawn from seed 0, so a matrix always gives the same bits:
-    gen_linear_vi relies on that to end its scale bisection at a fixed
-    point and to reuse the last step's norm as lip.
+    Each nw is a lower bound on the square of the returned estimate, up
+    to roundoff: with A = M^T M and m_j = v^T A^j v, log-convexity of
+    j -> m_j (Cauchy-Schwarz) and m_0 = 1 give sqrt(m_2) <= m_2 / m_1 <=
+    m_3 / m_2, which is ||M v'||^2 for the next unit iterate v', and
+    ||M v||^2 never decreases from one iterate to the next. A caller that
+    only needs to compare the estimate with a threshold can therefore
+    stop consuming once nw passes it.
 
-    The step v -> M^T M v / ||M^T M v|| is deterministic too, so once a step
-    returns its own input bit for bit every later step would repeat it: the
-    loop stops there and returns what all iters steps would. iters is a
-    cap. A step is compared with its input only when its norm repeats the
-    previous step's; at a fixed point it does from the next step on, so
-    this cheap test delays the exit by one step at most.
+    The start vector is drawn from seed 0, so a matrix always gives the
+    same bits. The step v -> M^T M v / ||M^T M v|| is deterministic too,
+    so once a step returns its own input bit for bit, or the previous
+    step's input, every later step would repeat that fixed point or
+    2-cycle: the loop stops there and returns what all iters steps would.
+    iters is a cap. The arrays are compared, byte for byte, only when the
+    step's norm equals that of the step one (or two) back; on a fixed
+    point (or a 2-cycle) it does from one step after the repeat begins,
+    so this cheap test delays the exit by one step at most. A zero start
+    or a zero step returns 0.0.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
@@ -285,19 +292,45 @@ def power_iteration_norm(M, iters: int = 500) -> float:
     if nv == 0.0:
         return 0.0
     v /= nv
-    last = None  # the previous step's norm
+    last = last2 = before = None  # the last two steps' norms, the last input
     den = np.empty(())  # the step's norm, divided by as an array operand
-    for _ in range(iters):
+    for k in range(iters):
         w = apply_t(apply_m(v))
         nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             return 0.0
+        yield nw
         den[()] = nw
         step = np.divide(w, den, w)
-        if nw == last and (step == v).all():
+        if nw == last and step.tobytes() == v.tobytes():
             break
-        v, last = step, nw
+        if nw == last2 and step.tobytes() == before.tobytes():
+            # iterates alternate before, v, before, ...: the iters-th is
+            # before when iters - k is odd
+            if (iters - k) % 2:
+                v = before
+            break
+        before, v, last2, last = v, step, last, nw
     return norm2(apply_m(v))
+
+
+def power_iteration_norm(M, iters: int = 500) -> float:
+    """Spectral-norm estimate of a matrix via power iteration on M^T M:
+    all of power_iteration_steps.
+
+    The estimate approaches ||M||_2 from below with relative error on the
+    order of (s2/s1)^(2 iters) for leading singular values s1 > s2, so it
+    is a one-sided (never overshooting) bound up to roundoff. A matrix
+    always gives the same bits: gen_linear_vi relies on that to decide
+    its scale bisection steps from the running bounds of the same loop
+    and to reuse a step's norm as lip.
+    """
+    steps = power_iteration_steps(M, iters)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value
 
 
 def reference_minimum(objective: SmoothObjective) -> tuple:

@@ -24,7 +24,8 @@ import numpy as np
 from .core import (FLOAT_FORMAT, FeasibleSet, MonotoneProblem,
                    NonnegativeOrthant, SmoothObjective, WholeSpace,
                    bind_vi_merits, format_float, norm2, typed)
-from .harness import finite_diff_jacobian, power_iteration_norm
+from .harness import (finite_diff_jacobian, power_iteration_norm,
+                      power_iteration_steps)
 from .solvers import ViParams, vi_state, vi_stepper
 
 FORMAT_HEADER = "vi-accel-problem v1"
@@ -119,14 +120,18 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
 
     The symmetric part is a positive diagonal spanning up to two decades
     (scaled mu is its exact minimum); the skew part has uniform [-1, 1]
-    entries above the diagonal. A log-scale bisection picks the diagonal
-    scale c so that mu / lip hits target_sigma, capped at 98% of the
-    largest ratio the shape admits. Its 120 steps stop early once one
+    entries above the diagonal. A log-scale bisection over
+    [1e-12, 1e6] picks the diagonal scale c so that mu / lip hits
+    target_sigma, capped at 98% of the largest ratio the shape admits;
+    c never falls below 1e-12, so a target beneath what that scale gives
+    is not met (gen_linear_vi(3, 0, 1e-16) returns sigma ~ 9.6e-13) while
+    meta records the target asked for. Its 120 steps stop early once one
     leaves the bracket unchanged: the update is deterministic, so the rest
-    could not move it. lip reuses the last step's norm when c is that
-    step's scale, so both shortcuts leave every bit as the full search
-    would. Constrained instances live on the nonnegative orthant with a
-    complementarity reference solution.
+    could not move it. A step stops its power iteration once the running
+    lower bound decides it, and lip reuses the last norm computed to the
+    end when c is that norm's scale, so the shortcuts leave every bit as
+    the full search would. Constrained instances live on the nonnegative
+    orthant with a complementarity reference solution.
 
     Returns (MonotoneProblem, LinearOperatorSpec).
     """
@@ -147,17 +152,33 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
     skew = skew - skew.T
     offset = rng.uniform(-1.0, 1.0, n)
 
-    last = {}  # the last evaluated scale and its operator norm
+    last = {}  # the last scale whose power iteration ran to the end
 
-    def sigma_of(c: float) -> float:
-        last.update(c=c, norm=power_iteration_norm(np.diag(c * diag0) + skew))
-        return c / last["norm"]
+    def below_goal(c: float) -> bool:
+        # whether c / p < goal for the power-iteration norm p of the
+        # scale-c matrix. With A = M^T M and v a step's unit input, its
+        # nw = ||A v|| is at most ||M v'||^2 for the next iterate v', and
+        # ||M v||^2 never falls from one iterate to the next (log-convexity
+        # of j -> v^T A^j v; see power_iteration_steps), so every nw is at
+        # most p^2. Once sqrt(nw) (1 - 1e-9) passes (c / goal) (1 + 1e-9),
+        # the answer is "below" whatever the rest of the loop does: the
+        # bound overshoots p by roundoff only, some 1e-15 relative.
+        steps = power_iteration_steps(np.diag(c * diag0) + skew)
+        bar = (c * (1.0 + 1e-9) / (goal * (1.0 - 1e-9))) ** 2
+        try:
+            while True:
+                if next(steps) > bar:
+                    return True
+        except StopIteration as done:
+            last.update(c=c, norm=done.value)
+            return c / done.value < goal
 
-    goal = min(target_sigma, 0.98 * sigma_of(1e6))
+    top = power_iteration_norm(np.diag(1e6 * diag0) + skew)
+    goal = min(target_sigma, 0.98 * (1e6 / top))
     lo_c, hi_c = math.log(1e-12), math.log(1e6)
     for _ in range(120):
         mid, bracket = 0.5 * (lo_c + hi_c), (lo_c, hi_c)
-        if sigma_of(math.exp(mid)) < goal:
+        if below_goal(math.exp(mid)):
             lo_c = mid
         else:
             hi_c = mid
@@ -169,7 +190,7 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
     M = np.diag(diag) + skew
 
     mu = float(diag.min())
-    lip = last["norm"] if c == last["c"] else power_iteration_norm(M)
+    lip = last["norm"] if c == last.get("c") else power_iteration_norm(M)
     meta = {"diag": diag, "skew": skew, "offset": offset,
             "target_sigma": float(target_sigma), "constrained": bool(constrained)}
 

@@ -21,6 +21,7 @@ see opt_stepper.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Callable, NamedTuple, Optional
@@ -148,7 +149,8 @@ def vi_stepper(problem: MonotoneProblem, params: ViParams,
     """One step of the general five-parameter rule, bound to a problem and
     its coefficients: returns ``step(state) -> ViState``.
 
-    The operator and projection are looked up once, and each nonzero
+    The operator and projection are looked up once (the whole space's
+    identity projection is never called), and each nonzero
     coefficient c is held as the vector np.full(n, c): numpy applies it as
     the same IEEE operation as the float c, at less dispatch cost. Terms
     whose coefficient is zero are skipped; with eta = beta = 0 the half
@@ -178,17 +180,16 @@ def vi_stepper(problem: MonotoneProblem, params: ViParams,
                          "half point")
     momentum = be is not None or ga is not None
     shared = be is not None and params.gamma == params.beta
-    project_half = half_point and restricted
     fset = problem.feasible_set
+    identity = fset.unbounded_whole_space
+    project_half = half_point and restricted and not identity
     operator, project = problem.operator, fset.project
     add, subtract, multiply = np.add, np.subtract, np.multiply
     s_dz, s_bdz, s_t, s_half, s_nxt = (np.empty(n) for _ in range(5))
     # The last operation that builds the half or next point allocates
-    # unless a projection follows that returns a new array; the identity
-    # returns its input. A set that hands back a point already inside it
-    # is caught after its projection.
-    identity = fset.unbounded_whole_space
-    half_out = None if identity or not project_half else s_half
+    # unless a projection follows that returns a new array. A set that
+    # hands back a point already inside it is caught after its projection.
+    half_out = s_half if project_half else None
     nxt_out = None if identity else s_nxt
     alpha_out = s_nxt if ga is not None or ta is not None else nxt_out
     gamma_out = s_nxt if ta is not None else nxt_out
@@ -218,12 +219,14 @@ def vi_stepper(problem: MonotoneProblem, params: ViParams,
         if ta is not None:
             nxt = subtract(nxt, multiply(ta, subtract(fc, state.f_prev, s_t),
                                          s_t), nxt_out)
-        z_new = project(nxt)
-        if z_new is s_nxt:
-            z_new = z_new.copy()
-        return _new_state(ViState, (z_new, zc, operator(z_new), fc, half))
+        if not identity:
+            nxt = project(nxt)
+            if nxt is s_nxt:
+                nxt = nxt.copy()
+        return _new_state(ViState, (nxt, zc, operator(nxt), fc, half))
 
-    step.calls = {"operator": 1 + half_point, "project": 1 + project_half}
+    step.calls = {"operator": 1 + half_point,
+                  "project": (not identity) + project_half}
     return step
 
 
@@ -301,6 +304,8 @@ class StopRule:
     residual_tol: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if not (math.isfinite(self.residual_tol) and self.residual_tol >= 0.0):

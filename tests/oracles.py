@@ -236,21 +236,30 @@ def oracle_step(method, problem, params, restricted):
     }[method]
 
 
-def power_iteration_norm(M):
-    """Spectral-norm estimate via power iteration on M^T M, as plain numpy."""
+def power_iterates(M, iters=500):
+    """The unit iterates v_0 .. v_iters of power iteration on M^T M from the
+    seed-0 start, as plain numpy; None on a zero start or step."""
     M = np.asarray(M, dtype=np.float64)
     v = np.random.default_rng(0).standard_normal(M.shape[1])
     nv = np.linalg.norm(v)
     if nv == 0.0:
-        return 0.0
-    v /= nv
-    for _ in range(500):
-        w = M.T @ (M @ v)
+        return None
+    vs = [v / nv]
+    for _ in range(iters):
+        w = M.T @ (M @ vs[-1])
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(M @ v))
+            return None
+        vs.append(w / nw)
+    return vs
+
+
+def power_iteration_norm(M, iters=500):
+    """Spectral-norm estimate via power iteration on M^T M, as plain numpy:
+    ||M v|| for the last of iters steps."""
+    M = np.asarray(M, dtype=np.float64)
+    vs = power_iterates(M, iters)
+    return 0.0 if vs is None else float(np.linalg.norm(M @ vs[-1]))
 
 
 def gram_schmidt(G):

@@ -357,34 +357,30 @@ def test_power_iteration_norm_matches_the_plain_loop_bit_for_bit():
 
 
 def _scale_search_matrices(monkeypatch, grid):
-    """Every matrix gen_linear_vi's scale search hands power iteration, with
-    the number of steps each call ran."""
-    calls, steps = [], []
-    norm = P.power_iteration_norm
+    """Every matrix gen_linear_vi hands power iteration, the scale search's
+    and the norm calls', with the number of steps each ran: a step counts
+    once it has yielded, and the search computes no step it does not read."""
+    calls, counts = [], []
+    steps = H.power_iteration_steps
 
-    def recorded(M, **kw):
+    def recorded(M, iters=500):
         calls.append(np.array(M))
-        return norm(M, **kw)
+        counts.append(0)
+        run = steps(M, iters)
+        while True:
+            try:
+                nw = next(run)
+            except StopIteration as done:
+                return done.value
+            counts[-1] += 1
+            yield nw
 
-    class CountedMath:
-        """harness's math, with every sqrt counted for the current call."""
-
-        def __getattr__(self, name):
-            return getattr(math, name)
-
-        @staticmethod
-        def sqrt(x):
-            steps.append(len(calls))
-            return math.sqrt(x)
-
-    monkeypatch.setattr(P, "power_iteration_norm", recorded)
-    monkeypatch.setattr(H, "math", CountedMath())
+    # the search reads problems' name; power_iteration_norm drains harness's
+    monkeypatch.setattr(P, "power_iteration_steps", recorded)
+    monkeypatch.setattr(H, "power_iteration_steps", recorded)
     for args in grid:
         va.gen_linear_vi(*args)
-    # each step takes its norm with harness's math.sqrt; the start's and
-    # the result's norms are norm2's, in core
-    counts = np.bincount(steps, minlength=len(calls) + 1)[1:]
-    return calls, counts
+    return calls, np.array(counts)
 
 
 def test_power_iteration_norm_stops_at_its_fixed_point_bit_for_bit(
@@ -398,9 +394,53 @@ def test_power_iteration_norm_stops_at_its_fixed_point_bit_for_bit(
         assert va.power_iteration_norm(M) == oracles.power_iteration_norm(M)
 
 
+def test_power_iteration_norm_leaves_a_two_cycle_bit_for_bit(monkeypatch):
+    # on some scales of the (20, 101) search the iterates end up
+    # alternating between two vectors; whatever the parity of the cap,
+    # the loop that leaves the cycle returns the plain loop's norm
+    matrices, _ = _scale_search_matrices(monkeypatch, [(20, 101, 1e-2)])
+    monkeypatch.undo()
+    cycles = 0
+    for M in matrices:
+        vs = oracles.power_iterates(M)
+        k = next((k for k in range(2, len(vs))
+                  if np.array_equal(vs[k], vs[k - 2])
+                  and not np.array_equal(vs[k], vs[k - 1])), None)
+        if k is None:
+            continue
+        cycles += 1
+        for iters in range(k - 3, k + 4):
+            assert va.power_iteration_norm(M, iters) == \
+                oracles.power_iteration_norm(M, iters)
+    assert cycles >= 4
+
+
 def test_scale_search_runs_at_most_half_its_power_steps(monkeypatch):
-    _, counts = _scale_search_matrices(monkeypatch, [(20, 101, 1e-2)])
-    assert counts.sum() <= 0.5 * 500 * len(counts)
+    # every scale's full loop would take 11,799 steps on (20, 101) and
+    # 16,710 on (20, 202); the search stops each "below" step once the
+    # running bound settles it, and every loop stops on a fixed point or
+    # a 2-cycle
+    for args, bound in (((20, 101, 1e-2), 6428), ((20, 202, 1e-2), 11547)):
+        _, counts = _scale_search_matrices(monkeypatch, [args])
+        assert counts.sum() <= 0.5 * 500 * len(counts)
+        assert counts.sum() <= bound
+
+
+def test_power_iteration_steps_bound_the_norm_from_below(monkeypatch):
+    # the search settles a step on sqrt(nw) with a 1e-9 margin; the bound
+    # must hold to well within it on every matrix the search builds
+    grid = [(n, seed, sigma) for n in (2, 3, 5, 20, 50) for seed in (0, 1)
+            for sigma in (1.0, 1e-2, 1e-4)]
+    matrices, _ = _scale_search_matrices(monkeypatch, grid)
+    monkeypatch.undo()
+    for M in matrices:
+        steps, top = H.power_iteration_steps(M), 0.0
+        try:
+            while True:
+                top = max(top, next(steps))
+        except StopIteration as done:
+            norm = done.value
+        assert math.sqrt(top) <= norm * (1.0 + 1e-12)
 
 
 def _special_trace():

@@ -9,8 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_perfbench_table_n20_passes_every_check(tmp_path):
-    # a short traced seed-0 run: the benchmark calls the library by name and
+def _run_perfbench(tmp_path, *args):
+    # a short seed-0 run: the benchmark calls the library by name and
     # checks each run; on the host whose fingerprint perfbench/digests.json
     # records, a changed instance or trace bit is a failed check too. The
     # driver runs from a copy, with src linked in, so its record lands in
@@ -20,11 +20,21 @@ def test_perfbench_table_n20_passes_every_check(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     proc = subprocess.run(
-        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload",
-         "table-n20", "--seed", "0", "--seconds", "0.1", "--trace", "1"],
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), *args,
+         "--seed", "0", "--seconds", "0.1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, proc.stdout
     assert last["attempted"] > 0
+
+
+def test_perfbench_table_n20_passes_every_check(tmp_path):
+    _run_perfbench(tmp_path, "--workload", "table-n20", "--trace", "1")
     assert (tmp_path / ".perfbench" / "spans-table-n20.npz").is_file()
+
+
+def test_perfbench_generate_sweep_passes_every_check(tmp_path):
+    # the only check of the pinned linear-VI bits at n = 100 and 200 and
+    # of the saddle's and the logistic objective's power-iteration lip
+    _run_perfbench(tmp_path, "--workload", "generate-sweep")

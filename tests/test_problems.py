@@ -56,7 +56,8 @@ def test_linear_vi_operator_matches_its_spec():
 @pytest.mark.parametrize("n,seed,sigma,constrained", [
     (2, 0, 1.0, False), (2, 1, 1e-1, True), (3, 7, 1e-2, True),
     (5, 1, 1e-3, False), (5, 202, 1e-2, True), (20, 101, 1e-2, False),
-    (20, 202, 1e-2, True)])
+    (20, 202, 1e-2, True), (5, 1101, 1e-3, True), (20, 1101, 1e-4, False),
+    (50, 1101, 1e-3, False), (50, 1101, 1e-4, False)])
 def test_linear_vi_matches_the_full_scale_search(n, seed, sigma, constrained):
     want = P.serialize_problem(oracles.gen_linear_vi(n, seed, sigma, constrained))
     got = P.serialize_problem(va.gen_linear_vi(n, seed, sigma, constrained)[0])
@@ -65,9 +66,10 @@ def test_linear_vi_matches_the_full_scale_search(n, seed, sigma, constrained):
 
 def test_linear_vi_scale_search_stops_at_its_fixed_point(monkeypatch):
     calls = []
-    norm = P.power_iteration_norm
-    monkeypatch.setattr(P, "power_iteration_norm",
-                        lambda *a, **kw: calls.append(1) or norm(*a, **kw))
+    for name in ("power_iteration_norm", "power_iteration_steps"):
+        fn = getattr(P, name)
+        monkeypatch.setattr(P, name, lambda *a, fn=fn, **kw:
+                            calls.append(1) or fn(*a, **kw))
     va.gen_linear_vi(20, 101, 1e-2)
     assert len(calls) <= 64  # the full 120-step search makes 122
 

@@ -1,6 +1,7 @@
 """Stepper worked examples, specialization identities, and run() behavior."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -66,8 +67,10 @@ def test_opt_params_validation():
 
 def test_stop_rule_validation():
     va.StopRule(max_iter=0)
-    with pytest.raises(ValueError):
-        va.StopRule(max_iter=-1)
+    va.StopRule(max_iter=np.int64(3))
+    for bad in (-1, 2.5, 3.0, math.nan, "3"):
+        with pytest.raises(ValueError, match="max_iter"):
+            va.StopRule(max_iter=bad)
     with pytest.raises(ValueError):
         va.StopRule(max_iter=10, residual_tol=-1.0)
 
@@ -356,8 +359,8 @@ def test_run_writes_neither_start_nor_kept_states(constrained):
 
 # per step: operator calls (one more when eta or beta is on) and, on the
 # orthant, projections (the step's, the projected half point's when the
-# half point is built, and the merit's); on the whole space there is no
-# half-point projection
+# half point is built, and the merit's); the whole space's identity
+# projection is called only by the start's feasibility check
 STEP_CALLS = {"vanilla": (1, 2), "extra-gradient": (2, 3), "ogda": (1, 2),
               "heavy-ball": (1, 2), "nesterov": (2, 2), "extra-point": (2, 3)}
 
@@ -379,13 +382,12 @@ def test_run_makes_exactly_the_masks_oracle_calls(method, constrained):
     a = 1.0 / (4.0 * prob.lip)
     prm = va.ViParams(alpha=a, beta=0.3, gamma=0.2, eta=0.8 * a, tau=0.5 * a)
     tr = va.run(prob, method, prm, np.ones(6), va.StopRule(max_iter=50))
-    ops, projections = STEP_CALLS[method]
-    if not constrained:
-        projections = 2
+    ops, projections = STEP_CALLS[method] if constrained else (
+        STEP_CALLS[method][0], 0)
     # before the loop: F(z0) for the state, the start's feasibility check
-    # and the merit at k = 0
+    # and, on the orthant, the merit at k = 0
     assert counts == {"operator": 1 + 50 * ops,
-                      "project": 2 + 50 * projections}
+                      "project": 1 + constrained + 50 * projections}
     assert tr.meta["oracle_calls"] == counts
 
 
@@ -409,9 +411,8 @@ def test_divergent_run_records_the_oracle_calls_it_made(method, constrained):
         va.run(prob, method, prm, np.ones(6), va.StopRule(max_iter=10000))
     tr = info.value.trace
     steps = len(tr.column("k"))  # the last step's iterate has no row
-    ops, projections = STEP_CALLS[method]
-    if not constrained:
-        projections = 2
+    ops, projections = STEP_CALLS[method] if constrained else (
+        STEP_CALLS[method][0], 0)
     assert steps >= 2
     assert counts == {"operator": 1 + steps * ops,
                       "project": 1 + steps * projections}
