@@ -125,13 +125,13 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
     target_sigma, capped at 98% of the largest ratio the shape admits;
     c never falls below 1e-12, so a target beneath what that scale gives
     is not met (gen_linear_vi(3, 0, 1e-16) returns sigma ~ 9.6e-13) while
-    meta records the target asked for. Its 120 steps stop early once one
-    leaves the bracket unchanged: the update is deterministic, so the rest
-    could not move it. A step stops its power iteration once the running
-    lower bound decides it, and lip reuses the last norm computed to the
-    end when c is that norm's scale, so the shortcuts leave every bit as
-    the full search would. Constrained instances live on the nonnegative
-    orthant with a complementarity reference solution.
+    meta records the target asked for. Each of its at most 120 steps
+    settles a new midpoint; the first midpoint met twice is an end of the
+    bracket no later step could move, so the search stops there. A step
+    stops its power iteration once the running lower bound decides it,
+    and lip reuses the final scale's norm when its loop ran to the end:
+    the shortcuts keep every bit of the full search. Constrained instances
+    live on the nonnegative orthant with a complementarity reference solution.
 
     Returns (MonotoneProblem, LinearOperatorSpec).
     """
@@ -152,45 +152,46 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
     skew = skew - skew.T
     offset = rng.uniform(-1.0, 1.0, n)
 
-    last = {}  # the last scale whose power iteration ran to the end
-
-    def below_goal(c: float) -> bool:
-        # whether c / p < goal for the power-iteration norm p of the
-        # scale-c matrix. With A = M^T M and v a step's unit input, its
-        # nw = ||A v|| is at most ||M v'||^2 for the next iterate v', and
-        # ||M v||^2 never falls from one iterate to the next (log-convexity
-        # of j -> v^T A^j v; see power_iteration_steps), so every nw is at
-        # most p^2. Once sqrt(nw) (1 - 1e-9) passes (c / goal) (1 + 1e-9),
-        # the answer is "below" whatever the rest of the loop does: the
-        # bound overshoots p by roundoff only, some 1e-15 relative.
+    def settle(c: float) -> tuple:
+        # (c / p < goal, p) for the power-iteration norm p at scale c, with
+        # p None when the loop stopped early. With A = M^T M and v a step's
+        # unit input, its nw = ||A v|| is at most ||M v'||^2 for the next
+        # iterate v', and ||M v||^2 never falls from one iterate to the next
+        # (log-convexity of j -> v^T A^j v; see power_iteration_steps), so
+        # every nw is at most p^2. Once sqrt(nw) (1 - 1e-9) passes
+        # (c / goal) (1 + 1e-9), the answer is "below" whatever the rest of
+        # the loop does: the bound overshoots p by roundoff only, some 1e-15
+        # relative.
         steps = power_iteration_steps(np.diag(c * diag0) + skew)
         bar = (c * (1.0 + 1e-9) / (goal * (1.0 - 1e-9))) ** 2
         try:
             while True:
                 if next(steps) > bar:
-                    return True
+                    return True, None
         except StopIteration as done:
-            last.update(c=c, norm=done.value)
-            return c / done.value < goal
+            return c / done.value < goal, done.value
 
     top = power_iteration_norm(np.diag(1e6 * diag0) + skew)
     goal = min(target_sigma, 0.98 * (1e6 / top))
     lo_c, hi_c = math.log(1e-12), math.log(1e6)
+    settled = {}  # midpoint -> settle's answer there
     for _ in range(120):
-        mid, bracket = 0.5 * (lo_c + hi_c), (lo_c, hi_c)
-        if below_goal(math.exp(mid)):
+        mid = 0.5 * (lo_c + hi_c)
+        if mid in settled:  # a fixed point: no later step moves the bracket
+            break
+        settled[mid] = settle(math.exp(mid))
+        if settled[mid][0]:
             lo_c = mid
         else:
             hi_c = mid
-        if (lo_c, hi_c) == bracket:  # a fixed point: no later step moves it
-            break
-    c = math.exp(0.5 * (lo_c + hi_c))
+    mid = 0.5 * (lo_c + hi_c)
+    c = math.exp(mid)
 
     diag = c * diag0
     M = np.diag(diag) + skew
 
     mu = float(diag.min())
-    lip = last["norm"] if c == last.get("c") else power_iteration_norm(M)
+    lip = settled.get(mid, (None, None))[1] or power_iteration_norm(M)
     meta = {"diag": diag, "skew": skew, "offset": offset,
             "target_sigma": float(target_sigma), "constrained": bool(constrained)}
 
@@ -451,15 +452,18 @@ def _build_bilinear_saddle(n, bilinear, mu_x, mu_y) -> dict:
     if sum(bilinear.shape) != n:
         raise ValueError(f"block meta.bilinear has shape {bilinear.shape}, "
                          f"whose sides must sum to n = {n}")
-    return dict(operator=_bilinear_matrix(bilinear, mu_x, mu_y).dot)
+    nx = bilinear.shape[0]
+    M = _bilinear_matrix(bilinear, mu_x, mu_y)
+    return dict(operator=M.dot, meta={"bilinear": M[:nx, nx:]})
 
 
 # Beside each kind: its class, the shape of each meta.* block it stores (each
 # side n or a meta.* scalar; one the file does not store matches any length),
 # and the builder of the class's callables from the file's n and the blocks
-# and meta.* scalars its parameters name. A kind's meta.* scalars are its
-# generator keys but n, seed and num_samples; a file may omit those that its
-# builder does not name.
+# and meta.* scalars its parameters name, with under "meta" any block it
+# holds in place of the parsed one (the saddle's coupling block, a view of
+# its operator matrix). A kind's meta.* scalars are its generator keys but
+# n, seed and num_samples; a file may omit those its builder does not name.
 LAYOUTS = {
     "linear-vi": (MonotoneProblem, dict(diag=("n",), offset=("n",),
                                         skew=("n", "n")), _build_linear_vi),
@@ -661,6 +665,7 @@ def _parse_lines(lines) -> Union[MonotoneProblem, SmoothObjective]:
             if name.startswith("meta.")}
     made = build(**{name: values["n"] if name == "n" else meta[name]
                     for name in inspect.signature(build).parameters})
+    meta.update(made.pop("meta", {}))
     return cls(dimension=values["n"], **made, **attrs, kind=kind, meta=meta)
 
 

@@ -112,13 +112,13 @@ class OptParams:
 
 
 class ViState(NamedTuple):
-    """Two-point history with cached operator values (never stale)."""
+    """Two-point history with cached operator values (never stale); a
+    step's half point lives in that step only."""
 
     z_curr: np.ndarray
     z_prev: np.ndarray
     f_curr: np.ndarray
     f_prev: np.ndarray
-    z_half: Optional[np.ndarray] = None
 
 
 class OptState(NamedTuple):
@@ -161,14 +161,15 @@ def vi_stepper(problem: MonotoneProblem, params: ViParams,
     point on a domain-restricted problem raises ValueError here, before
     any step.
 
-    No input array is written, and every array a step returns is fresh:
-    the returned state carries the others over from its input. The
-    intermediates live in scratch vectors allocated here, written with
-    ufunc out arguments; the last operation that builds a point the state
-    keeps allocates, unless a projection follows that returns a new array.
-    A bound stepper is therefore not reentrant: one run, one thread. The
-    returned function's ``calls`` maps "operator" and "project" to the
-    calls one step makes.
+    restricted projects the half point (the whole space ignores it). No
+    input array is written; a step's only fresh arrays are the next point
+    and its operator value, and the returned state carries the others over
+    from its input. The intermediates, the half point among them, live in
+    scratch vectors allocated here, written with ufunc out arguments; the
+    operation that finishes the next point allocates, unless a projection
+    follows that returns a new array. A bound stepper is therefore not
+    reentrant: one run, one thread. The returned function's ``calls`` maps
+    "operator" and "project" to the calls one step makes.
     """
     n = problem.dimension
     al = np.full(n, params.alpha)
@@ -186,14 +187,11 @@ def vi_stepper(problem: MonotoneProblem, params: ViParams,
     operator, project = problem.operator, fset.project
     add, subtract, multiply = np.add, np.subtract, np.multiply
     s_dz, s_bdz, s_t, s_half, s_nxt = (np.empty(n) for _ in range(5))
-    # The last operation that builds the half or next point allocates
-    # unless a projection follows that returns a new array. A set that
-    # hands back a point already inside it is caught after its projection.
-    half_out = s_half if project_half else None
+    # The next point's last operation allocates unless a projection follows;
+    # a set that hands back the point itself is caught after projecting it.
     nxt_out = None if identity else s_nxt
     alpha_out = s_nxt if ga is not None or ta is not None else nxt_out
     gamma_out = s_nxt if ta is not None else nxt_out
-    be_out = s_half if eta is not None else half_out
 
     def step(state: ViState) -> ViState:
         zc, fc = state.z_curr, state.f_curr
@@ -202,16 +200,12 @@ def vi_stepper(problem: MonotoneProblem, params: ViParams,
             if be is not None:
                 bdz = multiply(be, dz, s_bdz)
         if half_point:
-            half = zc if be is None else add(zc, bdz, be_out)
+            half = zc if be is None else add(zc, bdz, s_half)
             if eta is not None:
-                half = subtract(half, multiply(eta, fc, s_t), half_out)
-            if project_half:
-                half = project(half)
-                if half is s_half:
-                    half = half.copy()
-            f_half = operator(half)
+                half = subtract(half, multiply(eta, fc, s_t), s_half)
+            f_half = operator(project(half) if project_half else half)
         else:
-            half, f_half = zc, fc
+            f_half = fc
         nxt = subtract(zc, multiply(al, f_half, s_t), alpha_out)
         if ga is not None:
             nxt = add(nxt, bdz if shared else multiply(ga, dz, s_t),
@@ -223,7 +217,7 @@ def vi_stepper(problem: MonotoneProblem, params: ViParams,
             nxt = project(nxt)
             if nxt is s_nxt:
                 nxt = nxt.copy()
-        return _new_state(ViState, (nxt, zc, operator(nxt), fc, half))
+        return _new_state(ViState, (nxt, zc, operator(nxt), fc))
 
     step.calls = {"operator": 1 + half_point,
                   "project": (not identity) + project_half}
@@ -376,11 +370,9 @@ def run(target, method: str, params, start, stop: StopRule,
         merits = bind_objective_merits(target)
         start_calls = {"value_and_gradient": 1}  # opt_state's fused call
     else:
-        restricted = target.domain_restricted \
-            or not target.feasible_set.unbounded_whole_space
         reference = target.solution
         step = vi_stepper(target, _masked(method, params),
-                          restricted and method != "nesterov")
+                          method != "nesterov")
         merits = bind_vi_merits(target)
         # vi_state's F(z0) and check_run's feasibility projection
         start_calls = {"operator": 1, "project": 1}

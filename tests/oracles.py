@@ -6,7 +6,10 @@ vectors, and the minimization scheme through the generic nine-coefficient
 step (solvers.opt_stepper). These hand-written updates, with float
 coefficients and the five-parameter rule among them, exist only to
 cross-check that: the tests compare the library against them bit for bit
-(or to roundoff, for the reduced minimization form).
+(or to roundoff, for the reduced minimization form). The VI oracle steps
+return a HalfState, the library's four state fields and the half point
+the step built; the library keeps that point in its stepper's scratch,
+and recording lets a test read it as the input the stepper hands F.
 
 The generator oracles keep the full 120-step scale search of the linear-VI
 generator, a power iteration through np.linalg.norm and the matmul
@@ -44,8 +47,9 @@ two VI regimes on measured points, and the central-difference gradient
 checks the objectives' analytic gradients.
 """
 
+import dataclasses
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,7 +58,7 @@ from viaccel.core import (FeasibleSet, MonotoneProblem, NonnegativeOrthant,
                           SmoothObjective, WholeSpace, as_vector,
                           format_float, norm2)
 from viaccel.harness import CSV_HEADER, TRACE_FIELDS
-from viaccel.solvers import OptState, ViState
+from viaccel.solvers import OptState
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +102,37 @@ def project(feasible_set, z):
     return feasible_set.project(as_vector(z, feasible_set.dimension))
 
 
+class HalfState(NamedTuple):
+    """A state as the oracle steps return it: ViState's four fields, then
+    the half point the step built, which the library's stepper keeps in
+    its scratch."""
+
+    z_curr: np.ndarray
+    z_prev: np.ndarray
+    f_curr: np.ndarray
+    f_prev: np.ndarray
+    z_half: np.ndarray
+
+
 def _advance(problem, state, z_new, z_half):
-    return ViState(z_curr=z_new, z_prev=state.z_curr,
-                   f_curr=problem.operator(z_new), f_prev=state.f_curr,
-                   z_half=z_half)
+    return HalfState(z_curr=z_new, z_prev=state.z_curr,
+                     f_curr=problem.operator(z_new), f_prev=state.f_curr,
+                     z_half=z_half)
+
+
+def recording(problem):
+    """A copy of problem whose operator records a copy of every input it
+    is handed, and that list: a step of vi_stepper hands F its half point
+    (when it builds one) and then the next point."""
+    inputs, operator = [], problem.operator
+    recorded = dataclasses.replace(problem)
+
+    def record(z):
+        inputs.append(z.copy())
+        return operator(z)
+
+    recorded.operator = record
+    return recorded, inputs
 
 
 def step_vanilla(problem, state, alpha):

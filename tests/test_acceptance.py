@@ -200,6 +200,8 @@ def test_criterion_08_one_step_recursion_audits():
              oracles.unrestricted_recursion_terms),
             (True, C.REGIME_VI_RESTRICTED, oracles.restricted_recursion_terms)):
         prob, _ = va.gen_linear_vi(5, 4, 0.05, constrained=constrained)
+        # the half point is the first input a step hands the operator
+        recorded, inputs = oracles.recording(prob)
         draws = []
         while len(draws) < 20:
             # defaults for a harder (mu, L) pair, kept only when they
@@ -216,9 +218,11 @@ def test_criterion_08_one_step_recursion_audits():
                 st = va.ViState(z_curr=zc, z_prev=zp,
                                 f_curr=prob.operator(zc),
                                 f_prev=prob.operator(zp))
-                out = va.vi_stepper(prob, params, restricted=constrained)(st)
+                inputs.clear()
+                out = va.vi_stepper(recorded, params,
+                                    restricted=constrained)(st)
                 t = terms(params, prob.mu, prob.lip, prob.operator,
-                          zp, zc, out.z_half, out.z_curr, prob.solution)
+                          zp, zc, inputs[0], out.z_curr, prob.solution)
                 ok &= t["slack"] >= -1e-8 * (1.0 + abs(t["lhs"]) + abs(t["rhs"]))
     _verdict(8, "one-step distance bounds hold on 100 states x 20 feasible "
                 "parameter draws for both scheme variants", ok)

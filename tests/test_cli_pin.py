@@ -1,33 +1,41 @@
-"""A pin on everything the CLI shows: one SHA-256 over a fixed corpus of
-commands, each hashed with its argv, exit code, stdout, stderr and the bytes
-of every file it writes.
+"""A pin on everything the CLI shows: one SHA-256 per command of a fixed
+corpus, over its argv, exit code, stdout, stderr and the bytes of every
+file it writes, checked against a committed table (cli_pin.json) keyed by
+the command line.
 
 Each command runs in a fresh directory of its own and names every path
 relative to it, so no absolute path reaches the hash; the problem files the
 first commands generate are shared with the later ones as ../p/<name>. The
 wall-clock elapsed_ns field is dropped from written traces. The traces are
-float bits, so the digest holds for the numpy build and CPU it was recorded
-on (numpy 2 on x86-64). When it moves, compare command_digests() before and
-after a change to find the commands whose output moved.
+float bits, so the table holds for the numpy build and CPU it was recorded
+on (numpy 2 on x86-64). A mismatch names every command whose output moved.
 
-Commands whose output a change means to move stay out of the corpus and get
-tests of their own: an infeasible certificate with --theta-default or
---gap/--tol, an experiment whose later method is refused by run's
-preconditions, a stop flag out of range, the table preset of
-opt-extra-point on an instance whose mu is too large for it, and an
-experiment that names one method twice (MOVED).
+A change that moves output on purpose re-records only the entries it means
+to move, and the table's diff shows which:
+
+    PYTHONPATH=src python tests/test_cli_pin.py 'solve --problem ...' ...
+
+re-records the named commands (each a key of the table, one shell word),
+adds the corpus's commands the table lacks and drops entries no command
+makes; run without names, it only adds and drops.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import re
+import shlex
+import sys
+import tempfile
 from pathlib import Path
+
+import pytest
 
 from viaccel.cli import main
 from viaccel.solvers import METHODS, VI_METHODS
 
-DIGEST = "d33f6b8186bf532a53f9406b4eb7bfc26c47b54dbca8dac52f615629e32d0f41"
+TABLE = Path(__file__).with_name("cli_pin.json")
 
 PROBLEMS = {  # shared file -> the generate flags that make it
     "lin": ["--kind", "linear-vi", "--n", "6", "--seed", "1", "--sigma", "0.05"],
@@ -260,17 +268,16 @@ def _generate_commands():
     return cmds
 
 
-# commands the loops above make whose output moved on purpose
-MOVED = (["solve", "--problem", "../p/logi.problem", "--method",
-          "opt-extra-point", "--preset", "table", *STOP],
-         ["compare", "--config", "opt.cfg"])
-
-
 def corpus():
     """Every command's argv, in run order: the generate commands first, as
     the others read the problem files they write."""
-    return [argv for argv in _generate_commands() + _certify_commands()
-            + _solve_commands() + _compare_commands() if argv not in MOVED]
+    return (_generate_commands() + _certify_commands() + _solve_commands()
+            + _compare_commands())
+
+
+def key(argv) -> str:
+    """A command's entry in the table: its command line."""
+    return shlex.join(argv)
 
 
 INPUTS = {"exp.cfg": CONFIG, "opt.cfg": OPT_CONFIG,
@@ -310,14 +317,16 @@ def _run(argv, cwd: Path, monkeypatch) -> bytes:
     return b"\0".join(parts)
 
 
-def command_digests(root: Path, monkeypatch) -> list:
-    """Run the corpus under root; the SHA-256 of each command's record."""
+def command_digests(root: Path, monkeypatch) -> dict:
+    """Run the corpus under root; each command's key -> the SHA-256 of its
+    record, in run order."""
     shared = root / "p"
     shared.mkdir()
-    digests = []
+    digests = {}
     for i, argv in enumerate(corpus()):
         cwd = root / f"c{i}"
-        digests.append(hashlib.sha256(_run(argv, cwd, monkeypatch)).hexdigest())
+        digests[key(argv)] = hashlib.sha256(
+            _run(argv, cwd, monkeypatch)).hexdigest()
         if argv[0] == "generate" and argv[-1].endswith(".problem"):
             if (cwd / argv[-1]).exists():
                 (shared / argv[-1]).write_bytes((cwd / argv[-1]).read_bytes())
@@ -328,18 +337,40 @@ def command_digests(root: Path, monkeypatch) -> list:
     return digests
 
 
+def record(names=()) -> None:
+    """Re-record the table entries named (keys), add the corpus's commands
+    the table lacks and drop entries no command makes; every other entry
+    keeps its recorded digest."""
+    table = json.loads(TABLE.read_text())
+    unknown = set(names) - {key(argv) for argv in corpus()}
+    if unknown:
+        raise ValueError(f"no command in the corpus has key {sorted(unknown)}")
+    with tempfile.TemporaryDirectory() as root, \
+            pytest.MonkeyPatch.context() as monkeypatch:
+        digests = command_digests(Path(root), monkeypatch)
+    table = {k: d if k in names or k not in table else table[k]
+             for k, d in digests.items()}
+    TABLE.write_text(json.dumps(table, indent=0) + "\n")
+
+
 def test_corpus_is_large_and_covers_every_command():
     cmds = corpus()
     assert len(cmds) >= 200
     assert {argv[0] for argv in cmds} == {"generate", "certify", "solve",
                                           "compare"}
+    assert len({key(argv) for argv in cmds}) == len(cmds)  # one entry each
 
 
-def test_cli_output_matches_the_recorded_digest(tmp_path, monkeypatch):
-    total = hashlib.sha256()
-    for digest in command_digests(tmp_path, monkeypatch):
-        total.update(digest.encode())
-    assert total.hexdigest() == DIGEST
+def test_cli_output_matches_the_recorded_table(tmp_path, monkeypatch):
+    table = json.loads(TABLE.read_text())
+    digests = command_digests(tmp_path, monkeypatch)
+    moved = [k for k, d in digests.items() if table.get(k, d) != d]
+    missing = [k for k in digests if k not in table]
+    stale = [k for k in table if k not in digests]
+    assert not (moved or missing or stale), "\n".join(
+        [f"{len(moved)} commands moved:", *moved,
+         f"{len(missing)} commands have no entry:", *missing,
+         f"{len(stale)} entries match no command:", *stale])
 
 
 def test_a_repeated_method_keeps_each_run_under_its_position(tmp_path,
@@ -368,3 +399,7 @@ def test_a_repeated_method_keeps_each_run_under_its_position(tmp_path,
     table = record.split(b"\0")[2].decode().splitlines()
     assert [row.split()[0] for row in table[1:]] == \
         ["opt-extra-point.1", "opt-extra-point.2", "extra-gradient"]
+
+
+if __name__ == "__main__":
+    record(sys.argv[1:])

@@ -38,3 +38,9 @@ def test_perfbench_generate_sweep_passes_every_check(tmp_path):
     # the only check of the pinned linear-VI bits at n = 100 and 200 and
     # of the saddle's and the logistic objective's power-iteration lip
     _run_perfbench(tmp_path, "--workload", "generate-sweep")
+
+
+def test_perfbench_certified_n1000_passes_every_check(tmp_path):
+    # the only pin on the n = 1000 saddle's and the n = 500 quadratic's
+    # traces, the dense operator calls' step path
+    _run_perfbench(tmp_path, "--workload", "certified-n1000")

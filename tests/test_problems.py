@@ -458,6 +458,17 @@ def test_bilinear_saddle_holds_its_coupling_block_once():
     assert held < M.nbytes + 64 * 1024  # M is 8 * 600^2 bytes
 
 
+def test_read_back_saddle_holds_its_coupling_block_once(tmp_path):
+    # the parsed block is dropped once the operator matrix is assembled:
+    # meta.bilinear is a view of that matrix, as in a generated saddle
+    path = tmp_path / "p.txt"
+    va.write_problem(path, va.gen_bilinear_saddle(300, 300, 1))
+    prob, held, _ = _traced(lambda: va.read_problem(path))
+    M = prob.operator.__self__
+    assert np.shares_memory(prob.meta["bilinear"], M)
+    assert held < M.nbytes + 64 * 1024
+
+
 def test_serialize_peak_stays_near_twice_its_text():
     prob = va.gen_bilinear_saddle(300, 300, 1)
     text, _, peak = _traced(lambda: va.serialize_problem(prob))

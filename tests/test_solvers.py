@@ -81,7 +81,8 @@ def test_vi_state_duplicates_start():
     assert np.array_equal(st.z_curr, st.z_prev)
     assert np.array_equal(st.f_curr, st.f_prev)
     assert np.array_equal(st.f_curr, [1.0, -2.0])
-    assert st.z_half is None
+    # the two-point history is the whole state: no half point is kept
+    assert va.ViState._fields == ("z_curr", "z_prev", "f_curr", "f_prev")
 
 
 def test_vanilla_step_examples():
@@ -136,12 +137,14 @@ def test_nesterov_step_example():
 def test_extra_point_step_example():
     # half = 1 + 0.1 - 0.25 = 0.85
     # next = 1 - 0.25*0.85 + 0.1*1 - 0.05*(1 - 0) = 0.8375
-    p = _identity()
+    p, inputs = oracles.recording(_identity())
     st = va.ViState(z_curr=np.array([1.0]), z_prev=np.array([0.0]),
                     f_curr=np.array([1.0]), f_prev=np.array([0.0]))
     prm = va.ViParams(alpha=0.25, beta=0.1, gamma=0.1, eta=0.25, tau=0.05)
     out = va.vi_stepper(p, prm)(st)
-    assert out.z_half[0] == pytest.approx(0.85, rel=1e-15)
+    half, nxt = inputs  # F is handed the half point, then the next point
+    assert half[0] == pytest.approx(0.85, rel=1e-15)
+    assert np.array_equal(nxt, out.z_curr)
     assert out.z_curr[0] == pytest.approx(0.8375, rel=1e-15)
 
 
@@ -239,6 +242,32 @@ def test_run_matches_oracle_steppers_bitwise(constrained):
                                              va.vi_state(prob, z0), phi)
 
 
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("method", ["extra-gradient", "nesterov",
+                                    "extra-point"])
+def test_run_hands_the_operator_the_masks_half_point(method, constrained):
+    # on the orthant, extra-gradient and extra-point hand F a projected
+    # half point and nesterov an unprojected one; on the whole space no
+    # half point is projected. Each is the oracle's half point bit for bit.
+    prob, _ = va.gen_linear_vi(20, 7, 1e-2, constrained=constrained)
+    recorded, inputs = oracles.recording(prob)
+    a = 1.0 / (4.0 * prob.lip)
+    prm = va.ViParams(alpha=a, beta=0.3, gamma=0.2, eta=0.8 * a, tau=0.5 * a)
+    z0 = prob.feasible_set.project(np.ones(20))
+    va.run(recorded, method, prm, z0, va.StopRule(max_iter=300))
+    # F is handed z0, then per step the half point and the next point
+    assert len(inputs) == 1 + 2 * 300
+    projected = constrained and method != "nesterov"
+    step = oracles.oracle_step(method, prob, prm, restricted=projected)
+    st = va.vi_state(prob, z0)
+    for half in inputs[1::2]:
+        st = step(st)
+        assert np.array_equal(half, st.z_half)
+    if constrained:
+        least = min(half.min() for half in inputs[1::2])
+        assert least >= 0.0 if projected else least < 0.0
+
+
 def test_opt_run_matches_the_plain_loop_bitwise():
     obj = va.gen_quadratic(20, 5, 1e-2)
     prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
@@ -270,10 +299,10 @@ def _check_vi_step(prob, method, restricted):
     prm = S._masked(method, va.ViParams(alpha=a, beta=0.3, gamma=0.2,
                                         eta=0.8 * a, tau=0.5 * a))
     rng = np.random.default_rng(1)
-    zc, zp, zh = (prob.feasible_set.project(rng.standard_normal(6))
-                  for _ in range(3))
+    zc, zp = (prob.feasible_set.project(rng.standard_normal(6))
+              for _ in range(2))
     st = va.ViState(z_curr=zc, z_prev=zp, f_curr=prob.operator(zc),
-                    f_prev=prob.operator(zp), z_half=zh)
+                    f_prev=prob.operator(zp))
     before = [v.copy() for v in st]
     step = va.vi_stepper(prob, prm, restricted=restricted)
     out = step(st)
@@ -281,10 +310,6 @@ def _check_vi_step(prob, method, restricted):
         assert np.array_equal(getattr(st, name), kept), name
     assert out.z_prev is zc and out.f_prev is st.f_curr
     made = ("z_curr", "f_curr")
-    if prm.eta != 0.0 or prm.beta != 0.0:
-        made += ("z_half",)
-    else:
-        assert out.z_half is zc
     for name in made:
         assert not any(np.shares_memory(getattr(out, name), v) for v in st)
     assert not np.shares_memory(out.z_curr, out.f_curr)
@@ -306,6 +331,28 @@ def test_step_keeps_states_on_a_set_that_returns_its_input(method):
     ball = oracles.EuclideanBall(np.zeros(6), 1e3)
     _check_vi_step(dataclasses.replace(prob, feasible_set=ball, solution=None),
                    method, True)
+
+
+@pytest.mark.parametrize("method, constrained", [
+    ("extra-gradient", False), ("nesterov", False), ("extra-point", False),
+    ("nesterov", True)])
+def test_an_unprojected_half_point_stays_in_the_steppers_scratch(method,
+                                                                 constrained):
+    # each step builds its half point in the same scratch vector and
+    # hands F that array, which no state ever holds
+    prob, _ = va.gen_linear_vi(6, 3, 5e-2, constrained=constrained)
+    handed, operator = [], prob.operator
+    prob.operator = lambda z: handed.append(z) or operator(z)
+    a = 1.0 / (4.0 * prob.lip)
+    prm = S._masked(method, va.ViParams(alpha=a, beta=0.3, gamma=0.2,
+                                        eta=0.8 * a, tau=0.5 * a))
+    step = va.vi_stepper(prob, prm, restricted=method != "nesterov")
+    states = [va.vi_state(prob, prob.feasible_set.project(np.ones(6)))]
+    for _ in range(3):
+        states.append(step(states[-1]))
+    halves = handed[1::2]  # after F(z0): each step's half, then next point
+    assert len(halves) == 3 and all(h is halves[0] for h in halves)
+    assert not any(np.shares_memory(halves[0], v) for s in states for v in s)
 
 
 @pytest.mark.parametrize("y_rule", Y_RULES)
@@ -345,7 +392,7 @@ def test_run_writes_neither_start_nor_kept_states(constrained):
 
         def keep(s):
             seen.append(s)
-            copies.append([None if v is None else np.copy(v) for v in s])
+            copies.append([np.copy(v) for v in s])
             return 0.0
 
         va.run(target, method, prm, start, va.StopRule(max_iter=40),
@@ -354,7 +401,7 @@ def test_run_writes_neither_start_nor_kept_states(constrained):
         assert len(seen) == 41
         for s, c in zip(seen, copies):
             for v, w in zip(s, c):
-                assert (v is None and w is None) or np.array_equal(v, w), method
+                assert np.array_equal(v, w), method
 
 
 # per step: operator calls (one more when eta or beta is on) and, on the
@@ -528,8 +575,9 @@ def test_domain_restricted_gating():
     assert box.contains(out.z_half, tol=0.0)
     # the projected variant also keeps the extra-point half step feasible
     prm = va.ViParams(alpha=0.1, beta=0.2, gamma=0.2, eta=0.1, tau=0.01)
-    out2 = va.vi_stepper(pr, prm, restricted=True)(st)
-    assert box.contains(out2.z_half, tol=0.0)
+    recorded, inputs = oracles.recording(pr)
+    va.vi_stepper(recorded, prm, restricted=True)(st)
+    assert box.contains(inputs[0], tol=0.0)
     # only a half point off the current iterate needs the projection
     with pytest.raises(ValueError):
         va.vi_stepper(pr, va.ViParams(alpha=0.1, beta=0.1, gamma=0.1))(st)
