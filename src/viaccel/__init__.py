@@ -20,9 +20,8 @@ from .core import (FeasibleSet, MonotoneProblem, NonnegativeOrthant,
 from .harness import (TRACE_FIELDS, ContractionReport, DivergenceError,
                       IterateTrace, check_contraction, finite_diff_jacobian,
                       merit, ogda_potential, opt_potential,
-                      power_iteration_norm, reference_minimum,
-                      vi_distance_potential, write_trace_csv,
-                      write_trace_jsonl)
+                      power_iteration_norm, vi_distance_potential,
+                      write_trace_csv, write_trace_jsonl)
 from .presets import PAPER_DEFAULT, PRESETS, TABLE, TUNED, table_preset
 from .problems import (LinearOperatorSpec, estimate_constants,
                        gen_bilinear_saddle, gen_linear_vi, gen_logistic,

@@ -135,9 +135,9 @@ def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:
         source, takes = "problem.file", ("file",)
     elif kind in KINDS:
         gen, types = KINDS[kind]
-        params = dict(zip(types, inspect.signature(gen).parameters.values()))
-        for key, param in params.items():
-            if key not in spec and param.default is param.empty:
+        params = inspect.signature(gen).parameters
+        for key in types:
+            if key not in spec and params[key].default is params[key].empty:
                 raise ValueError(f"config needs problem.{key}")
         source, takes = f"problem kind {kind}", ("kind", *types)
     else:
@@ -149,8 +149,7 @@ def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:
 
     if "file" in spec:
         return P.read_problem(spec["file"])
-    made = gen(**{param.name: spec[key] for key, param in params.items()
-                  if key in spec})
+    made = gen(**{key: spec[key] for key in types if key in spec})
     # gen_linear_vi returns (problem, operator spec)
     return made[0] if isinstance(made, tuple) else made
 

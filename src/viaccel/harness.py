@@ -1,10 +1,11 @@
-"""Run instrumentation and independent numerical oracles.
+"""Run instrumentation, power iteration and a finite-difference Jacobian.
 
 This module owns the trace data model (per-iteration merits, distances,
 potentials, timings), the contraction checker that compares measured decay
-against a certificate, the plain-text trace exports, and the oracles used to
-cross-examine analytic constants: a central-difference Jacobian and power
-iteration.
+against a certificate, and the plain-text trace exports. Power iteration
+sets the recorded lip of the linear-VI, logistic and saddle generators and
+drives the linear-VI scale search; with the central-difference Jacobian it
+also cross-examines recorded constants (problems.estimate_constants).
 """
 
 from __future__ import annotations
@@ -331,30 +332,6 @@ def power_iteration_norm(M, iters: int = 500) -> float:
             next(steps)
     except StopIteration as done:
         return done.value
-
-
-def reference_minimum(objective: SmoothObjective) -> tuple:
-    """Minimize an objective to gradient norm <= 1e-12 with the certified
-    scheme.
-
-    Runs the default-parameter nine-coefficient method from the origin for
-    at most 500,000 steps and returns (x, f(x), iterations). Used to
-    manufacture reference optimal values for objectives without a
-    closed-form minimizer. Raises RuntimeError when the tolerance is not
-    reached.
-    """
-    from .certify import REGIME_OPT, default_params
-    from .solvers import opt_state, opt_stepper
-
-    step = opt_stepper(objective, default_params(REGIME_OPT, objective.mu,
-                                                 objective.lip), "grad-step")
-    state = opt_state(objective, np.zeros(objective.dimension))
-    for k in range(500000):
-        if norm2(state.g_curr) <= 1e-12:
-            return state.x_curr, float(state.f_curr), k
-        state = step(state)
-    raise RuntimeError("reference minimization did not reach gradient norm "
-                       "1e-12 in 500000 iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -340,22 +340,22 @@ def gen_quadratic(n: int, seed: int, target_sigma: float) -> SmoothObjective:
                                  "target_sigma": float(target_sigma)})
 
 
-def gen_logistic(n: int, n_samples: int, lam: float, seed: int) -> SmoothObjective:
+def gen_logistic(n: int, num_samples: int, lam: float, seed: int) -> SmoothObjective:
     """Ridge-regularized logit loss over seeded Gaussian features.
 
     mu = lam exactly; lip = lam + ||data||^2 / (4 N) with the data norm from
     power iteration (the standard quarter bound on the logit curvature).
-    No minimizer is attached; harness.reference_minimum finds one on demand.
+    No minimizer is attached; the tests' oracles.reference_minimum finds one.
     """
-    if n < 1 or n_samples < 1:
-        raise ValueError("n and n_samples must be positive")
+    if n < 1 or num_samples < 1:
+        raise ValueError("n and num_samples must be positive")
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive and finite")
     rng = np.random.default_rng(seed)
-    data = 0.107 * rng.standard_normal((n_samples, n))
+    data = 0.107 * rng.standard_normal((num_samples, n))
     lam = float(lam)
 
-    lip = lam + power_iteration_norm(data) ** 2 / (4.0 * n_samples)
+    lip = lam + power_iteration_norm(data) ** 2 / (4.0 * num_samples)
     return SmoothObjective(dimension=n, **_logistic_functions(data, lam),
                            mu=lam, lip=lip,
                            kind="logistic", seed=seed,
@@ -430,8 +430,8 @@ def estimate_constants(problem: MonotoneProblem):
 # ---------------------------------------------------------------------------
 # the stored form of each kind
 
-# Each problem kind's generator and its generator keys with their types, in
-# the generator's parameter order; a key whose parameter has a default there
+# Each problem kind's generator and its keys with their types: each key is
+# the name of a generator parameter, and one whose parameter has a default
 # is optional and, when not given, takes that default.
 KINDS = {
     "linear-vi": (gen_linear_vi, dict(n=int, seed=int, target_sigma=float,

@@ -21,6 +21,13 @@ hand-written loop of projected half steps with its own natural residual,
 where the library steps solvers.vi_stepper's extra-gradient and stops on
 core.bind_vi_merits; the tests require identical solutions.
 
+The reference minimizer supplies f* for an objective with no closed-form
+minimizer (the logit loss): it runs the paper-default nine-coefficient
+scheme from the origin down to gradient norm 1e-12, stepping with
+y = the gradient step (solvers.opt_stepper's "grad-step" rule). No CLI
+path or generator needs an f* it does not already have, so the library
+carries none.
+
 Box and EuclideanBall are feasible sets that no generator, problem file
 or CLI path reaches; they keep the projection checks general. project
 and append_row are the checked one-shot projection and a trace's
@@ -54,11 +61,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from viaccel import problems as P
+from viaccel.certify import REGIME_OPT, default_params
 from viaccel.core import (FeasibleSet, MonotoneProblem, NonnegativeOrthant,
                           SmoothObjective, WholeSpace, as_vector,
                           format_float, norm2)
 from viaccel.harness import CSV_HEADER, TRACE_FIELDS
-from viaccel.solvers import OptState
+from viaccel.solvers import OptState, opt_state, opt_stepper
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +337,26 @@ def solve_linear_reference(M, q, fset, lip):
         half = np.maximum(z - alpha * w, 0.0)
         z = np.maximum(z - alpha * (M.dot(half) + q), 0.0)
     raise RuntimeError("complementarity reference solve did not converge")
+
+
+def reference_minimum(objective):
+    """Minimize an objective to gradient norm <= 1e-12 with the certified
+    scheme.
+
+    Runs the default-parameter nine-coefficient method, stepping with
+    y = the gradient step, from the origin for at most 500,000 steps and
+    returns (x, f(x), iterations). Raises RuntimeError when the tolerance
+    is not reached.
+    """
+    step = opt_stepper(objective, default_params(REGIME_OPT, objective.mu,
+                                                 objective.lip), "grad-step")
+    state = opt_state(objective, np.zeros(objective.dimension))
+    for k in range(500000):
+        if norm2(state.g_curr) <= 1e-12:
+            return state.x_curr, float(state.f_curr), k
+        state = step(state)
+    raise RuntimeError("reference minimization did not reach gradient norm "
+                       "1e-12 in 500000 iterations")
 
 
 def gen_linear_vi(n, seed, target_sigma, constrained=False):

@@ -190,6 +190,18 @@ def test_generate_other_kinds(tmp_path):
         assert va.read_problem(path).kind == kind
 
 
+def test_each_kinds_keys_are_its_generators_parameter_names():
+    for kind, (gen, types) in KINDS.items():
+        assert set(types) == set(inspect.signature(gen).parameters), kind
+
+
+def test_a_refused_generator_input_is_named_by_its_key(capsys):
+    rc = main(["generate", "--kind", "logistic", "--num-samples", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: n and num_samples must be positive\n"
+
+
 # --- certify --------------------------------------------------------------------
 
 def test_certify_defaults_feasible_with_bound(capsys):
@@ -1199,8 +1211,9 @@ def test_readme_config_keys_are_the_tables_keys():
         kind, keys = entry.split(": ")
         required, _, optional = keys.partition("optional ")
         gen, types = KINDS[kind.strip("`")]
-        defaults = {key: param.default is not param.empty for key, param in
-                    zip(types, inspect.signature(gen).parameters.values())}
+        params = inspect.signature(gen).parameters
+        defaults = {key: params[key].default is not params[key].empty
+                    for key in types}
         assert re.findall(r"`(\w+)`", required) == \
             [k for k in types if not defaults[k]]
         assert re.findall(r"`(\w+)`", optional) == \

@@ -100,6 +100,67 @@ method.3.preset = table
 stop.max_iter = 50
 """
 
+SMALL = """\
+problem.kind = linear-vi
+problem.n = 3
+problem.seed = 1
+problem.target_sigma = 0.1
+method.1.name = vanilla
+stop.max_iter = 5
+"""
+CONFIGS = {  # config file -> its text: SMALL with a comment, or one fault
+    "comment.cfg": "# a comment, then a blank line\n\n" + SMALL,
+    "line.cfg": SMALL + "stop.tol 1e-3\n",
+    "index.cfg": SMALL + "method.x.name = ogda\n",
+    "key.cfg": SMALL + "problem.colour = red\n",
+    "nomethod.cfg": SMALL.replace("method.1.name = vanilla\n", ""),
+    "noname.cfg": SMALL + "method.2.preset = table\n",
+    "nokey.cfg": SMALL.replace("problem.seed = 1\n", ""),
+    "kind.cfg": SMALL.replace("linear-vi", "nope"),
+    "preset.cfg": SMALL + "method.1.preset = fancy\n",
+    "type.cfg": SMALL.replace("max_iter = 5", "max_iter = 2.5"),
+    "tol.cfg": SMALL + "method.1.tol = -1\n",
+}
+SADDLE = """\
+vi-accel-problem v1
+class = monotone-vi
+kind = bilinear-saddle
+n = 2
+mu = 1
+lip = 1.2
+seed = 1
+domain_restricted = false
+feasible_set = whole-space
+meta.mu_x = 1
+meta.mu_y = 1
+meta.nx = 1
+meta.ny = 1
+begin solution
+0 0
+end solution
+begin meta.bilinear
+0.5
+end meta.bilinear
+"""
+PROBLEM_FILES = {  # problem file -> its text: SADDLE, or it with one fault
+    "saddle.problem": SADDLE,
+    "header.problem": SADDLE.split("\n", 1)[1],
+    "word-row.problem": SADDLE.replace("0.5\n", "half\n"),
+    "ragged.problem": SADDLE.replace("0 0\n", "0 0\n0\n"),
+    "unterminated.problem": SADDLE.replace("end meta.bilinear\n", ""),
+    "line.problem": SADDLE + "one more line\n",
+    "twice.problem": SADDLE + "seed = 1\n",
+    "kind.problem": SADDLE.replace("kind = bilinear-saddle", "kind = nope"),
+    "entry.problem": SADDLE + "meta.colour = 1\n",
+    "class.problem": SADDLE.replace("class = monotone-vi",
+                                    "class = smooth-objective"),
+    "set.problem": SADDLE.replace("whole-space", "ball"),
+    "nolip.problem": SADDLE.replace("lip = 1.2\n", ""),
+    "n0.problem": SADDLE.replace("n = 2", "n = 0"),
+    "nan.problem": SADDLE.replace("mu = 1\n", "mu = nan\n"),
+    "shape.problem": SADDLE.replace("0.5\n", "0.5 0.5\n"),
+}
+
 
 def _certify_commands():
     cmds = []
@@ -141,6 +202,12 @@ def _certify_commands():
                      base + mulip + ["--alpha", "1", "--eta", "1e-155"],
                      base + mulip + ["--eta", "0.1"],
                      base + mulip + ["--theta", "0.1"]]
+    opt = ["certify", "--regime", "opt", "--mu", "1", "--lip", "10"]
+    cmds += [opt + EXPLICIT["opt-extra-point"][:-2],  # all but --c
+             opt + ["--delta", "1.5"],
+             ["certify", "--regime", "vi-unrestricted", "--mu", "1", "--lip",
+              "10", "--alpha", "0.5", "--eta", "0.5", "--gap", "1", "--tol",
+              "1e-8"]]
     return cmds
 
 
@@ -186,7 +253,10 @@ def _solve_commands():
         + STOP,
         ["solve", "--problem", "../p/dr.problem", "--method", "nesterov",
          "--preset", "table"] + STOP,
+        lin + ["--method", "vanilla", "--max-iter", "-1"],
     ]
+    cmds += [["solve", "--problem", name, "--method", "vanilla", "--max-iter",
+              "5"] for name in PROBLEM_FILES]
     return cmds
 
 
@@ -243,6 +313,9 @@ def _compare_commands():
         ["compare", "--config", "opt.cfg"],
         ["compare", "--config", "bad.cfg"],
         ["compare", "--config", "twice.cfg"],
+        ["compare", "--kind", "quadratic", "--n", "3", "--sigma", "1",
+         "--methods", "opt-extra-point", "--max-iter", "5"],
+        *(["compare", "--config", name] for name in CONFIGS),
         ["compare", "--config", "missing.cfg"],
     ]
     return cmds
@@ -264,6 +337,12 @@ def _generate_commands():
         ["generate", "--kind", "quadratic", "--constrained"],
         ["generate", "--kind", "nope"],
         ["generate", "--n", "3", "--out", "missing/dir/x.problem"],
+        ["generate", "--n", "1"],
+        ["generate", "--sigma", "0"],
+        ["generate", "--kind", "logistic", "--num-samples", "0"],
+        ["generate", "--kind", "logistic", "--lam", "0"],
+        ["generate", "--kind", "bilinear-saddle", "--nx", "0"],
+        ["generate", "--kind", "bilinear-saddle", "--mu-x", "0"],
     ]
     return cmds
 
@@ -282,7 +361,8 @@ def key(argv) -> str:
 
 INPUTS = {"exp.cfg": CONFIG, "opt.cfg": OPT_CONFIG,
           "bad.cfg": CONFIG + "method.5.step = 2\n",
-          "twice.cfg": CONFIG + "stop.max_iter = 7\n"}
+          "twice.cfg": CONFIG + "stop.max_iter = 7\n",
+          **CONFIGS, **PROBLEM_FILES}
 
 
 def _file_bytes(path: Path) -> bytes:

@@ -283,7 +283,7 @@ def test_norm_of_diagonal_plus_skew_dominates_the_diagonal():
 
 def test_reference_minimum_on_the_logit_objective():
     obj = va.gen_logistic(15, 2, 0.005, 0)
-    x, fval, iters = va.reference_minimum(obj)
+    x, fval, iters = oracles.reference_minimum(obj)
     assert fval == 0.2891770749877034
     assert iters == 24
     assert float(np.linalg.norm(obj.gradient(x))) <= 1e-12
