@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import format_float
+from .core import ProblemInstance, format_float
 from .solvers import OptParams, ViParams
 
 REGIME_VI_UNRESTRICTED = "vi-unrestricted"
@@ -105,8 +105,7 @@ CONSTANT_RANGE = (1e-100, 1e100)
 
 
 def _check_constants(mu: float, lip: float) -> None:
-    if not (0 < mu <= lip) or not math.isfinite(lip):
-        raise ValueError("need 0 < mu <= lip < inf")
+    ProblemInstance.check_constants(mu, lip)
     lo, hi = CONSTANT_RANGE
     outside = [f"{name} = {format_float(value)}"
                for name, value in (("mu", mu), ("lip", lip))

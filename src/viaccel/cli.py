@@ -375,9 +375,8 @@ def _output_plan(output: dict) -> tuple:
 def _summarize(results) -> bool:
     """Print the comparison table; True when any run diverged or broke
     its certificate (the --strict failure condition)."""
-    print(f"{'method':<18} {'status':<10} {'iters@tol':>10} "
-          f"{'merit_primary':>14} {'merit_aux':>14} {'max_violation':>14}")
-    failed = False
+    failed, rows = False, [("method", "status", "iters@tol", "merit_primary",
+                            "merit_aux", "max_violation")]
     for label, plan, trace, report, error in results:
         status = error or trace.terminated_by
         failed |= error is not None
@@ -390,9 +389,12 @@ def _summarize(results) -> bool:
             status += "/uncert"
         aux = trace.column("merit_aux")[-1]
         aux = "" if aux is None else f"{aux:.6e}"
-        print(f"{label:<18} {status:<10} {iters:>10} "
-              f"{trace.column('merit_primary')[-1]:>14.6e} {aux:>14} "
-              f"{viol:>14}")
+        rows.append((label, status, iters,
+                     f"{trace.column('merit_primary')[-1]:.6e}", aux, viol))
+    width = max(10, *(len(row[1]) for row in rows))
+    for label, status, iters, primary, aux, viol in rows:
+        print(f"{label:<18} {status:<{width}} {iters:>10} {primary:>14} "
+              f"{aux:>14} {viol:>14}")
     return failed
 
 

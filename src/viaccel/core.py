@@ -1,4 +1,5 @@
-"""Problem primitives: feasible sets, projections, and problem containers.
+"""Problem primitives: feasible sets, projections, and the two problem
+containers, MonotoneProblem and SmoothObjective, on their base ProblemInstance.
 
 Vectors are 1-D float64 numpy arrays. Every public entry point validates
 shape and finiteness once, then trusts the data: the feasible-set methods
@@ -69,9 +70,12 @@ def typed(key: str, text: str, typ):
 
 
 class FeasibleSet:
-    """Closed convex set with a closed-form Euclidean projection."""
+    """Closed convex set in R^n with a closed-form Euclidean projection."""
 
-    dimension: int
+    def __init__(self, dimension: int):
+        if dimension < 1:
+            raise ValueError("dimension must be positive")
+        self.dimension = int(dimension)
 
     def project(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -84,29 +88,22 @@ class FeasibleSet:
     def unbounded_whole_space(self) -> bool:
         return isinstance(self, WholeSpace)
 
+    def __repr__(self):
+        return f"{type(self).__name__}({self.dimension})"
+
 
 class WholeSpace(FeasibleSet):
     """All of R^n; projection is the identity."""
 
-    def __init__(self, dimension: int):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.dimension = int(dimension)
-
     def project(self, z: np.ndarray) -> np.ndarray:
         return z
-
-    def __repr__(self):
-        return f"WholeSpace({self.dimension})"
 
 
 class NonnegativeOrthant(FeasibleSet):
     """{z : z >= 0}; projection clips negative entries to zero."""
 
     def __init__(self, dimension: int):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.dimension = int(dimension)
+        super().__init__(dimension)
         self._zeros = np.zeros(self.dimension)
 
     def project(self, z: np.ndarray) -> np.ndarray:
@@ -114,61 +111,27 @@ class NonnegativeOrthant(FeasibleSet):
         # faster
         return np.maximum(z, self._zeros)
 
-    def __repr__(self):
-        return f"NonnegativeOrthant({self.dimension})"
 
-
-@dataclass
-class MonotoneProblem:
-    """A strongly monotone operator over a feasible set.
-
-    Parameters
-    ----------
-    dimension : int
-        Ambient dimension n.
-    operator : callable
-        Maps a feasible vector to an n-vector.
-    feasible_set : FeasibleSet
-        The constraint set of the variational inequality.
-    mu : float
-        Strong-monotonicity modulus; positive.
-    lip : float
-        Lipschitz constant of the operator; lip >= mu.
-    solution : optional vector
-        Known solution. When present its natural residual must sit below
-        SOLUTION_RTOL * (1 + ||solution||).
-    domain_restricted : bool
-        True when the operator is only defined on the feasible set. Methods
-        that evaluate the operator at unprojected extrapolated points are
-        then unavailable. The flag is declared by the caller and trusted.
-    """
+@dataclass(kw_only=True)
+class ProblemInstance:
+    """A problem container's keyword-only fields: dimension n, the moduli
+    0 < mu <= lip < inf of strong monotonicity (or convexity) and of
+    Lipschitz continuity, and the kind, seed and meta a generator records."""
 
     dimension: int
-    operator: Callable[[np.ndarray], np.ndarray]
-    feasible_set: FeasibleSet
     mu: float
     lip: float
-    solution: Optional[np.ndarray] = None
-    domain_restricted: bool = False
     kind: str = "custom"
     seed: Optional[int] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dimension != self.feasible_set.dimension:
-            raise ValueError("problem and feasible set dimensions differ")
-        if not (0 < self.mu <= self.lip) or not np.isfinite(self.lip):
+        self.check_constants(self.mu, self.lip)
+
+    @staticmethod
+    def check_constants(mu: float, lip: float) -> None:
+        if not (0 < mu <= lip) or not math.isfinite(lip):
             raise ValueError("need 0 < mu <= lip < inf")
-        if self.solution is not None:
-            self.solution = as_vector(self.solution, self.dimension)
-            res = bind_vi_merits(self)(self.solution,
-                                       self.operator(self.solution))[1]
-            bound = SOLUTION_RTOL * (1.0 + norm2(self.solution))
-            if res > bound:
-                raise ValueError(
-                    f"stored solution has natural residual {res:.3e} "
-                    f"above the acceptance bound {bound:.3e}"
-                )
 
     @property
     def sigma(self) -> float:
@@ -182,7 +145,47 @@ class MonotoneProblem:
 
 
 @dataclass
-class SmoothObjective:
+class MonotoneProblem(ProblemInstance):
+    """A strongly monotone operator over a feasible set.
+
+    Parameters, beside ProblemInstance's
+    ------------------------------------
+    operator : callable
+        Maps a feasible vector to an n-vector.
+    feasible_set : FeasibleSet
+        The constraint set of the variational inequality.
+    solution : optional vector
+        Known solution. When present its natural residual must sit below
+        SOLUTION_RTOL * (1 + ||solution||).
+    domain_restricted : bool
+        True when the operator is only defined on the feasible set. Methods
+        that evaluate the operator at unprojected extrapolated points are
+        then unavailable. The flag is declared by the caller and trusted.
+    """
+
+    operator: Callable[[np.ndarray], np.ndarray]
+    feasible_set: FeasibleSet
+    solution: Optional[np.ndarray] = None
+    domain_restricted: bool = False
+
+    def __post_init__(self):
+        if self.dimension != self.feasible_set.dimension:
+            raise ValueError("problem and feasible set dimensions differ")
+        super().__post_init__()
+        if self.solution is not None:
+            self.solution = as_vector(self.solution, self.dimension)
+            res = bind_vi_merits(self)(self.solution,
+                                       self.operator(self.solution))[1]
+            bound = SOLUTION_RTOL * (1.0 + norm2(self.solution))
+            if res > bound:
+                raise ValueError(
+                    f"stored solution has natural residual {res:.3e} "
+                    f"above the acceptance bound {bound:.3e}"
+                )
+
+
+@dataclass
+class SmoothObjective(ProblemInstance):
     """A strongly convex objective with Lipschitz gradient.
 
     value and gradient are callables on n-vectors; mu and lip bound the
@@ -195,21 +198,14 @@ class SmoothObjective:
     SOLUTION_RTOL relative).
     """
 
-    dimension: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    mu: float
-    lip: float
     minimizer: Optional[np.ndarray] = None
     optimal_value: Optional[float] = None
-    kind: str = "custom"
-    seed: Optional[int] = None
-    meta: dict = field(default_factory=dict)
     value_and_gradient: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
-        if not (0 < self.mu <= self.lip) or not np.isfinite(self.lip):
-            raise ValueError("need 0 < mu <= lip < inf")
+        super().__post_init__()
         if self.value_and_gradient is None:
             value, gradient = self.value, self.gradient
             self.value_and_gradient = lambda x: (value(x), gradient(x))
@@ -234,14 +230,6 @@ class SmoothObjective:
                     f"optimal_value {format_float(fs)} is not the value "
                     f"{format_float(fx)} at the stored minimizer"
                 )
-
-    @property
-    def sigma(self) -> float:
-        return self.mu / self.lip
-
-    @property
-    def kappa(self) -> float:
-        return self.lip / self.mu
 
 
 def gradient_problem(objective: SmoothObjective) -> MonotoneProblem:

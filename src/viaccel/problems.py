@@ -503,7 +503,8 @@ def schema(kind: str) -> dict:
 
 def _check(kind: str, values: dict) -> None:
     """Refuse entries (name -> value, None when not given) that lack one
-    the kind needs, or whose n, numbers or meta.* block shapes do not fit."""
+    the kind needs, or whose n, numbers or meta.* block shapes do not fit;
+    _parse_lines checks the class's blocks after the kind's builder."""
     cls, blocks, build = LAYOUTS[kind]
     params = inspect.signature(cls).parameters
     needed = ["class", "kind", "n"]
@@ -526,14 +527,19 @@ def _check(kind: str, values: dict) -> None:
                 bad = np.extract(~finite, value)[0]
                 raise ValueError(f"{name} must be finite, got {bad}")
     for name, shape in blocks.items():
-        want = [values.get(side if side == "n" else f"meta.{side}")
-                for side in shape]
-        got = np.shape(values[f"meta.{name}"])
-        if len(got) != len(want) or \
-                any(w not in (None, g) for w, g in zip(want, got)):
-            sizes = ", ".join("any" if w is None else str(w) for w in want)
-            raise ValueError(f"{kind} problem needs block meta.{name} of shape "
-                             f"({', '.join(shape)}) = ({sizes}), got {got}")
+        _check_shape(kind, f"meta.{name}", shape, values)
+
+
+def _check_shape(kind: str, name: str, shape: tuple, values: dict) -> None:
+    """Refuse block values[name] unless its sides are its shape's sizes."""
+    want = [values.get(side if side == "n" else f"meta.{side}")
+            for side in shape]
+    got = np.shape(values[name])
+    if len(got) != len(want) or \
+            any(w not in (None, g) for w, g in zip(want, got)):
+        sizes = ", ".join("any" if w is None else str(w) for w in want)
+        raise ValueError(f"{kind} problem needs block {name} of shape "
+                         f"({', '.join(shape)}) = ({sizes}), got {got}")
 
 
 def _problem_lines(obj: Union[MonotoneProblem, SmoothObjective]):
@@ -594,8 +600,9 @@ def parse_problem(text: str) -> Union[MonotoneProblem, SmoothObjective]:
 
     The file gives its kind's schema entries, each at most once: every one
     the kind needs, and no other. Values are typed by key as in configs,
-    and block shapes checked, before any operator is built; a malformed
-    file raises ValueError naming the entry.
+    and meta.* block shapes checked, before any operator is built, and the
+    solution or minimizer block's after; a malformed file raises ValueError
+    naming the entry.
     """
     return _parse_lines(text.splitlines())
 
@@ -666,6 +673,9 @@ def _parse_lines(lines) -> Union[MonotoneProblem, SmoothObjective]:
     made = build(**{name: values["n"] if name == "n" else meta[name]
                     for name in inspect.signature(build).parameters})
     meta.update(made.pop("meta", {}))
+    for name, shape in CLASSES[cls][1].items():
+        if isinstance(shape, tuple) and name in attrs:
+            _check_shape(kind, name, shape, values)
     return cls(dimension=values["n"], **made, **attrs, kind=kind, meta=meta)
 
 

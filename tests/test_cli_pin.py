@@ -142,6 +142,25 @@ begin meta.bilinear
 0.5
 end meta.bilinear
 """
+QUADRATIC = """\
+vi-accel-problem v1
+class = smooth-objective
+kind = quadratic
+n = 3
+mu = 1
+lip = 2
+begin minimizer
+0 0
+end minimizer
+begin meta.hessian
+1 0 0
+0 2 0
+0 0 1
+end meta.hessian
+begin meta.linear
+0 0 0
+end meta.linear
+"""
 PROBLEM_FILES = {  # problem file -> its text: SADDLE, or it with one fault
     "saddle.problem": SADDLE,
     "header.problem": SADDLE.split("\n", 1)[1],
@@ -159,7 +178,15 @@ PROBLEM_FILES = {  # problem file -> its text: SADDLE, or it with one fault
     "n0.problem": SADDLE.replace("n = 2", "n = 0"),
     "nan.problem": SADDLE.replace("mu = 1\n", "mu = nan\n"),
     "shape.problem": SADDLE.replace("0.5\n", "0.5 0.5\n"),
+    "solution.problem": SADDLE.replace("0 0\n", "0 0 0\n"),
+    "minimizer.problem": QUADRATIC,  # its minimizer has 2 of n = 3 numbers
 }
+WIDE_STATUS = [  # compare commands whose status column outgrows 10 wide
+    ["compare", "--kind", "quadratic", "--n", "3", "--sigma", "1",
+     "--methods", "opt-extra-point", "--max-iter", "5"],
+    ["compare", "--kind", "quadratic", "--n", "3", "--sigma", "1",
+     "--methods", "opt-extra-point,vanilla"],
+]
 
 
 def _certify_commands():
@@ -313,8 +340,7 @@ def _compare_commands():
         ["compare", "--config", "opt.cfg"],
         ["compare", "--config", "bad.cfg"],
         ["compare", "--config", "twice.cfg"],
-        ["compare", "--kind", "quadratic", "--n", "3", "--sigma", "1",
-         "--methods", "opt-extra-point", "--max-iter", "5"],
+        *WIDE_STATUS,
         *(["compare", "--config", name] for name in CONFIGS),
         ["compare", "--config", "missing.cfg"],
     ]
@@ -479,6 +505,20 @@ def test_a_repeated_method_keeps_each_run_under_its_position(tmp_path,
     table = record.split(b"\0")[2].decode().splitlines()
     assert [row.split()[0] for row in table[1:]] == \
         ["opt-extra-point.1", "opt-extra-point.2", "extra-gradient"]
+
+
+@pytest.mark.parametrize("argv", WIDE_STATUS, ids=key)
+def test_summary_values_end_under_their_headers(argv, tmp_path, monkeypatch):
+    """A status over 10 wide widens its column: each status starts under
+    its header, and each right-aligned value ends where its header does."""
+    out = _run(argv, tmp_path / "c", monkeypatch).split(b"\0")[2].decode()
+    header, *rows = out.splitlines()
+    ends = {m.end() for m in list(re.finditer(r"\S+", header))[2:]}
+    assert rows
+    for row in rows:
+        words = list(re.finditer(r"\S+", row))
+        assert words[1].start() == header.index("status"), row
+        assert {m.end() for m in words[2:]} <= ends, row
 
 
 if __name__ == "__main__":

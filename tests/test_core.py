@@ -131,6 +131,19 @@ def test_problem_constant_validation():
                            mu=1.0, lip=1.0)
 
 
+def test_containers_share_one_constants_rule_after_the_set_check():
+    fs = va.WholeSpace(1)
+    vi = dict(operator=lambda z: z.copy(), feasible_set=fs)
+    opt = dict(value=lambda x: 0.0, gradient=lambda x: x.copy())
+    for cls, kw in ((va.MonotoneProblem, vi), (va.SmoothObjective, opt)):
+        with pytest.raises(ValueError, match=r"^need 0 < mu <= lip < inf$"):
+            cls(dimension=1, mu=2.0, lip=1.0, **kw)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        va.MonotoneProblem(dimension=2, mu=2.0, lip=1.0, **vi)
+    assert [repr(fs), repr(va.NonnegativeOrthant(3))] == \
+        ["WholeSpace(1)", "NonnegativeOrthant(3)"]
+
+
 def test_sigma_and_kappa():
     p = va.MonotoneProblem(dimension=1, operator=lambda z: z.copy(),
                            feasible_set=va.WholeSpace(1), mu=0.5, lip=2.0)

@@ -578,6 +578,21 @@ def test_bilinear_files_check_their_sides_against_the_block():
         P.parse_problem(bare.replace("n = 5", "n = 6"))
 
 
+def test_class_blocks_name_their_shape_against_n():
+    for obj, name in ((va.gen_bilinear_saddle(2, 3, 1), "solution"),
+                      (va.gen_quadratic(3, 1, 0.1), "minimizer")):
+        lines = va.serialize_problem(obj).splitlines()
+        at = lines.index(f"begin {name}") + 1
+        n, row = obj.dimension, lines[at]
+        for rows, got in (([row + " 0"], f"({n + 1},)"),
+                          ([row.split(" ", 1)[1]], f"({n - 1},)"),
+                          ([row, row], f"(2, {n})")):
+            message = (f"{obj.kind} problem needs block {name} of shape "
+                       f"(n) = ({n}), got {got}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                P.parse_problem("\n".join(lines[:at] + rows + lines[at + 1:]))
+
+
 def test_refused_instances_write_no_file(tmp_path):
     path = tmp_path / "p.txt"
     with pytest.raises(ValueError, match="cannot serialize"):
