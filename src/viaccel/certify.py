@@ -346,6 +346,7 @@ def iteration_bound(cert: RateCertificate, initial_gap: float, tol: float) -> in
     ratio gap / tol beyond the float range still gives its bound, and
     ln(1 / rate) is -log1p(-m) with m = a - theta_default, the 1 - rate that
     rounding to rate would lose when m is below the float resolution at 1.
+    A quotient past the float range is taken exactly, from the same floats.
     """
     if not cert.feasible:
         raise ValueError("iteration_bound requires a feasible certificate")
@@ -355,4 +356,9 @@ def iteration_bound(cert: RateCertificate, initial_gap: float, tol: float) -> in
     if tol >= scale * initial_gap:
         return 0
     log_ratio = math.log(scale) + math.log(initial_gap) - math.log(tol)
-    return math.ceil(log_ratio / -math.log1p(-(cert.a - cert.theta_default)))
+    log_rate = -math.log1p(-(cert.a - cert.theta_default))
+    bound = log_ratio / log_rate
+    if math.isfinite(bound):
+        return math.ceil(bound)
+    (p, q), (r, s) = log_ratio.as_integer_ratio(), log_rate.as_integer_ratio()
+    return -(-p * s // (q * r))  # the exact ceiling of the same quotient

@@ -324,14 +324,16 @@ def power_iteration_norm(M, iters: int = 500) -> float:
     is a one-sided (never overshooting) bound up to roundoff. A matrix
     always gives the same bits: gen_linear_vi relies on that to decide
     its scale bisection steps from the running bounds of the same loop
-    and to reuse a step's norm as lip.
+    and to reuse a step's norm as lip. As in run, an overflow or nan is no
+    numpy warning: it gives an inf or nan estimate.
     """
     steps = power_iteration_steps(M, iters)
-    try:
-        while True:
-            next(steps)
-    except StopIteration as done:
-        return done.value
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            while True:
+                next(steps)
+        except StopIteration as done:
+            return done.value
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ TUNED = {
         "vanilla": ViParams(alpha=0.0095),
         "heavy-ball": ViParams(alpha=0.0119, gamma=0.0365),
         "extra-gradient": ViParams(alpha=0.021, eta=0.021),
-        "nesterov": ViParams(alpha=0.0084, beta=0.175, gamma=0.175),
+        "nesterov": ViParams(alpha=0.0084, beta=0.175),
         "ogda": ViParams(alpha=0.019, tau=0.0117),
         "extra-point": ViParams(alpha=0.021, beta=0.3276, gamma=0.3276,
                                 eta=0.0202, tau=0.0021)},
@@ -55,7 +55,7 @@ TUNED = {
         "vanilla": ViParams(alpha=0.0235),
         "heavy-ball": ViParams(alpha=0.0188, gamma=0.0146),
         "extra-gradient": ViParams(alpha=0.034, eta=0.034),
-        "nesterov": ViParams(alpha=0.0146, beta=0.175, gamma=0.175),
+        "nesterov": ViParams(alpha=0.0146, beta=0.175),
         "ogda": ViParams(alpha=0.024, tau=0.0234),
         "extra-point": ViParams(alpha=0.034, beta=0.34, gamma=0.34,
                                 eta=0.0323, tau=0.0068)},
@@ -63,7 +63,7 @@ TUNED = {
         "vanilla": ViParams(alpha=0.0407),
         "heavy-ball": ViParams(alpha=0.0717, gamma=0.8349),
         "extra-gradient": ViParams(alpha=0.021, eta=0.021),
-        "nesterov": ViParams(alpha=0.0214, beta=0.9075, gamma=0.9075),
+        "nesterov": ViParams(alpha=0.0214, beta=0.9075),
         "ogda": ViParams(alpha=0.0387, tau=0.002),
         # t7/t8 track the instance's modulus ratio
         "opt-extra-point": lambda o: _opt_row(
@@ -73,7 +73,7 @@ TUNED = {
         "vanilla": ViParams(alpha=38.4615),
         "heavy-ball": ViParams(alpha=9.8765, gamma=0.7778),
         "extra-gradient": ViParams(alpha=19.7, eta=19.7),
-        "nesterov": ViParams(alpha=28.5714, beta=0.455, gamma=0.455),
+        "nesterov": ViParams(alpha=28.5714, beta=0.455),
         "ogda": ViParams(alpha=39.2, tau=0.2),
         "opt-extra-point": lambda o: _opt_row(
             o, 0.7363, 5.5402, 6.6482, 0.6419, 1.0 - 0.6419, 71.6115)},

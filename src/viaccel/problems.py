@@ -124,8 +124,8 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
     [1e-12, 1e6] picks the diagonal scale c so that mu / lip hits
     target_sigma, capped at 98% of the largest ratio the shape admits;
     c never falls below 1e-12, so a target beneath what that scale gives
-    is not met (gen_linear_vi(3, 0, 1e-16) returns sigma ~ 9.6e-13) while
-    meta records the target asked for. Each of its at most 120 steps
+    is not met (gen_linear_vi(3, 0, t) returns sigma ~ 9.6e-13 for every
+    t in (0, 1e-16]) while meta records t. Each of its at most 120 steps
     settles a new midpoint; the first midpoint met twice is an end of the
     bracket no later step could move, so the search stops there. A step
     stops its power iteration once the running lower bound decides it,
@@ -163,7 +163,10 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
         # the loop does: the bound overshoots p by roundoff only, some 1e-15
         # relative.
         steps = power_iteration_steps(np.diag(c * diag0) + skew)
-        bar = (c * (1.0 + 1e-9) / (goal * (1.0 - 1e-9))) ** 2
+        try:
+            bar = (c * (1.0 + 1e-9) / (goal * (1.0 - 1e-9))) ** 2
+        except OverflowError:  # a tiny goal: a bar of inf never stops early
+            bar = math.inf
         try:
             while True:
                 if next(steps) > bar:
@@ -403,28 +406,29 @@ def estimate_constants(problem: MonotoneProblem):
     mu_hat >= mu up to sampling error. lip_hat is the maximum of
     |F(u)-F(v)|/|u-v| over the same pairs, sharpened by power iteration on
     a finite-difference Jacobian taken at the projected origin (exact for
-    linear operators).
+    linear operators). As in run, an overflow or nan in that arithmetic is
+    no numpy warning: it gives an inf or nan estimate.
     """
     op, dimension = problem.operator, problem.dimension
     proj = problem.feasible_set.project
     rng = np.random.default_rng(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_hat = math.inf
+        lip_hat = 0.0
+        for _ in range(200):
+            u = proj(rng.standard_normal(dimension))
+            v = proj(rng.standard_normal(dimension))
+            du = u - v
+            nd = float(du @ du)
+            if nd == 0.0:
+                continue
+            df = op(u) - op(v)
+            mu_hat = min(mu_hat, float(df @ du) / nd)
+            lip_hat = max(lip_hat, norm2(df) / math.sqrt(nd))
 
-    mu_hat = math.inf
-    lip_hat = 0.0
-    for _ in range(200):
-        u = proj(rng.standard_normal(dimension))
-        v = proj(rng.standard_normal(dimension))
-        du = u - v
-        nd = float(du @ du)
-        if nd == 0.0:
-            continue
-        df = op(u) - op(v)
-        mu_hat = min(mu_hat, float(df @ du) / nd)
-        lip_hat = max(lip_hat, norm2(df) / math.sqrt(nd))
-
-    J = finite_diff_jacobian(op, proj(np.zeros(dimension)))
-    lip_hat = max(lip_hat, power_iteration_norm(J, iters=1000))
-    return mu_hat, lip_hat
+        J = finite_diff_jacobian(op, proj(np.zeros(dimension)))
+        lip_hat = max(lip_hat, power_iteration_norm(J, iters=1000))
+        return mu_hat, lip_hat
 
 
 # ---------------------------------------------------------------------------

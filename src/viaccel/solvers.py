@@ -306,18 +306,19 @@ class StopRule:
             raise ValueError("residual_tol must be nonnegative and finite")
 
 
-def _masked(method: str, params: ViParams) -> ViParams:
+def _masked(method: str, params: ViParams) -> tuple:
+    """A named VI method's setting: vi_stepper's (params, restricted)."""
     kept = {name: getattr(params, name) for name in VI_MASKS[method]}
-    if method == "nesterov":
-        kept["gamma"] = params.beta
-    return ViParams(**kept)
+    if method == "nesterov":  # gamma := beta; its half point is unprojected
+        return ViParams(**kept, gamma=params.beta), False
+    return ViParams(**kept), True
 
 
 def check_run(target, method: str, params, start) -> np.ndarray:
     """run's preconditions, checked before any step; returns the start as a
     vector. Beyond a known method, a target of its class and a feasible
-    start: extra-gradient needs eta > 0, and nesterov, whose half point is
-    never projected, beta = 0 on a domain-restricted problem."""
+    start: extra-gradient needs eta > 0, and the stepper run binds must bind
+    (binding calls no oracle)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     expected = SmoothObjective if method in OPT_METHODS else MonotoneProblem
@@ -329,10 +330,7 @@ def check_run(target, method: str, params, start) -> np.ndarray:
             raise ValueError("start point is not feasible")
         if method == "extra-gradient" and params.eta <= 0.0:
             raise ValueError("extra-gradient needs a positive half-step eta")
-        if method == "nesterov" and params.beta != 0.0 and \
-                target.domain_restricted:
-            raise ValueError("domain-restricted problems need the projected "
-                             "half point")
+        vi_stepper(target, *_masked(method, params))
     return z0
 
 
@@ -341,10 +339,9 @@ def run(target, method: str, params, start, stop: StopRule,
     """Drive one method and record a full per-iteration trace.
 
     target is a MonotoneProblem for the operator methods or a
-    SmoothObjective for "opt-extra-point". Operator methods step with their
-    parameter mask of vi_stepper; the half point is projected on
-    constrained or domain-restricted problems, except for "nesterov", whose
-    half point never is (so a nonzero beta refuses domain-restricted ones).
+    SmoothObjective for "opt-extra-point". Operator methods step with the
+    vi_stepper their setting binds (_masked); every half point but
+    nesterov's is projected on constrained or domain-restricted problems.
     Divergent iterates (norm non-finite or beyond DIVERGENCE_NORM) raise
     DivergenceError carrying the partial trace; check_run's preconditions
     raise ValueError before the first step.
@@ -371,8 +368,7 @@ def run(target, method: str, params, start, stop: StopRule,
         start_calls = {"value_and_gradient": 1}  # opt_state's fused call
     else:
         reference = target.solution
-        step = vi_stepper(target, _masked(method, params),
-                          method != "nesterov")
+        step = vi_stepper(target, *_masked(method, params))
         merits = bind_vi_merits(target)
         # vi_state's F(z0) and check_run's feasibility projection
         start_calls = {"operator": 1, "project": 1}

@@ -431,6 +431,20 @@ def test_iteration_bound_scales_start_by_momentum_window():
     assert scale * cert.rate ** k <= 1e-8 * (1.0 + 1e-9)
 
 
+def test_iteration_bound_past_the_float_range_is_the_exact_ceiling():
+    # a margin a - theta of about 5e-311 makes the float quotient infinite
+    cert = va.certify_vi_unrestricted(1.0, 1.0, va.ViParams(alpha=1e-310,
+                                                           eta=1e-12))
+    assert cert.feasible
+    log_ratio = math.log(1.0 + cert.theta_default) - math.log(0.5)
+    log_rate = -math.log1p(-(cert.a - cert.theta_default))
+    assert log_ratio / log_rate == math.inf
+    k = va.iteration_bound(cert, 1.0, 0.5)
+    assert k == math.ceil(fractions.Fraction(log_ratio)
+                          / fractions.Fraction(log_rate))
+    assert len(str(k)) == 311
+
+
 def test_iteration_bound_input_validation():
     cert = _manual_cert(0.9)
     with pytest.raises(ValueError):

@@ -188,6 +188,21 @@ WIDE_STATUS = [  # compare commands whose status column outgrows 10 wide
      "--methods", "opt-extra-point,vanilla"],
 ]
 
+# commands whose float arithmetic overflows on the way: a target below the
+# scale floor, constants whose power iteration or estimate overflows, and an
+# iteration bound past the float range
+OVERFLOWING_GENERATE = [
+    ["generate", "--kind", "linear-vi", "--n", "3", "--seed", "0", "--sigma",
+     "1e-200"],
+    ["generate", "--kind", "logistic", "--n", "3", "--num-samples", "2",
+     "--seed", "0", "--lam", "1e300"],
+    ["generate", "--kind", "bilinear-saddle", "--nx", "2", "--ny", "2",
+     "--seed", "0", "--mu-x", "1e300", "--mu-y", "1e-300"],
+]
+OVERFLOWING_BOUND = ["certify", "--regime", "vi-unrestricted", "--mu", "1",
+                     "--lip", "1", "--alpha", "1e-310", "--eta", "1e-12",
+                     "--gap", "1", "--tol", "0.5"]
+
 
 def _certify_commands():
     cmds = []
@@ -234,7 +249,8 @@ def _certify_commands():
              opt + ["--delta", "1.5"],
              ["certify", "--regime", "vi-unrestricted", "--mu", "1", "--lip",
               "10", "--alpha", "0.5", "--eta", "0.5", "--gap", "1", "--tol",
-              "1e-8"]]
+              "1e-8"],
+             OVERFLOWING_BOUND]
     return cmds
 
 
@@ -369,6 +385,7 @@ def _generate_commands():
         ["generate", "--kind", "logistic", "--lam", "0"],
         ["generate", "--kind", "bilinear-saddle", "--nx", "0"],
         ["generate", "--kind", "bilinear-saddle", "--mu-x", "0"],
+        *OVERFLOWING_GENERATE,
     ]
     return cmds
 
@@ -519,6 +536,20 @@ def test_summary_values_end_under_their_headers(argv, tmp_path, monkeypatch):
         words = list(re.finditer(r"\S+", row))
         assert words[1].start() == header.index("status"), row
         assert {m.end() for m in words[2:]} <= ends, row
+
+
+@pytest.mark.parametrize("argv, code", [
+    *zip(OVERFLOWING_GENERATE, (0, 0, 2)), (OVERFLOWING_BOUND, 0)],
+    ids=[key(argv) for argv in (*OVERFLOWING_GENERATE, OVERFLOWING_BOUND)])
+def test_an_overflow_on_the_way_keeps_the_documented_exit(argv, code,
+                                                           tmp_path,
+                                                           monkeypatch):
+    """No traceback and no numpy warning (an error under pytest): the tiny
+    target is floored, the overflowing constants are estimated as inf or
+    refused by the constant check, and the bound is printed in full."""
+    record = _run(argv, tmp_path / "c", monkeypatch).split(b"\0")
+    assert record[1] == str(code).encode()
+    assert (b"need 0 < mu <= lip < inf" in record[3]) == (code == 2)
 
 
 if __name__ == "__main__":

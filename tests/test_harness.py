@@ -266,6 +266,16 @@ def test_power_iteration_norm_rectangular_and_not_2d():
         va.power_iteration_norm(np.ones(3))
 
 
+def test_power_iteration_norm_overflows_without_a_warning():
+    # M^T M v overflows at the first step; warnings are errors under pytest,
+    # and the caller's numpy error state is its own again afterwards
+    before = np.geterr()
+    assert not math.isfinite(va.power_iteration_norm(np.diag([1e300, 1.0])))
+    assert np.geterr() == before
+    with pytest.raises(ValueError, match="need 0 < mu <= lip < inf"):
+        va.gen_bilinear_saddle(2, 2, 0, mu_x=1e300, mu_y=1e-300)
+
+
 def test_norm_of_diagonal_plus_skew_dominates_the_diagonal():
     # ||Q + A|| >= max_i Q_ii always; coupling makes it strictly larger here
     sq = np.array([[2.0, 1.0], [-1.0, 1.0]])

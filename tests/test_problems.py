@@ -64,6 +64,20 @@ def test_linear_vi_matches_the_full_scale_search(n, seed, sigma, constrained):
     assert got == want
 
 
+@pytest.mark.parametrize("sigma, constrained", [
+    (1e-160, False), (1e-200, False), (1e-300, False), (5e-324, False),
+    (1e-300, True)])  # the orthant's reference solve takes a second here
+def test_linear_vi_floors_a_target_whose_bar_overflows(sigma, constrained):
+    # below about 7e-158 the early-exit bar (c / goal)^2 passes the float
+    # range; the search then reads each power loop to its end
+    prob = va.gen_linear_vi(3, 0, sigma, constrained)[0]
+    assert P.serialize_problem(prob) == \
+        P.serialize_problem(oracles.gen_linear_vi(3, 0, sigma, constrained))
+    assert prob.sigma == va.gen_linear_vi(3, 0, 1e-150)[0].sigma
+    assert prob.sigma == pytest.approx(9.6e-13, rel=1e-2)
+    assert prob.meta["target_sigma"] == sigma
+
+
 def test_linear_vi_scale_search_stops_at_its_fixed_point(monkeypatch):
     calls = []
     for name in ("power_iteration_norm", "power_iteration_steps"):
@@ -312,6 +326,16 @@ def test_estimate_constants_brackets_the_true_values():
     mu_q, lip_q = va.estimate_constants(va.gradient_problem(obj))
     assert lip_q == pytest.approx(46.0, rel=1e-2)
     assert mu_q >= obj.mu * (1.0 - 1e-9)
+
+
+def test_estimate_constants_overflows_without_a_warning():
+    # lam = 1e300 overflows the sampled differences and the Jacobian's power
+    # iteration; warnings are errors under pytest
+    before = np.geterr()
+    prob = va.gradient_problem(va.gen_logistic(3, 2, 1e300, 0))
+    mu_hat, lip_hat = va.estimate_constants(prob)
+    assert mu_hat == pytest.approx(1e300) and lip_hat == math.inf
+    assert np.geterr() == before
 
 
 # --- text serialization ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Stepper worked examples, specialization identities, and run() behavior."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 
 import oracles
 import viaccel as va
+from viaccel import presets as PR
 from viaccel import solvers as S
 from viaccel.solvers import METHODS, OPT_METHODS, VI_METHODS, Y_RULES
 
@@ -257,7 +259,7 @@ def test_run_hands_the_operator_the_masks_half_point(method, constrained):
     va.run(recorded, method, prm, z0, va.StopRule(max_iter=300))
     # F is handed z0, then per step the half point and the next point
     assert len(inputs) == 1 + 2 * 300
-    projected = constrained and method != "nesterov"
+    projected = constrained and S._masked(method, prm)[1]
     step = oracles.oracle_step(method, prob, prm, restricted=projected)
     st = va.vi_state(prob, z0)
     for half in inputs[1::2]:
@@ -296,8 +298,8 @@ def _assert_later_steps_keep(step, state, made):
 
 def _check_vi_step(prob, method, restricted):
     a = 1.0 / (4.0 * prob.lip)
-    prm = S._masked(method, va.ViParams(alpha=a, beta=0.3, gamma=0.2,
-                                        eta=0.8 * a, tau=0.5 * a))
+    prm, _ = S._masked(method, va.ViParams(alpha=a, beta=0.3, gamma=0.2,
+                                           eta=0.8 * a, tau=0.5 * a))
     rng = np.random.default_rng(1)
     zc, zp = (prob.feasible_set.project(rng.standard_normal(6))
               for _ in range(2))
@@ -344,9 +346,8 @@ def test_an_unprojected_half_point_stays_in_the_steppers_scratch(method,
     handed, operator = [], prob.operator
     prob.operator = lambda z: handed.append(z) or operator(z)
     a = 1.0 / (4.0 * prob.lip)
-    prm = S._masked(method, va.ViParams(alpha=a, beta=0.3, gamma=0.2,
-                                        eta=0.8 * a, tau=0.5 * a))
-    step = va.vi_stepper(prob, prm, restricted=method != "nesterov")
+    step = va.vi_stepper(prob, *S._masked(method, va.ViParams(
+        alpha=a, beta=0.3, gamma=0.2, eta=0.8 * a, tau=0.5 * a)))
     states = [va.vi_state(prob, prob.feasible_set.project(np.ones(6)))]
     for _ in range(3):
         states.append(step(states[-1]))
@@ -549,6 +550,49 @@ def test_run_checks_its_preconditions_before_any_step(method, params, start,
     # nesterov without momentum builds no half point, so it may run
     z0 = va.check_run(pr, "nesterov", va.ViParams(alpha=0.1), [0.5, 0.5])
     assert z0.dtype == np.float64 and z0.tolist() == [0.5, 0.5]
+
+
+def _refuses_the_half_point(call) -> bool:
+    try:
+        call()
+    except ValueError as exc:
+        return "need the projected half point" in str(exc)
+    return False
+
+
+@pytest.mark.parametrize("method", VI_METHODS)
+def test_check_run_refuses_the_half_point_exactly_when_binding_does(method):
+    # check_run binds the stepper run binds, so on every set the refusal is
+    # vi_stepper's own: only nesterov with beta > 0, on the restricted box
+    refused = []
+    for fset, restricted in ((va.WholeSpace(2), False),
+                             (va.NonnegativeOrthant(2), False),
+                             (oracles.Box(np.zeros(2), np.ones(2)), True)):
+        pr = va.MonotoneProblem(dimension=2, operator=lambda z: z.copy(),
+                                feasible_set=fset, mu=1.0, lip=1.0,
+                                domain_restricted=restricted)
+        for beta, eta in itertools.product((0.0, 0.3), (0.0, 0.1)):
+            prm = va.ViParams(alpha=0.1, beta=beta, gamma=0.2, eta=eta,
+                              tau=0.05)
+            binds = _refuses_the_half_point(
+                lambda: S.vi_stepper(pr, *S._masked(method, prm)))
+            checks = _refuses_the_half_point(
+                lambda: S.check_run(pr, method, prm, [0.5, 0.5]))
+            assert checks == binds, (fset, beta, eta)
+            if binds:
+                refused.append((restricted, beta))
+    assert refused == ([(True, 0.3)] * 2 if method == "nesterov" else [])
+
+
+def test_tuned_vi_rows_set_only_their_methods_coefficients():
+    # the mask drops every other coefficient, and nesterov's gamma is its
+    # beta whatever a row says
+    for rows in PR.TUNED.values():
+        for method, row in rows.items():
+            if method in VI_METHODS:
+                nonzero = {f.name for f in dataclasses.fields(row)
+                           if getattr(row, f.name) != 0.0}
+                assert nonzero <= set(S.VI_MASKS[method]), (method, row)
 
 
 def test_state_caches_match_fresh_operator_evaluations():
