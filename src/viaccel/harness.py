@@ -2,10 +2,11 @@
 
 This module owns the trace data model (per-iteration merits, distances,
 potentials, timings), the contraction checker that compares measured decay
-against a certificate, and the plain-text trace exports. Power iteration
-sets the recorded lip of the linear-VI, logistic and saddle generators and
-drives the linear-VI scale search; with the central-difference Jacobian it
-also cross-examines recorded constants (problems.estimate_constants).
+against a certificate, and the plain-text trace exports. Power iteration,
+one function with an early stop above a threshold, sets the recorded lip
+of the linear-VI, logistic and saddle generators and runs every step of
+the linear-VI scale search; with the central-difference Jacobian it also
+cross-examines recorded constants (problems.estimate_constants).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Generator, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -260,33 +261,46 @@ def finite_diff_jacobian(op: Callable, point) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def power_iteration_steps(M, iters: int = 500) -> Generator[float, None, float]:
-    """Power iteration on M^T M one step at a time: yields, for each step's
-    unit input v, nw = ||M^T M v||, and returns the spectral-norm estimate
-    ||M v|| of the last iterate. power_iteration_norm drains it.
+def power_iteration_norm(M, iters: int = 500,
+                         above: float = math.inf) -> Optional[float]:
+    """Spectral-norm estimate ||M v|| of a matrix, for the last unit
+    iterate v of power iteration on M^T M; None once a step's
+    nw = ||M^T M v|| passes above.
 
-    Each nw is a lower bound on the square of the returned estimate, up
-    to roundoff: with A = M^T M and m_j = v^T A^j v, log-convexity of
-    j -> m_j (Cauchy-Schwarz) and m_0 = 1 give sqrt(m_2) <= m_2 / m_1 <=
-    m_3 / m_2, which is ||M v'||^2 for the next unit iterate v', and
-    ||M v||^2 never decreases from one iterate to the next. A caller that
-    only needs to compare the estimate with a threshold can therefore
-    stop consuming once nw passes it.
+    The estimate approaches ||M||_2 from below with relative error on the
+    order of (s2/s1)^(2 iters) for leading singular values s1 > s2, so it
+    is a one-sided (never overshooting) bound up to roundoff. Each nw
+    bounds its square from below: with A = M^T M and m_j = v^T A^j v,
+    log-convexity of j -> m_j (Cauchy-Schwarz) and m_0 = 1 give
+    sqrt(m_2) <= m_2 / m_1 <= m_3 / m_2, which is ||M v'||^2 for the next
+    unit iterate v', and ||M v||^2 never decreases from one iterate to the
+    next. So None means the estimate lies past sqrt(above).
 
-    The start vector is drawn from seed 0, so a matrix always gives the
-    same bits. The step v -> M^T M v / ||M^T M v|| is deterministic too,
-    so once a step returns its own input bit for bit, or the previous
-    step's input, every later step would repeat that fixed point or
-    2-cycle: the loop stops there and returns what all iters steps would.
-    iters is a cap. The arrays are compared, byte for byte, only when the
-    step's norm equals that of the step one (or two) back; on a fixed
-    point (or a 2-cycle) it does from one step after the repeat begins,
-    so this cheap test delays the exit by one step at most. A zero start
-    or a zero step returns 0.0.
+    The start vector is drawn from seed 0, and the step
+    v -> M^T M v / ||M^T M v|| is deterministic, so a matrix always gives
+    the same bits (gen_linear_vi decides its scale bisection steps on
+    them), and once a step returns its own input bit for bit, or the
+    previous step's input, every later step would repeat that fixed point
+    or 2-cycle: the loop stops there and returns what all iters steps
+    would. iters is a cap. The arrays are compared only when the step's
+    norm equals that of the step one (or two) back, which on a fixed point
+    (or a 2-cycle) delays the exit by one step at most. A zero start or a
+    zero step returns 0.0.
+
+    A matrix whose largest |entry| lies outside [2^-400, 2^400] runs
+    scaled by a power of two, which is exact, so M^T M neither overflows
+    nor underflows; above and the estimate are scaled to match. As in
+    run, an overflow or nan that remains is no numpy warning: it gives an
+    inf or nan estimate.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("matrix operand must be 2-D")
+    big = max(M.max(initial=0.0), -M.min(initial=0.0))
+    e = 0
+    if math.isfinite(big) and big and not 2.0 ** -400 <= big <= 2.0 ** 400:
+        e = math.frexp(big)[1]
+        M = np.ldexp(M, -e)
     apply_m, apply_t = M.dot, M.T.dot
     v = np.random.default_rng(0).standard_normal(M.shape[1])
     nv = norm2(v)
@@ -295,45 +309,27 @@ def power_iteration_steps(M, iters: int = 500) -> Generator[float, None, float]:
     v /= nv
     last = last2 = before = None  # the last two steps' norms, the last input
     den = np.empty(())  # the step's norm, divided by as an array operand
-    for k in range(iters):
-        w = apply_t(apply_m(v))
-        nw = math.sqrt(w.dot(w))
-        if nw == 0.0:
-            return 0.0
-        yield nw
-        den[()] = nw
-        step = np.divide(w, den, w)
-        if nw == last and step.tobytes() == v.tobytes():
-            break
-        if nw == last2 and step.tobytes() == before.tobytes():
-            # iterates alternate before, v, before, ...: the iters-th is
-            # before when iters - k is odd
-            if (iters - k) % 2:
-                v = before
-            break
-        before, v, last2, last = v, step, last, nw
-    return norm2(apply_m(v))
-
-
-def power_iteration_norm(M, iters: int = 500) -> float:
-    """Spectral-norm estimate of a matrix via power iteration on M^T M:
-    all of power_iteration_steps.
-
-    The estimate approaches ||M||_2 from below with relative error on the
-    order of (s2/s1)^(2 iters) for leading singular values s1 > s2, so it
-    is a one-sided (never overshooting) bound up to roundoff. A matrix
-    always gives the same bits: gen_linear_vi relies on that to decide
-    its scale bisection steps from the running bounds of the same loop
-    and to reuse a step's norm as lip. As in run, an overflow or nan is no
-    numpy warning: it gives an inf or nan estimate.
-    """
-    steps = power_iteration_steps(M, iters)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            while True:
-                next(steps)
-        except StopIteration as done:
-            return done.value
+        bar = float(np.ldexp(above, -2 * e))  # inf or 0 past the range
+        for k in range(iters):
+            w = apply_t(apply_m(v))
+            nw = math.sqrt(w.dot(w))
+            if nw == 0.0:
+                return 0.0
+            if nw > bar:
+                return None
+            den[()] = nw
+            step = np.divide(w, den, w)
+            if nw == last and step.tobytes() == v.tobytes():
+                break
+            if nw == last2 and step.tobytes() == before.tobytes():
+                # iterates alternate before, v, before, ...: the iters-th
+                # is before when iters - k is odd
+                if (iters - k) % 2:
+                    v = before
+                break
+            before, v, last2, last = v, step, last, nw
+        return float(np.ldexp(norm2(apply_m(v)), e))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ import numpy as np
 from .core import (FLOAT_FORMAT, FeasibleSet, MonotoneProblem,
                    NonnegativeOrthant, SmoothObjective, WholeSpace,
                    bind_vi_merits, format_float, norm2, typed)
-from .harness import (finite_diff_jacobian, power_iteration_norm,
-                      power_iteration_steps)
+from .harness import finite_diff_jacobian, power_iteration_norm
 from .solvers import ViParams, vi_state, vi_stepper
 
 FORMAT_HEADER = "vi-accel-problem v1"
@@ -154,25 +153,17 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
 
     def settle(c: float) -> tuple:
         # (c / p < goal, p) for the power-iteration norm p at scale c, with
-        # p None when the loop stopped early. With A = M^T M and v a step's
-        # unit input, its nw = ||A v|| is at most ||M v'||^2 for the next
-        # iterate v', and ||M v||^2 never falls from one iterate to the next
-        # (log-convexity of j -> v^T A^j v; see power_iteration_steps), so
-        # every nw is at most p^2. Once sqrt(nw) (1 - 1e-9) passes
+        # p None when the loop stopped early: every step's nw is at most
+        # p^2 (see power_iteration_norm), so once sqrt(nw) (1 - 1e-9) passes
         # (c / goal) (1 + 1e-9), the answer is "below" whatever the rest of
         # the loop does: the bound overshoots p by roundoff only, some 1e-15
         # relative.
-        steps = power_iteration_steps(np.diag(c * diag0) + skew)
         try:
             bar = (c * (1.0 + 1e-9) / (goal * (1.0 - 1e-9))) ** 2
         except OverflowError:  # a tiny goal: a bar of inf never stops early
             bar = math.inf
-        try:
-            while True:
-                if next(steps) > bar:
-                    return True, None
-        except StopIteration as done:
-            return c / done.value < goal, done.value
+        p = power_iteration_norm(np.diag(c * diag0) + skew, above=bar)
+        return (True, None) if p is None else (c / p < goal, p)
 
     top = power_iteration_norm(np.diag(1e6 * diag0) + skew)
     goal = min(target_sigma, 0.98 * (1e6 / top))

@@ -16,7 +16,8 @@ generator, a power iteration through np.linalg.norm and the matmul
 operator, and the quadratic generator's Gram-Schmidt with a fresh vector
 per projection. The library stops the search at its fixed point, uses
 ndarray.dot and core.norm2, and orthogonalises in place; the tests
-require identical instance text. The orthant reference solve is a
+require identical instance text. power_steps spells out the library
+power loop's exits, so the tests can pin how far each loop runs. The orthant reference solve is a
 hand-written loop of projected half steps with its own natural residual,
 where the library steps solvers.vi_stepper's extra-gradient and stops on
 core.bind_vi_merits; the tests require identical solutions.
@@ -299,6 +300,30 @@ def power_iteration_norm(M, iters=500):
     M = np.asarray(M, dtype=np.float64)
     vs = power_iterates(M, iters)
     return 0.0 if vs is None else float(np.linalg.norm(M @ vs[-1]))
+
+
+def power_steps(M, iters=500, above=math.inf):
+    """The nw_k = ||M^T M v_k|| of each step the library's power loop runs:
+    power_iterates' loop, stopped after the first step whose nw passes
+    above, or that returns its own input with the norm of the step one
+    back, or the previous step's input with the norm of the step two back.
+    M must have no zero step."""
+    M = np.asarray(M, dtype=np.float64)
+    v = np.random.default_rng(0).standard_normal(M.shape[1])
+    vs, nws = [v / np.linalg.norm(v)], []
+    for k in range(iters):
+        w = M.T @ (M @ vs[k])
+        nws.append(float(np.linalg.norm(w)))
+        vs.append(w / nws[k])
+        if nws[k] > above:
+            break
+        if k >= 1 and nws[k] == nws[k - 1] \
+                and vs[k + 1].tobytes() == vs[k].tobytes():
+            break
+        if k >= 2 and nws[k] == nws[k - 2] \
+                and vs[k + 1].tobytes() == vs[k - 1].tobytes():
+            break
+    return nws
 
 
 def gram_schmidt(G):

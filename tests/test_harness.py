@@ -12,7 +12,6 @@ import pytest
 import oracles
 import viaccel as va
 import viaccel.certify as C
-import viaccel.harness as H
 import viaccel.problems as P
 from viaccel.harness import CSV_HEADER, TRACE_FIELDS, IterateTrace
 
@@ -267,13 +266,32 @@ def test_power_iteration_norm_rectangular_and_not_2d():
 
 
 def test_power_iteration_norm_overflows_without_a_warning():
-    # M^T M v overflows at the first step; warnings are errors under pytest,
-    # and the caller's numpy error state is its own again afterwards
+    # unscaled, M^T M v would overflow at the first step; warnings are
+    # errors under pytest, and the caller's numpy error state is its own
+    # again afterwards
     before = np.geterr()
-    assert not math.isfinite(va.power_iteration_norm(np.diag([1e300, 1.0])))
+    assert va.power_iteration_norm(np.diag([1e300, 1.0])) == 1e300
     assert np.geterr() == before
-    with pytest.raises(ValueError, match="need 0 < mu <= lip < inf"):
-        va.gen_bilinear_saddle(2, 2, 0, mu_x=1e300, mu_y=1e-300)
+    prob = va.gen_bilinear_saddle(2, 2, 0, mu_x=1e300, mu_y=1e-300)
+    assert prob.lip == pytest.approx(1e300, rel=1e-15)
+
+
+def test_power_iteration_norm_rescales_huge_and_tiny_matrices():
+    assert va.power_iteration_norm(np.diag([1e200, 1.0])) == 1e200
+    assert va.power_iteration_norm(np.diag([1e300, 1e-300])) == 1e300
+    assert va.power_iteration_norm(1e-200 * np.eye(3)) == \
+        pytest.approx(1e-200, rel=1e-15)
+    assert va.power_iteration_norm(np.full((3, 3), 1e308)) == math.inf
+    # a power-of-two scale is exact, so the scaled loop takes the same
+    # steps and its norm and bar scale back bit for bit
+    M = np.random.default_rng(4).uniform(-1.0, 1.0, (6, 6))
+    p = va.power_iteration_norm(M)
+    for e in (-600, 450):
+        assert va.power_iteration_norm(np.ldexp(M, e)) == math.ldexp(p, e)
+        assert va.power_iteration_norm(
+            np.ldexp(M, e), above=math.ldexp(p * p, 2 * e)) is None
+    assert va.gen_bilinear_saddle(2, 2, 0, mu_x=1e200, mu_y=1e200).lip == \
+        pytest.approx(1e200, rel=1e-15)
 
 
 def test_norm_of_diagonal_plus_skew_dominates_the_diagonal():
@@ -373,40 +391,37 @@ def test_power_iteration_norm_matches_the_plain_loop_bit_for_bit():
 
 
 def _scale_search_matrices(monkeypatch, grid):
-    """Every matrix gen_linear_vi hands power iteration, the scale search's
-    and the norm calls', with the number of steps each ran: a step counts
-    once it has yielded, and the search computes no step it does not read."""
-    calls, counts = [], []
-    steps = H.power_iteration_steps
+    """Every (matrix, above) gen_linear_vi hands power iteration, the scale
+    search's and the norm calls'."""
+    calls = []
+    norm = P.power_iteration_norm
 
-    def recorded(M, iters=500):
-        calls.append(np.array(M))
-        counts.append(0)
-        run = steps(M, iters)
-        while True:
-            try:
-                nw = next(run)
-            except StopIteration as done:
-                return done.value
-            counts[-1] += 1
-            yield nw
+    def recorded(M, iters=500, above=math.inf):
+        calls.append((np.array(M), above))
+        return norm(M, iters, above)
 
-    # the search reads problems' name; power_iteration_norm drains harness's
-    monkeypatch.setattr(P, "power_iteration_steps", recorded)
-    monkeypatch.setattr(H, "power_iteration_steps", recorded)
+    monkeypatch.setattr(P, "power_iteration_norm", recorded)
     for args in grid:
         va.gen_linear_vi(*args)
-    return calls, np.array(counts)
+    return calls
+
+
+def _step_counts(calls):
+    """The number of steps each recorded call ran, as the plain loop
+    counts them."""
+    return np.array([len(oracles.power_steps(M, above=above))
+                     for M, above in calls])
 
 
 def test_power_iteration_norm_stops_at_its_fixed_point_bit_for_bit(
         monkeypatch):
     grid = [(n, seed, sigma) for n, seed in ((2, 0), (5, 1), (20, 0))
             for sigma in (1.0, 1e-2, 1e-4)]
-    matrices, counts = _scale_search_matrices(monkeypatch, grid)
+    calls = _scale_search_matrices(monkeypatch, grid)
     monkeypatch.undo()
+    counts = _step_counts(calls)
     assert counts.max() == 500 and (counts < 500).any()
-    for M in matrices:
+    for M, _ in calls:
         assert va.power_iteration_norm(M) == oracles.power_iteration_norm(M)
 
 
@@ -414,10 +429,10 @@ def test_power_iteration_norm_leaves_a_two_cycle_bit_for_bit(monkeypatch):
     # on some scales of the (20, 101) search the iterates end up
     # alternating between two vectors; whatever the parity of the cap,
     # the loop that leaves the cycle returns the plain loop's norm
-    matrices, _ = _scale_search_matrices(monkeypatch, [(20, 101, 1e-2)])
+    calls = _scale_search_matrices(monkeypatch, [(20, 101, 1e-2)])
     monkeypatch.undo()
     cycles = 0
-    for M in matrices:
+    for M, _ in calls:
         vs = oracles.power_iterates(M)
         k = next((k for k in range(2, len(vs))
                   if np.array_equal(vs[k], vs[k - 2])
@@ -438,7 +453,7 @@ def test_scale_search_runs_at_most_half_its_power_steps(monkeypatch):
     # 2-cycle, and no midpoint is settled twice: 57 search steps, the
     # top-scale norm and no norm call for lip
     for args, total in (((20, 101, 1e-2), 6299), ((20, 202, 1e-2), 11294)):
-        _, counts = _scale_search_matrices(monkeypatch, [args])
+        counts = _step_counts(_scale_search_matrices(monkeypatch, [args]))
         assert counts.sum() <= 0.5 * 500 * len(counts)
         assert counts.sum() == total and len(counts) == 58
 
@@ -448,16 +463,34 @@ def test_power_iteration_steps_bound_the_norm_from_below(monkeypatch):
     # must hold to well within it on every matrix the search builds
     grid = [(n, seed, sigma) for n in (2, 3, 5, 20, 50) for seed in (0, 1)
             for sigma in (1.0, 1e-2, 1e-4)]
-    matrices, _ = _scale_search_matrices(monkeypatch, grid)
+    calls = _scale_search_matrices(monkeypatch, grid)
     monkeypatch.undo()
-    for M in matrices:
-        steps, top = H.power_iteration_steps(M), 0.0
-        try:
-            while True:
-                top = max(top, next(steps))
-        except StopIteration as done:
-            norm = done.value
-        assert math.sqrt(top) <= norm * (1.0 + 1e-12)
+    for M, _ in calls:
+        top = max(oracles.power_steps(M))
+        assert math.sqrt(top) <= va.power_iteration_norm(M) * (1.0 + 1e-12)
+
+
+def test_power_iteration_norm_stops_exactly_when_a_step_passes_above(
+        monkeypatch):
+    # None when some step's nw passes above, the bits of the whole loop
+    # otherwise: at the search's own bars, at the largest nw, and just
+    # beneath it
+    calls = _scale_search_matrices(
+        monkeypatch, [(20, 101, 1e-2), (5, 1, 1e-4), (2, 0, 1.0)])
+    monkeypatch.undo()
+    stops = 0
+    for M, bar in calls:
+        top = max(oracles.power_steps(M))
+        full = va.power_iteration_norm(M)
+        for above in (bar, top, math.nextafter(top, 0.0)):
+            got = va.power_iteration_norm(M, above=above)
+            if top > above:
+                stops += 1
+                assert got is None
+            else:
+                assert got == full
+    # just beneath the largest nw always stops; some search bars do too
+    assert stops > len(calls)
 
 
 def _special_trace():

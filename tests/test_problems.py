@@ -80,12 +80,31 @@ def test_linear_vi_floors_a_target_whose_bar_overflows(sigma, constrained):
 
 def test_linear_vi_scale_search_stops_at_its_fixed_point(monkeypatch):
     calls = []
-    for name in ("power_iteration_norm", "power_iteration_steps"):
-        fn = getattr(P, name)
-        monkeypatch.setattr(P, name, lambda *a, fn=fn, **kw:
-                            calls.append(1) or fn(*a, **kw))
+    fn = P.power_iteration_norm
+    monkeypatch.setattr(P, "power_iteration_norm", lambda *a, **kw:
+                        calls.append(1) or fn(*a, **kw))
     va.gen_linear_vi(20, 101, 1e-2)
     assert len(calls) <= 64  # the full 120-step search makes 122
+
+
+@pytest.mark.parametrize("seed", [101, 202])
+def test_every_power_loop_of_the_scale_search_is_one_traceable_call(
+        monkeypatch, seed):
+    # a tracer that wraps problems.power_iteration_norm, as perfbench's
+    # does, sees every loop: the top-scale norm, then one call per search
+    # step, each with its finite early-exit bar; lip reuses a step's norm
+    aboves = []
+    fn = P.power_iteration_norm
+
+    def counted(M, iters=500, above=math.inf):
+        aboves.append(above)
+        return fn(M, iters, above)
+
+    monkeypatch.setattr(P, "power_iteration_norm", counted)
+    va.gen_linear_vi(20, seed, 1e-2)
+    assert len(aboves) == 58
+    assert aboves[0] == math.inf
+    assert all(math.isfinite(a) for a in aboves[1:])
 
 
 def test_linear_vi_input_validation():
