@@ -23,11 +23,10 @@ from .harness import (TRACE_FIELDS, ContractionReport, DivergenceError,
                       power_iteration_norm, vi_distance_potential,
                       write_trace_csv, write_trace_jsonl)
 from .presets import PAPER_DEFAULT, PRESETS, TABLE, TUNED, table_preset
-from .problems import (LinearOperatorSpec, estimate_constants,
-                       gen_bilinear_saddle, gen_linear_vi, gen_logistic,
-                       gen_quadratic, parse_problem, read_problem,
-                       serialize_problem, solve_linear_reference,
-                       write_problem)
+from .problems import (estimate_constants, gen_bilinear_saddle,
+                       gen_linear_vi, gen_logistic, gen_quadratic,
+                       parse_problem, read_problem, serialize_problem,
+                       solve_linear_reference, write_problem)
 from .solvers import (METHODS, OptParams, OptState, StopRule, ViParams,
                       ViState, check_run, opt_state, opt_stepper, run,
                       vi_state, vi_stepper)

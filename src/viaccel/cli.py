@@ -150,7 +150,7 @@ def build_problem(spec: dict) -> Union[MonotoneProblem, SmoothObjective]:
     if "file" in spec:
         return P.read_problem(spec["file"])
     made = gen(**{key: spec[key] for key in types if key in spec})
-    # gen_linear_vi returns (problem, operator spec)
+    # gen_linear_vi returns (problem, its operator matrix)
     return made[0] if isinstance(made, tuple) else made
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -28,17 +27,6 @@ from .harness import finite_diff_jacobian, power_iteration_norm
 from .solvers import ViParams, vi_state, vi_stepper
 
 FORMAT_HEADER = "vi-accel-problem v1"
-
-
-@dataclass(frozen=True)
-class LinearOperatorSpec:
-    """The arrays gen_linear_vi built its operator F(z) = m z + q from:
-    m = diag(q_diag) + a_skew, a_skew skew-symmetric, q_diag > 0."""
-
-    m: np.ndarray
-    q: np.ndarray
-    q_diag: np.ndarray
-    a_skew: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +120,8 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
     the shortcuts keep every bit of the full search. Constrained instances
     live on the nonnegative orthant with a complementarity reference solution.
 
-    Returns (MonotoneProblem, LinearOperatorSpec).
+    Returns (problem, M): the operator is F(z) = M z + meta["offset"],
+    with M = diag(meta["diag"]) + meta["skew"] the matrix it closes over.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -195,8 +184,7 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
                               feasible_set=fset, mu=mu, lip=lip,
                               solution=solution,
                               kind="linear-vi", seed=seed, meta=meta)
-    return problem, LinearOperatorSpec(m=M, q=offset, q_diag=diag,
-                                       a_skew=skew)
+    return problem, M
 
 
 # Extra-gradient steps the orthant reference solve takes before it
@@ -395,10 +383,11 @@ def estimate_constants(problem: MonotoneProblem):
     mu_hat is the minimum of (F(u)-F(v))'(u-v)/|u-v|^2 over 200 pairs of
     seed-0 standard normal samples projected onto the feasible set, so
     mu_hat >= mu up to sampling error. lip_hat is the maximum of
-    |F(u)-F(v)|/|u-v| over the same pairs, sharpened by power iteration on
-    a finite-difference Jacobian taken at the projected origin (exact for
-    linear operators). As in run, an overflow or nan in that arithmetic is
-    no numpy warning: it gives an inf or nan estimate.
+    |F(u)-F(v)|/|u-v| over the same pairs (a finite difference whose square
+    overflows is rescaled by a power of two, as in power_iteration_norm),
+    sharpened by power iteration on a finite-difference Jacobian at the
+    projected origin (exact for linear operators). As in run, an overflow
+    or nan left is no numpy warning: it gives an inf or nan estimate.
     """
     op, dimension = problem.operator, problem.dimension
     proj = problem.feasible_set.project
@@ -415,7 +404,11 @@ def estimate_constants(problem: MonotoneProblem):
                 continue
             df = op(u) - op(v)
             mu_hat = min(mu_hat, float(df @ du) / nd)
-            lip_hat = max(lip_hat, norm2(df) / math.sqrt(nd))
+            ndf = norm2(df)
+            if ndf == math.inf and np.isfinite(df).all():  # df.df overflowed
+                e = math.frexp(np.abs(df).max())[1]
+                ndf = math.ldexp(norm2(np.ldexp(df, -e)), e)
+            lip_hat = max(lip_hat, ndf / math.sqrt(nd))
 
         J = finite_diff_jacobian(op, proj(np.zeros(dimension)))
         lip_hat = max(lip_hat, power_iteration_norm(J, iters=1000))

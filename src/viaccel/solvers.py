@@ -314,24 +314,25 @@ def _masked(method: str, params: ViParams) -> tuple:
     return ViParams(**kept), True
 
 
-def check_run(target, method: str, params, start) -> np.ndarray:
-    """run's preconditions, checked before any step; returns the start as a
-    vector. Beyond a known method, a target of its class and a feasible
-    start: extra-gradient needs eta > 0, and the stepper run binds must bind
-    (binding calls no oracle)."""
+def check_run(target, method: str, params, start) -> tuple:
+    """run's preconditions, checked before any step; returns (z0, step): the
+    start as a vector and the stepper run steps with, bound here (binding
+    calls no oracle). Beyond a known method, a target of its class and a
+    feasible start: extra-gradient needs eta > 0, and the VI stepper of the
+    method's setting must bind."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     expected = SmoothObjective if method in OPT_METHODS else MonotoneProblem
     if not isinstance(target, expected):
         raise ValueError(f"{method} expects a {expected.__name__}")
     z0 = as_vector(start, target.dimension)
-    if expected is MonotoneProblem:
-        if not target.feasible_set.contains(z0, tol=1e-12 * (1.0 + norm2(z0))):
-            raise ValueError("start point is not feasible")
-        if method == "extra-gradient" and params.eta <= 0.0:
-            raise ValueError("extra-gradient needs a positive half-step eta")
-        vi_stepper(target, *_masked(method, params))
-    return z0
+    if expected is SmoothObjective:
+        return z0, opt_stepper(target, params, "p")
+    if not target.feasible_set.contains(z0, tol=1e-12 * (1.0 + norm2(z0))):
+        raise ValueError("start point is not feasible")
+    if method == "extra-gradient" and params.eta <= 0.0:
+        raise ValueError("extra-gradient needs a positive half-step eta")
+    return z0, vi_stepper(target, *_masked(method, params))
 
 
 def run(target, method: str, params, start, stop: StopRule,
@@ -347,15 +348,16 @@ def run(target, method: str, params, start, stop: StopRule,
     raise ValueError before the first step.
 
     Every iteration is recorded; thinning is an export concern. The
-    stepper and the merits are bound once, before the first step, and
-    trace.meta["oracle_calls"] counts the oracle calls the run made
-    ("operator" and "project", or "gradient" and "value_and_gradient"),
-    worked out from the bound stepper's per-step calls, a divergent
-    partial trace included. The distance to the reference point is formed
-    in a scratch vector of the run; like the stepper's and the merits'
-    scratch, it never reaches a state the potential or the trace sees.
+    stepper is check_run's; it and the merits are bound once, before the
+    first step, and trace.meta["oracle_calls"] counts the oracle calls the
+    run made ("operator" and "project", or "gradient" and
+    "value_and_gradient"), worked out from the bound stepper's per-step
+    calls, a divergent partial trace included. The distance to the
+    reference point is formed in a scratch vector of the run; like the
+    stepper's and the merits' scratch, it never reaches a state the
+    potential or the trace sees.
     """
-    z0 = check_run(target, method, params, start)
+    z0, step = check_run(target, method, params, start)
     opt = method in OPT_METHODS
     trace = IterateTrace(kind=target.kind, method=method, params=params,
                          meta={"mu": target.mu, "lip": target.lip,
@@ -363,12 +365,10 @@ def run(target, method: str, params, start, stop: StopRule,
     if opt:
         trace.meta["f_star"] = target.optimal_value
         reference = target.minimizer
-        step = opt_stepper(target, params, "p")
         merits = bind_objective_merits(target)
         start_calls = {"value_and_gradient": 1}  # opt_state's fused call
     else:
         reference = target.solution
-        step = vi_stepper(target, *_masked(method, params))
         merits = bind_vi_merits(target)
         # vi_state's F(z0) and check_run's feasibility projection
         start_calls = {"operator": 1, "project": 1}

@@ -334,6 +334,8 @@ def test_certify_dispatcher_routes_by_regime():
         assert cert.feasible
     with pytest.raises(ValueError):
         C.certify("saddle", mu, lip, va.ViParams(alpha=0.1))
+    with pytest.raises(ValueError, match="unknown regime 'saddle'"):
+        C.default_params("saddle", mu, lip)
 
 
 def test_default_params_vi_values():

@@ -189,8 +189,8 @@ WIDE_STATUS = [  # compare commands whose status column outgrows 10 wide
 ]
 
 # commands whose float arithmetic overflows on the way: a target below the
-# scale floor, constants whose power iteration or estimate overflows, and an
-# iteration bound past the float range
+# scale floor, constants whose power iteration or estimate would overflow
+# unscaled, and an iteration bound past the float range
 OVERFLOWING_GENERATE = [
     ["generate", "--kind", "linear-vi", "--n", "3", "--seed", "0", "--sigma",
      "1e-200"],
@@ -545,8 +545,8 @@ def test_an_overflow_on_the_way_keeps_the_documented_exit(argv, code,
                                                            tmp_path,
                                                            monkeypatch):
     """No traceback and no numpy warning (an error under pytest): the tiny
-    target is floored, the overflowing constants are estimated as inf, the
-    saddle's lip of 1e300 is recorded, and the bound is printed in full."""
+    target is floored, the lip of 1e300 is recorded and estimated finite,
+    and the bound is printed in full."""
     record = _run(argv, tmp_path / "c", monkeypatch).split(b"\0")
     assert record[1] == str(code).encode()
     assert (b"need 0 < mu <= lip < inf" in record[3]) == (code == 2)

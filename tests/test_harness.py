@@ -604,6 +604,13 @@ def test_trace_writers_match_the_per_value_renderer(tmp_path, run_traces,
                 oracle(tr, thinning).encode("ascii"), (name, writer)
 
 
+def test_trace_writers_refuse_a_thinning_below_one(tmp_path):
+    for writer in (va.write_trace_csv, va.write_trace_jsonl):
+        with pytest.raises(ValueError, match="thinning must be a positive"):
+            writer(_small_trace(), tmp_path / "trace.txt", thinning=0)
+    assert not (tmp_path / "trace.txt").exists()
+
+
 def test_run_keeps_the_trace_contract(run_traces):
     """Row i is iteration i, k and elapsed_ns hold ints, every other column
     holds floats or None in every row, and meta carries sigma; so

@@ -17,40 +17,45 @@ from viaccel.cli import main
 # --- linear operator instances ----------------------------------------------
 
 def test_linear_vi_is_deterministic_per_seed():
-    a1, s1 = va.gen_linear_vi(12, 3, 0.02)
-    a2, s2 = va.gen_linear_vi(12, 3, 0.02)
+    a1, m1 = va.gen_linear_vi(12, 3, 0.02)
+    a2, m2 = va.gen_linear_vi(12, 3, 0.02)
     assert va.serialize_problem(a1) == va.serialize_problem(a2)
-    assert np.array_equal(s1.m, s2.m) and np.array_equal(s1.q, s2.q)
+    assert np.array_equal(m1, m2)
+    assert np.array_equal(a1.meta["offset"], a2.meta["offset"])
     other, _ = va.gen_linear_vi(12, 4, 0.02)
     assert va.serialize_problem(other) != va.serialize_problem(a1)
 
 
 def test_linear_vi_hits_the_requested_modulus_ratio():
     for seed in (0, 3, 7, 11, 23):
-        prob, spec = va.gen_linear_vi(20, seed, 0.0098)
+        prob, _ = va.gen_linear_vi(20, seed, 0.0098)
         assert prob.sigma == pytest.approx(0.0098, rel=1e-6)
-        assert prob.mu == spec.q_diag.min()  # modulus is the exact diagonal minimum
+        # the modulus is the exact diagonal minimum
+        assert prob.mu == prob.meta["diag"].min()
         assert prob.kind == "linear-vi" and prob.seed == seed
 
 
 def test_linear_vi_skew_part_never_feeds_the_quadratic_form():
     # (z - w)'(M (z - w)) equals the diagonal quadratic form alone
-    prob, spec = va.gen_linear_vi(15, 9, 0.05)
+    prob, M = va.gen_linear_vi(15, 9, 0.05)
     rng = np.random.default_rng(1)
     for _ in range(50):
         w = rng.standard_normal(15)
-        quad = float(w @ (spec.m @ w))
-        diag_only = float(w @ (spec.q_diag * w))
+        quad = float(w @ (M @ w))
+        diag_only = float(w @ (prob.meta["diag"] * w))
         assert quad == pytest.approx(diag_only, rel=1e-10)
 
 
 def test_linear_vi_operator_matches_its_spec():
-    prob, spec = va.gen_linear_vi(10, 5, 0.03)
+    # M is the matrix the operator closes over, assembled from meta alone
+    prob, M = va.gen_linear_vi(10, 5, 0.03)
+    meta = prob.meta
+    assert M.tobytes() == (np.diag(meta["diag"]) + meta["skew"]).tobytes()
     rng = np.random.default_rng(2)
     for _ in range(20):
         z = rng.standard_normal(10)
-        assert np.allclose(prob.operator(z), spec.m @ z + spec.q,
-                           rtol=1e-13, atol=1e-13)
+        assert prob.operator(z).tobytes() == \
+            (M.dot(z) + meta["offset"]).tobytes()
 
 
 @pytest.mark.parametrize("n,seed,sigma,constrained", [
@@ -107,17 +112,19 @@ def test_every_power_loop_of_the_scale_search_is_one_traceable_call(
     assert all(math.isfinite(a) for a in aboves[1:])
 
 
-def test_linear_vi_input_validation():
-    with pytest.raises(ValueError):
-        va.gen_linear_vi(1, 0, 0.1)
-    with pytest.raises(ValueError):
-        va.gen_linear_vi(10, 0, 0.0)
-    with pytest.raises(ValueError):
-        va.gen_linear_vi(10, 0, 1.5)
+@pytest.mark.parametrize("gen", [va.gen_linear_vi, va.gen_quadratic],
+                         ids=["linear-vi", "quadratic"])
+def test_linear_vi_input_validation(gen):
+    # gen_quadratic takes the same (n, seed, target_sigma) and refuses alike
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        gen(1, 0, 0.1)
+    for sigma in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"target_sigma must lie in"):
+            gen(10, 0, sigma)
 
 
 def test_linear_vi_constrained_solution_satisfies_complementarity():
-    prob, spec = va.gen_linear_vi(20, 7, 0.0098, constrained=True)
+    prob, _ = va.gen_linear_vi(20, 7, 0.0098, constrained=True)
     zs = prob.solution
     w = prob.operator(zs)
     scale = 1.0 + float(np.linalg.norm(zs))
@@ -139,6 +146,8 @@ def test_reference_solver_worked_examples():
     # mixed offset splits into one interior and one active coordinate
     sol = va.solve_linear_reference(eye, np.array([-1.0, 1.0]), orthant, 1.0)
     assert np.allclose(sol, [1.0, 0.0], rtol=0, atol=1e-9)
+    with pytest.raises(ValueError, match="whole space and orthant only"):
+        va.solve_linear_reference(eye, ones, oracles.Box(-ones, ones), 1.0)
 
 
 
@@ -148,11 +157,10 @@ def test_orthant_reference_solve_matches_the_hand_written_loop(n):
     # the orthant by vi_stepper and by the plain projected half-step loop
     for seed in (0, 1, 7, 101, 202, 1101):
         for sigma in (1.0, 1e-1, 1e-2, 1e-3):
-            prob, spec = va.gen_linear_vi(n, seed, sigma)
-            fset = va.NonnegativeOrthant(n)
-            got = va.solve_linear_reference(spec.m, spec.q, fset, prob.lip)
-            want = oracles.solve_linear_reference(spec.m, spec.q, fset,
-                                                  prob.lip)
+            prob, M = va.gen_linear_vi(n, seed, sigma)
+            fset, q = va.NonnegativeOrthant(n), prob.meta["offset"]
+            got = va.solve_linear_reference(M, q, fset, prob.lip)
+            want = oracles.solve_linear_reference(M, q, fset, prob.lip)
             assert got.tobytes() == want.tobytes(), (seed, sigma)
 
 
@@ -348,13 +356,15 @@ def test_estimate_constants_brackets_the_true_values():
 
 
 def test_estimate_constants_overflows_without_a_warning():
-    # lam = 1e300 overflows the sampled differences and the Jacobian's power
-    # iteration; warnings are errors under pytest
+    # lam = 1e300 overflows the squared norms of the sampled differences,
+    # which are rescaled by a power of two; warnings are errors under pytest
     before = np.geterr()
     prob = va.gradient_problem(va.gen_logistic(3, 2, 1e300, 0))
     mu_hat, lip_hat = va.estimate_constants(prob)
-    assert mu_hat == pytest.approx(1e300) and lip_hat == math.inf
+    assert mu_hat == pytest.approx(1e300) and lip_hat == pytest.approx(1e300)
     assert np.geterr() == before
+    saddle = va.gen_bilinear_saddle(2, 2, 0, mu_x=1e200, mu_y=1e200)
+    assert va.estimate_constants(saddle)[1] == pytest.approx(1e200)
 
 
 # --- text serialization ----------------------------------------------------------
@@ -650,6 +660,11 @@ def test_refused_instances_write_no_file(tmp_path):
     saddle.seed = 1.5
     with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
         va.write_problem(path, saddle)
+    boxed = va.gen_linear_vi(4, 0, 0.1)[0]
+    boxed.feasible_set = oracles.Box(np.zeros(4), np.ones(4))
+    with pytest.raises(ValueError, match="^only whole-space and orthant sets "
+                                         "serialize$"):
+        va.write_problem(path, boxed)
     assert not path.exists()
 
 

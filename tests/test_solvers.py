@@ -548,8 +548,28 @@ def test_run_checks_its_preconditions_before_any_step(method, params, start,
         with pytest.raises(ValueError, match=message):
             check()
     # nesterov without momentum builds no half point, so it may run
-    z0 = va.check_run(pr, "nesterov", va.ViParams(alpha=0.1), [0.5, 0.5])
+    z0, step = va.check_run(pr, "nesterov", va.ViParams(alpha=0.1),
+                            [0.5, 0.5])
     assert z0.dtype == np.float64 and z0.tolist() == [0.5, 0.5]
+    assert step.calls == {"operator": 1, "project": 1}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_binds_one_stepper_per_call(monkeypatch, method):
+    # run steps with the stepper check_run binds and binds no second one
+    bound = []
+    for name in ("vi_stepper", "opt_stepper"):
+        fn = getattr(S, name)
+        monkeypatch.setattr(S, name, lambda *a, fn=fn, **kw:
+                            bound.append(fn) or fn(*a, **kw))
+    if method in OPT_METHODS:
+        target = va.gen_quadratic(4, 1, 0.1)
+        prm = va.default_params(va.REGIME_OPT, target.mu, target.lip)
+    else:
+        target, _ = va.gen_linear_vi(4, 1, 0.1, constrained=True)
+        prm = va.ViParams(alpha=0.1, beta=0.1, eta=0.1, tau=0.01)
+    va.run(target, method, prm, np.ones(4), va.StopRule(max_iter=3))
+    assert len(bound) == 1
 
 
 def _refuses_the_half_point(call) -> bool:
@@ -562,8 +582,9 @@ def _refuses_the_half_point(call) -> bool:
 
 @pytest.mark.parametrize("method", VI_METHODS)
 def test_check_run_refuses_the_half_point_exactly_when_binding_does(method):
-    # check_run binds the stepper run binds, so on every set the refusal is
-    # vi_stepper's own: only nesterov with beta > 0, on the restricted box
+    # check_run binds the stepper run steps with, so on every set the
+    # refusal is vi_stepper's own: only nesterov with beta > 0, on the
+    # restricted box
     refused = []
     for fset, restricted in ((va.WholeSpace(2), False),
                              (va.NonnegativeOrthant(2), False),
