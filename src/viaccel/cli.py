@@ -204,21 +204,19 @@ def assemble_params(regime: str, preset: Optional[str], params: dict,
 
 
 class Plan(NamedTuple):
-    """One configured method, resolved and checked: run's arguments, and
+    """One configured method: its run, checked and bound by check_run, and
     the certificate and atol that a run with a potential is checked at."""
 
     name: str
-    target: Union[MonotoneProblem, SmoothObjective]
+    run: Callable[[], H.IterateTrace]
     params: Union[S.ViParams, S.OptParams]
-    start: np.ndarray
-    stop: S.StopRule
     cert: Optional[C.RateCertificate]
     potential: Optional[Callable]
     atol: float
 
 
 def build_method(spec: MethodSpec, target, stop: Optional[dict] = None) -> Plan:
-    """One configured method's Plan, checked last by solvers.check_run.
+    """One configured method's Plan, its run bound last by solvers.check_run.
 
     VI methods start at the projected all-ones point and run against an
     objective's gradient problem; opt-extra-point starts at all ones. A
@@ -282,9 +280,8 @@ def build_method(spec: MethodSpec, target, stop: Optional[dict] = None) -> Plan:
         named = f"the {key} of method {spec.name}" \
             if getattr(spec, key) is not None else f"{option(key)} / stop.{key}"
         raise ValueError(f"{named} {rest}, got {stop[key]}") from None
-    S.check_run(run_target, spec.name, params, start)
-    return Plan(spec.name, run_target, params, start, stop, cert, potential,
-                atol)
+    run = S.check_run(run_target, spec.name, params, start, stop, potential)
+    return Plan(spec.name, run, params, cert, potential, atol)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +409,7 @@ def _run_experiment(cfg: ExperimentConfig, strict: bool) -> int:
         label = f"{plan.name}.{i}" if names.count(plan.name) > 1 else plan.name
         report = error = None
         try:
-            trace = S.run(plan.target, plan.name, plan.params, plan.start,
-                          plan.stop, potential=plan.potential)
+            trace = plan.run()
         except H.DivergenceError as err:
             trace, error = err.trace, "diverged"
         if plan.potential is not None and error is None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter_ns
 from typing import Callable, NamedTuple, Optional
 
@@ -314,12 +315,12 @@ def _masked(method: str, params: ViParams) -> tuple:
     return ViParams(**kept), True
 
 
-def check_run(target, method: str, params, start) -> tuple:
-    """run's preconditions, checked before any step; returns (z0, step): the
-    start as a vector and the stepper run steps with, bound here (binding
-    calls no oracle). Beyond a known method, a target of its class and a
-    feasible start: extra-gradient needs eta > 0, and the VI stepper of the
-    method's setting must bind."""
+def check_run(target, method: str, params, start, stop: StopRule,
+              potential: Optional[Callable] = None) -> Callable:
+    """run's preconditions, checked before any step: a known method, a
+    target of its class, a feasible start, eta > 0 for extra-gradient, and a
+    stepper that binds (binding calls no oracle). Returns run(*args) as a
+    zero-argument callable, bound with that one stepper."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     expected = SmoothObjective if method in OPT_METHODS else MonotoneProblem
@@ -327,12 +328,14 @@ def check_run(target, method: str, params, start) -> tuple:
         raise ValueError(f"{method} expects a {expected.__name__}")
     z0 = as_vector(start, target.dimension)
     if expected is SmoothObjective:
-        return z0, opt_stepper(target, params, "p")
-    if not target.feasible_set.contains(z0, tol=1e-12 * (1.0 + norm2(z0))):
+        step = opt_stepper(target, params, "p")
+    elif not target.feasible_set.contains(z0, tol=1e-12 * (1.0 + norm2(z0))):
         raise ValueError("start point is not feasible")
-    if method == "extra-gradient" and params.eta <= 0.0:
+    elif method == "extra-gradient" and params.eta <= 0.0:
         raise ValueError("extra-gradient needs a positive half-step eta")
-    return z0, vi_stepper(target, *_masked(method, params))
+    else:
+        step = vi_stepper(target, *_masked(method, params))
+    return partial(_run, target, method, params, z0, step, stop, potential)
 
 
 def run(target, method: str, params, start, stop: StopRule,
@@ -347,17 +350,20 @@ def run(target, method: str, params, start, stop: StopRule,
     DivergenceError carrying the partial trace; check_run's preconditions
     raise ValueError before the first step.
 
-    Every iteration is recorded; thinning is an export concern. The
-    stepper is check_run's; it and the merits are bound once, before the
-    first step, and trace.meta["oracle_calls"] counts the oracle calls the
-    run made ("operator" and "project", or "gradient" and
+    run(*args) is check_run(*args)(). Every iteration is recorded; thinning
+    is an export concern. The stepper and the merits are bound once, before
+    the first step, and trace.meta["oracle_calls"] counts the oracle calls
+    the run made ("operator" and "project", or "gradient" and
     "value_and_gradient"), worked out from the bound stepper's per-step
-    calls, a divergent partial trace included. The distance to the
-    reference point is formed in a scratch vector of the run; like the
-    stepper's and the merits' scratch, it never reaches a state the
-    potential or the trace sees.
+    calls, a divergent partial trace included. The distance to the reference
+    point is formed in a scratch vector of the run; like the stepper's and
+    the merits' scratch, it never reaches a state the potential or the trace
+    sees.
     """
-    z0, step = check_run(target, method, params, start)
+    return check_run(target, method, params, start, stop, potential)()
+
+
+def _run(target, method, params, z0, step, stop, potential) -> IterateTrace:
     opt = method in OPT_METHODS
     trace = IterateTrace(kind=target.kind, method=method, params=params,
                          meta={"mu": target.mu, "lip": target.lip,

@@ -431,19 +431,37 @@ def test_a_converged_run_passes_strict_at_zero_tol(tmp_path, capsys, flags):
 
 def test_strict_still_flags_an_alpha_too_large_for_the_certificate(
         tmp_path, capsys, monkeypatch):
-    # run at 10.8 times the certified alpha: the run converges, but more
-    # slowly than the certificate's rate, from the first steps on
-    real = va.solvers.run
+    # bind the run at 10.8 times the certified alpha: the run converges,
+    # but more slowly than the certificate's rate, from the first steps on
+    real = va.solvers.check_run
 
-    def run(target, method, params, *args, **kwargs):
+    def check_run(target, method, params, *args, **kwargs):
         fast = dataclasses.replace(params, alpha=10.8 * params.alpha)
         return real(target, method, fast, *args, **kwargs)
 
-    monkeypatch.setattr(va.solvers, "run", run)
+    monkeypatch.setattr(va.solvers, "check_run", check_run)
     rc = _converged_solve(tmp_path, [])
     out = capsys.readouterr().out
     assert rc == 4
     assert "max-iter" in out and "diverged" not in out
+
+
+def test_compare_binds_one_stepper_per_method(tmp_path, capsys, monkeypatch):
+    # build_method keeps the run check_run binds, so the run steps with the
+    # stepper checked there and binds no second one
+    bound = {}
+    for name in ("vi_stepper", "opt_stepper"):
+        fn = getattr(va.solvers, name)
+        monkeypatch.setattr(va.solvers, name, lambda *a, fn=fn, name=name,
+                            **kw: bound.setdefault(name, []).append(fn)
+                            or fn(*a, **kw))
+    rc = main(["compare", "--kind", "quadratic", "--n", "3", "--sigma", "1",
+               "--methods", "opt-extra-point,vanilla", "--max-iter", "5",
+               "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    assert {name: len(fns) for name, fns in bound.items()} == {
+        "vi_stepper": 1, "opt_stepper": 1}
 
 
 def test_solve_zero_iterations_yields_single_record(tmp_path, capsys):

@@ -542,16 +542,18 @@ def test_run_checks_its_preconditions_before_any_step(method, params, start,
                             feasible_set=oracles.Box(np.zeros(2), np.ones(2)),
                             mu=1.0, lip=1.0, solution=np.zeros(2),
                             domain_restricted=True)
-    for check in (lambda: va.check_run(pr, method, params, start),
-                  lambda: va.run(pr, method, params, start,
-                                 va.StopRule(max_iter=0))):
+    stop = va.StopRule(max_iter=0)
+    for check in (lambda: va.check_run(pr, method, params, start, stop),
+                  lambda: va.run(pr, method, params, start, stop)):
         with pytest.raises(ValueError, match=message):
             check()
     # nesterov without momentum builds no half point, so it may run
-    z0, step = va.check_run(pr, "nesterov", va.ViParams(alpha=0.1),
-                            [0.5, 0.5])
+    start_only, one_step = (
+        va.check_run(pr, "nesterov", va.ViParams(alpha=0.1), [0.5, 0.5],
+                     va.StopRule(max_iter=k))() for k in (0, 1))
+    z0 = start_only.final_point
     assert z0.dtype == np.float64 and z0.tolist() == [0.5, 0.5]
-    assert step.calls == {"operator": 1, "project": 1}
+    assert one_step.meta["oracle_calls"] == {"operator": 2, "project": 4}
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -598,7 +600,8 @@ def test_check_run_refuses_the_half_point_exactly_when_binding_does(method):
             binds = _refuses_the_half_point(
                 lambda: S.vi_stepper(pr, *S._masked(method, prm)))
             checks = _refuses_the_half_point(
-                lambda: S.check_run(pr, method, prm, [0.5, 0.5]))
+                lambda: S.check_run(pr, method, prm, [0.5, 0.5],
+                                    S.StopRule(max_iter=0)))
             assert checks == binds, (fset, beta, eta)
             if binds:
                 refused.append((restricted, beta))
