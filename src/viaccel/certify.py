@@ -119,17 +119,15 @@ def theta_interval(a: float, b: float) -> tuple:
     """Admissible momentum-weight window [lo, hi) for coefficients (a, b).
 
     The window collects every theta with b <= theta * (1 - (a - theta)),
-    intersected with [0, a). For b = 0 the window is [0, a); otherwise the
-    lower endpoint is the positive root of theta^2 + (1-a) theta - b, taken
-    in the form 2b / (sqrt((1-a)^2 + 4b) + (1-a)), which does not cancel
-    when b is small.
+    intersected with [0, a). The lower endpoint is the nonnegative root of
+    theta^2 + (1-a) theta - b, taken in the form
+    2b / (sqrt((1-a)^2 + 4b) + (1-a)), which does not cancel when b is
+    small and is +0.0 at b = +0.0, so the window for b = 0 is [0, a).
 
     Raises ValueError unless 0 <= b < a < 1.
     """
     if not (0.0 <= b < a < 1.0):
         raise ValueError(f"need 0 <= b < a < 1, got a={a}, b={b}")
-    if b == 0.0:
-        return 0.0, a
     lo = 2.0 * b / (math.sqrt((1.0 - a) ** 2 + 4.0 * b) + (1.0 - a))
     return lo, a
 
@@ -346,19 +344,16 @@ def iteration_bound(cert: RateCertificate, initial_gap: float, tol: float) -> in
     ratio gap / tol beyond the float range still gives its bound, and
     ln(1 / rate) is -log1p(-m) with m = a - theta_default, the 1 - rate that
     rounding to rate would lose when m is below the float resolution at 1.
-    A quotient past the float range is taken exactly, from the same floats.
+    The bound is the exact ceiling of the quotient of the two logarithms.
     """
     if not cert.feasible:
         raise ValueError("iteration_bound requires a feasible certificate")
-    if not (initial_gap > 0.0 and tol > 0.0):
-        raise ValueError("initial_gap and tol must be positive")
+    if not (0.0 < initial_gap < math.inf and tol > 0.0):
+        raise ValueError("initial_gap and tol must be positive, initial_gap finite")
     scale = 1.0 + cert.theta_default
     if tol >= scale * initial_gap:
         return 0
     log_ratio = math.log(scale) + math.log(initial_gap) - math.log(tol)
     log_rate = -math.log1p(-(cert.a - cert.theta_default))
-    bound = log_ratio / log_rate
-    if math.isfinite(bound):
-        return math.ceil(bound)
     (p, q), (r, s) = log_ratio.as_integer_ratio(), log_rate.as_integer_ratio()
-    return -(-p * s // (q * r))  # the exact ceiling of the same quotient
+    return -(-p * s // (q * r))

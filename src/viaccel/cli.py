@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -204,15 +205,14 @@ def assemble_params(regime: str, preset: Optional[str], params: dict,
 
 
 class Plan(NamedTuple):
-    """One configured method: its run, checked and bound by check_run, and
-    the certificate and atol that a run with a potential is checked at."""
+    """One configured method: its run, checked and bound by check_run, its
+    certificate, and its trace's contraction check (None without a potential)."""
 
     name: str
     run: Callable[[], H.IterateTrace]
     params: Union[S.ViParams, S.OptParams]
     cert: Optional[C.RateCertificate]
-    potential: Optional[Callable]
-    atol: float
+    check: Optional[Callable[[H.IterateTrace], H.ContractionReport]]
 
 
 def build_method(spec: MethodSpec, target, stop: Optional[dict] = None) -> Plan:
@@ -251,7 +251,6 @@ def build_method(spec: MethodSpec, target, stop: Optional[dict] = None) -> Plan:
     if params is None:
         params = PR.table_preset(spec.name, target)
     cert = potential = None
-    atol = 0.0
     if from_defaults and spec.name in ("extra-point",) + S.OPT_METHODS:
         cert = C.certify(regime, run_target.mu, run_target.lip, params)
         if cert.feasible and opt:
@@ -281,7 +280,8 @@ def build_method(spec: MethodSpec, target, stop: Optional[dict] = None) -> Plan:
             if getattr(spec, key) is not None else f"{option(key)} / stop.{key}"
         raise ValueError(f"{named} {rest}, got {stop[key]}") from None
     run = S.check_run(run_target, spec.name, params, start, stop, potential)
-    return Plan(spec.name, run, params, cert, potential, atol)
+    check = potential and partial(H.check_contraction, cert=cert, atol=atol)
+    return Plan(spec.name, run, params, cert, check)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +412,8 @@ def _run_experiment(cfg: ExperimentConfig, strict: bool) -> int:
             trace = plan.run()
         except H.DivergenceError as err:
             trace, error = err.trace, "diverged"
-        if plan.potential is not None and error is None:
-            report = H.check_contraction(trace, plan.cert, atol=plan.atol)
+        if plan.check is not None and error is None:
+            report = plan.check(trace)
         for fmt in formats:
             TRACE_WRITERS[fmt](trace, os.path.join(
                 directory, f"{label}.{fmt}"), thinning=thinning)

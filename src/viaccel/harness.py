@@ -46,9 +46,7 @@ class IterateTrace:
     identical inputs; elapsed_ns is wall-clock and is not.
     """
 
-    kind: str
     method: str
-    params: object
     columns: dict = field(init=False)
     terminated_by: str = "max-iter"
     final_point: Optional[np.ndarray] = None
@@ -284,8 +282,8 @@ def power_iteration_norm(M, iters: int = 500,
     or 2-cycle: the loop stops there and returns what all iters steps
     would. iters is a cap. The arrays are compared only when the step's
     norm equals that of the step one (or two) back, which on a fixed point
-    (or a 2-cycle) delays the exit by one step at most. A zero start or a
-    zero step returns 0.0.
+    (or a 2-cycle) delays the exit by one step at most. A zero step returns
+    0.0; the seed-0 start is a unit vector unless M has no column.
 
     A matrix whose largest |entry| lies outside [2^-400, 2^400] runs
     scaled by a power of two, which is exact, so M^T M neither overflows
@@ -303,10 +301,7 @@ def power_iteration_norm(M, iters: int = 500,
         M = np.ldexp(M, -e)
     apply_m, apply_t = M.dot, M.T.dot
     v = np.random.default_rng(0).standard_normal(M.shape[1])
-    nv = norm2(v)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
+    v /= norm2(v)
     last = last2 = before = None  # the last two steps' norms, the last input
     den = np.empty(())  # the step's norm, divided by as an array operand
     with np.errstate(over="ignore", invalid="ignore"):
@@ -370,12 +365,9 @@ def _lines(trace: IterateTrace, thinning: int, missing: str,
     n = len(trace.column("k"))
     step = max(1, min(thinning, n))  # islice takes steps up to sys.maxsize
 
-    def kept(col):
-        return col if step == 1 else islice(col, 0, None, step)
-
     lines = (fmt % row for row in zip(*(
-        kept(col) if rule is None else map(rule, kept(col))
-        for col, rule in live)))
+        islice(col, 0, None, step) if rule is None
+        else map(rule, islice(col, 0, None, step)) for col, rule in live)))
     if n and (n - 1) % step:
         lines = chain(lines, [fmt % tuple(
             col[-1] if rule is None else rule(col[-1]) for col, rule in live)])

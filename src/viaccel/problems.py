@@ -129,7 +129,7 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
         raise ValueError("target_sigma must lie in (0, 1]")
     rng = np.random.default_rng(seed)
 
-    span = min(2.0, math.log10(1.0 / target_sigma)) if target_sigma < 1.0 else 0.0
+    span = min(2.0, math.log10(1.0 / target_sigma))
     u = rng.uniform(0.0, 1.0, n)
     lo, hi = u.min(), u.max()
     expo = (u - lo) / (hi - lo) * span if hi > lo else np.zeros(n)
@@ -146,11 +146,9 @@ def gen_linear_vi(n: int, seed: int, target_sigma: float,
         # p^2 (see power_iteration_norm), so once sqrt(nw) (1 - 1e-9) passes
         # (c / goal) (1 + 1e-9), the answer is "below" whatever the rest of
         # the loop does: the bound overshoots p by roundoff only, some 1e-15
-        # relative.
-        try:
-            bar = (c * (1.0 + 1e-9) / (goal * (1.0 - 1e-9))) ** 2
-        except OverflowError:  # a tiny goal: a bar of inf never stops early
-            bar = math.inf
+        # relative. A float product overflows to inf, which never stops early.
+        q = c * (1.0 + 1e-9) / (goal * (1.0 - 1e-9))
+        bar = q * q
         p = power_iteration_norm(np.diag(c * diag0) + skew, above=bar)
         return (True, None) if p is None else (c / p < goal, p)
 
@@ -305,8 +303,7 @@ def gen_quadratic(n: int, seed: int, target_sigma: float) -> SmoothObjective:
 
     d = np.empty(n)
     d[0], d[-1] = mu, lip
-    if n > 2:
-        d[1:-1] = np.exp(rng.uniform(math.log(mu), math.log(lip), n - 2))
+    d[1:-1] = np.exp(rng.uniform(math.log(mu), math.log(lip), n - 2))
     M = (U.T * d) @ U
     del U  # the basis is as large as M and not needed past here
     M += M.T  # numpy buffers the overlapping transpose: M + M.T bit for bit

@@ -318,16 +318,24 @@ def _masked(method: str, params: ViParams) -> tuple:
 def check_run(target, method: str, params, start, stop: StopRule,
               potential: Optional[Callable] = None) -> Callable:
     """run's preconditions, checked before any step: a known method, a
-    target of its class, a feasible start, eta > 0 for extra-gradient, and a
-    stepper that binds (binding calls no oracle). Returns run(*args) as a
+    target and params of its classes, a StopRule, a callable or None
+    potential, a feasible start, eta > 0 for extra-gradient, and a stepper
+    that binds (binding calls no oracle). Returns run(*args) as a
     zero-argument callable, bound with that one stepper."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    expected = SmoothObjective if method in OPT_METHODS else MonotoneProblem
+    opt = method in OPT_METHODS
+    expected, kind = (SmoothObjective, OptParams) if opt else (MonotoneProblem, ViParams)
     if not isinstance(target, expected):
         raise ValueError(f"{method} expects a {expected.__name__}")
+    if not isinstance(params, kind):
+        raise ValueError(f"{method} takes {kind.__name__}, not {type(params).__name__}")
+    if not isinstance(stop, StopRule):
+        raise ValueError(f"stop must be a StopRule, not {type(stop).__name__}")
+    if not (potential is None or callable(potential)):
+        raise ValueError("potential must be callable or None")
     z0 = as_vector(start, target.dimension)
-    if expected is SmoothObjective:
+    if opt:
         step = opt_stepper(target, params, "p")
     elif not target.feasible_set.contains(z0, tol=1e-12 * (1.0 + norm2(z0))):
         raise ValueError("start point is not feasible")
@@ -335,7 +343,7 @@ def check_run(target, method: str, params, start, stop: StopRule,
         raise ValueError("extra-gradient needs a positive half-step eta")
     else:
         step = vi_stepper(target, *_masked(method, params))
-    return partial(_run, target, method, params, z0, step, stop, potential)
+    return partial(_run, target, method, z0, step, stop, potential)
 
 
 def run(target, method: str, params, start, stop: StopRule,
@@ -363,11 +371,11 @@ def run(target, method: str, params, start, stop: StopRule,
     return check_run(target, method, params, start, stop, potential)()
 
 
-def _run(target, method, params, z0, step, stop, potential) -> IterateTrace:
+def _run(target, method, z0, step, stop, potential) -> IterateTrace:
     opt = method in OPT_METHODS
-    trace = IterateTrace(kind=target.kind, method=method, params=params,
-                         meta={"mu": target.mu, "lip": target.lip,
-                               "sigma": target.sigma, "seed": target.seed})
+    trace = IterateTrace(method=method, meta={
+        "mu": target.mu, "lip": target.lip, "sigma": target.sigma,
+        "seed": target.seed})
     if opt:
         trace.meta["f_star"] = target.optimal_value
         reference = target.minimizer

@@ -34,6 +34,10 @@ def test_theta_interval_worked_example():
 
 def test_theta_interval_zero_b_starts_at_zero():
     assert va.theta_interval(0.5, 0.0) == (0.0, 0.5)
+    # the general formula gives 2 * 0 / (2 (1 - a)): +0.0, never -0.0
+    for a in (5e-324, 0.5, 1.0 - 2.0 ** -53):
+        lo, hi = va.theta_interval(a, 0.0)
+        assert (lo, hi) == (0.0, a) and math.copysign(1.0, lo) == 1.0
 
 
 def test_theta_interval_rejects_bad_coefficients():
@@ -447,12 +451,29 @@ def test_iteration_bound_past_the_float_range_is_the_exact_ceiling():
     assert len(str(k)) == 311
 
 
+def test_iteration_bound_is_the_exact_ceiling_where_the_float_quotient_rounds_down():
+    # the float quotient of the two logs rounds down onto an integer here,
+    # so its ceiling would undercount by one
+    mu, lip = 1.0, 91827435.45112802
+    gap, tol = 1960948580.2818284, 1.1266912759391233e-15
+    cert = C.certify(C.REGIME_VI_RESTRICTED, mu, lip,
+                     _defaults(C.REGIME_VI_RESTRICTED, mu, lip))
+    log_ratio = math.log(1.0 + cert.theta_default) + math.log(gap) - math.log(tol)
+    log_rate = -math.log1p(-(cert.a - cert.theta_default))
+    assert math.ceil(log_ratio / log_rate) == 131211703050
+    exact = math.ceil(fractions.Fraction(log_ratio) / fractions.Fraction(log_rate))
+    assert va.iteration_bound(cert, gap, tol) == exact == 131211703051
+
+
 def test_iteration_bound_input_validation():
     cert = _manual_cert(0.9)
     with pytest.raises(ValueError):
         va.iteration_bound(cert, 0.0, 1e-3)
     with pytest.raises(ValueError):
         va.iteration_bound(cert, 1.0, 0.0)
+    for gap in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="initial_gap finite"):
+            va.iteration_bound(cert, gap, 1e-8)
     infeasible = va.certify_vi_unrestricted(1.0, 10.0, va.ViParams(alpha=0.025))
     with pytest.raises(ValueError):
         va.iteration_bound(infeasible, 1.0, 1e-3)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,7 @@ def _manual_cert(rate):
 
 
 def _synthetic_trace(potentials, method="vanilla", meta=None):
-    tr = IterateTrace(kind="custom", method=method,
-                      params=va.ViParams(alpha=0.1), meta=meta or {})
+    tr = IterateTrace(method=method, meta=meta or {})
     for k, p in enumerate(potentials):
         oracles.append_row(tr, k, 1.0, None, None, p, 0)
     return tr
@@ -256,6 +256,12 @@ def test_power_iteration_norm_reference_values():
     assert est == pytest.approx(float(n), rel=1e-3)
     assert est <= n * (1.0 + 1e-12)  # one-sided estimate
     assert va.power_iteration_norm(np.zeros((3, 3))) == 0.0
+    # a matrix with no column starts from an empty vector and one with no
+    # row steps to zero: both give 0.0, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((3, 0), (0, 3)):
+            assert va.power_iteration_norm(np.empty(shape)) == 0.0
 
 
 def test_power_iteration_norm_rectangular_and_not_2d():
@@ -496,8 +502,7 @@ def test_power_iteration_norm_stops_exactly_when_a_step_passes_above(
 def _special_trace():
     """A trace whose columns take every spec: ints, floats over the special
     values, floats with a nan or an inf, and None."""
-    tr = IterateTrace(kind="custom", method="vanilla",
-                      params=va.ViParams(alpha=0.1))
+    tr = IterateTrace(method="vanilla")
     floats = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, 1e16,
               123456789.0, 1.7976931348623157e308, math.inf, -math.inf,
               np.float64(0.1), 2.5]
@@ -522,8 +527,7 @@ def _writer_traces():
     opt = va.run(obj, "opt-extra-point",
                  va.default_params(va.REGIME_OPT, obj.mu, obj.lip),
                  np.ones(5), va.StopRule(max_iter=12))
-    empty = IterateTrace(kind="custom", method="vanilla",
-                         params=va.ViParams(alpha=0.1))
+    empty = IterateTrace(method="vanilla")
     return {"run": _small_trace(), "special": _special_trace(),
             "zero-iterations": zero, "divergent": info.value.trace,
             "opt without f*": opt, "empty": empty}
@@ -685,8 +689,7 @@ def test_jsonl_trace_of_an_overflowing_run_is_json(tmp_path):
 
 
 def test_trace_writers_stream_their_rows(tmp_path):
-    tr = IterateTrace(kind="custom", method="vanilla",
-                      params=va.ViParams(alpha=0.1))
+    tr = IterateTrace(method="vanilla")
     for k in range(20000):
         oracles.append_row(tr, k, k / 3.0, 1.0 / (k + 1), None,
                            math.sqrt(k), 1000 * k)

@@ -1,5 +1,6 @@
 """Seeded instance generators, reference solutions, and the text format."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -235,6 +236,20 @@ def test_quadratic_matches_the_fresh_vector_gram_schmidt(n, monkeypatch):
     monkeypatch.setattr(P, "_orthonormal_rows", oracles.gram_schmidt)
     assert got == [P.serialize_problem(va.gen_quadratic(n, s, sg))
                    for s, sg in cases]
+
+
+def test_quadratic_at_n2_keeps_its_bits():
+    # n = 2 pins both eigenvalues and draws none in between: the size-0
+    # draw leaves the generator where it was, so the linear term drawn
+    # after it keeps its bits; the digests pin each case's problem text
+    digests = ["edcc1d7787d01a6b85ddf405762789a44e9a07717ec24b9b06ebb221781d71c4",
+               "8da1108d121be6ea2f3595668c8b03945d7865cde849563b28a58f3b253306b9",
+               "90c7ef767d0574ebbe19073d93dc32194136f379bc2710afa6d9d86a6f821d5d",
+               "c13de6b06506142c50e3fa6ed84de951dedeff4566f38dce19c01ffffda5833b"]
+    cases = [(0, 1.0), (5, 1e-2), (77, 0.0024), (1001, 1e-4)]
+    assert [hashlib.sha256(P.serialize_problem(
+        va.gen_quadratic(2, s, sg)).encode()).hexdigest()
+        for s, sg in cases] == digests
 
 
 def test_gram_schmidt_breakdown_matches_the_oracle():

@@ -527,26 +527,38 @@ def test_nesterov_run_refuses_domain_restricted_problems():
                np.full(2, 0.5), va.StopRule(max_iter=3))
 
 
-@pytest.mark.parametrize("method, params, start, message", [
-    ("nesterov", va.ViParams(alpha=0.1, beta=0.1), [0.5, 0.5],
+_QUAD = va.gen_quadratic(2, 0, 0.5)
+_OPT_PARAMS = va.default_params(va.REGIME_OPT, _QUAD.mu, _QUAD.lip)
+
+
+@pytest.mark.parametrize("method, changed, message", [
+    ("nesterov", dict(params=va.ViParams(alpha=0.1, beta=0.1)),
      "need the projected half point"),
-    ("extra-gradient", va.ViParams(alpha=0.1), [0.5, 0.5], "positive half-step"),
-    ("vanilla", va.ViParams(alpha=0.1), [2.0, 0.5], "start point is not feasible"),
-    ("vanilla", va.ViParams(alpha=0.1), [0.5], "expected dimension 2"),
-    ("opt-extra-point", va.ViParams(alpha=0.1), [0.5, 0.5], "expects a Smooth"),
-    ("newton", va.ViParams(alpha=0.1), [0.5, 0.5], "unknown method"),
+    ("extra-gradient", {}, "positive half-step"),
+    ("vanilla", dict(start=[2.0, 0.5]), "start point is not feasible"),
+    ("vanilla", dict(start=[0.5]), "expected dimension 2"),
+    ("opt-extra-point", {}, "expects a Smooth"),
+    ("newton", {}, "unknown method"),
+    ("vanilla", dict(params=_OPT_PARAMS), "vanilla takes ViParams, not Opt"),
+    ("extra-point", dict(params=None), "takes ViParams, not NoneType"),
+    ("opt-extra-point", dict(target=_QUAD), "takes OptParams, not ViParams"),
+    ("vanilla", dict(stop=5), "stop must be a StopRule, not int"),
+    ("opt-extra-point", dict(target=_QUAD, params=_OPT_PARAMS, stop=None),
+     "stop must be a StopRule"),
+    ("vanilla", dict(potential=5), "potential must be callable or None"),
 ])
-def test_run_checks_its_preconditions_before_any_step(method, params, start,
+def test_run_checks_its_preconditions_before_any_step(method, changed,
                                                       message):
     pr = va.MonotoneProblem(dimension=2, operator=lambda z: z.copy(),
                             feasible_set=oracles.Box(np.zeros(2), np.ones(2)),
                             mu=1.0, lip=1.0, solution=np.zeros(2),
                             domain_restricted=True)
-    stop = va.StopRule(max_iter=0)
-    for check in (lambda: va.check_run(pr, method, params, start, stop),
-                  lambda: va.run(pr, method, params, start, stop)):
+    args = {"target": pr, "method": method, "params": va.ViParams(alpha=0.1),
+            "start": [0.5, 0.5], "stop": va.StopRule(max_iter=0),
+            "potential": None, **changed}
+    for check in (va.check_run, va.run):
         with pytest.raises(ValueError, match=message):
-            check()
+            check(**args)
     # nesterov without momentum builds no half point, so it may run
     start_only, one_step = (
         va.check_run(pr, "nesterov", va.ViParams(alpha=0.1), [0.5, 0.5],
