@@ -241,14 +241,15 @@ def certify_vi_restricted(mu: float, lip: float, params: ViParams) -> RateCertif
         "exp2-line-2": t < s - u,
         "exp2-line-3": _le(al * L + abs(ga - be) - 1.0, 0.0),
         "exp2-line-4": _le(al * L + 2.0 * al * mu + ta * L + 2.0 * ga - 1.0, 0.0),
-    }, a, b, "exp2-line-1", s=s, t=t, u=u)
+    }, a, b, "exp2-line-2", s=s, t=t, u=u)
 
 
 def certify_opt(mu: float, lip: float, params: OptParams) -> RateCertificate:
     """Certify the nine-coefficient scheme for strongly convex minimization.
 
-    Checks the nine lines of the table below, which tie the coefficients
-    t1..t9 to theta and the potential weight c. ``oec-t9-curvature`` reads
+    Checks the eight lines of the table below, which tie the coefficients
+    t1..t9 to the potential weight c and to theta = 2 t9 c, the contraction
+    amount they imply. ``oec-t9-curvature`` reads
 
         t9^2 c <= (2 t4 (1-t3) - (1+t3)^2 t4^2 + 2 t3 (t6 - t5)) / (2 lip).
 
@@ -258,13 +259,13 @@ def certify_opt(mu: float, lip: float, params: OptParams) -> RateCertificate:
     """
     _check_constants(mu, lip)
     t1, t2, t3, t4, t5, t6, t7, t8, t9 = params.t
-    th, c = params.theta, params.c
+    c = params.c
+    th = 2.0 * t9 * c
     d = 1.0 - 2.0 * t8 * t9 * c
     # (1 + t3)^2 as a product, which overflows to inf rather than raising
     curv = (2.0 * t4 * (1.0 - t3) - (1.0 + t3) * (1.0 + t3) * t4 * t4
             + 2.0 * t3 * (t6 - t5)) / (2.0 * lip)
     lines = {
-        "oec-theta-def": _eq(th, 2.0 * t9 * c),
         "theta-range": 0.0 < th < 1.0,
         "oec-t1": _eq(t1 * d, 1.0 - th),
         "oec-t2": _eq(t2 * d, 2.0 * t7 * t9 * c),
@@ -297,9 +298,10 @@ def default_params(regime: str, mu: float, lip: float, delta: float = 0.5):
 
     vi-unrestricted: alpha = eta = 1/(4L), beta = gamma = sigma/64,
     tau = sigma/(128 L). vi-restricted: alpha = eta = 1/(4L),
-    beta = gamma = mu/(64 L), tau = mu/(64 L^2). opt: theta = sqrt(sigma),
-    the t-coefficients parameterized by delta in (0, 1), which is t3, the
-    inner gradient-step length; t9 = 1/sqrt(mu L), c = mu/2.
+    beta = gamma = mu/(64 L), tau = mu/(64 L^2). opt: with
+    theta = sqrt(sigma), the t-coefficients parameterized by delta in
+    (0, 1), which is t3, the inner gradient-step length; t9 = 1/sqrt(mu L),
+    c = mu/2, so the certified theta = 2 t9 c is sqrt(sigma) up to rounding.
 
     The variational-inequality defaults certify feasible for condition
     numbers lip / mu from 1 to 1e12, the range the tests cover; from about
@@ -328,7 +330,7 @@ def default_params(regime: str, mu: float, lip: float, delta: float = 0.5):
             t=(1.0 / (1.0 + th), th / (1.0 + th), delta,
                (1.0 - delta) / den, 1.0 / den, 3.0 / den,
                1.0 - th, th, 1.0 / math.sqrt(mu * L)),
-            theta=th, c=mu / 2.0)
+            c=mu / 2.0)
     raise ValueError(f"unknown regime {regime!r}")
 
 

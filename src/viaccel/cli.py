@@ -32,7 +32,7 @@ from .problems import KINDS
 
 EPS = float(np.finfo(np.float64).eps)
 VI_PARAM_KEYS = ("alpha", "beta", "gamma", "eta", "tau")
-OPT_PARAM_KEYS = tuple(f"t{i}" for i in range(1, 10)) + ("theta", "c", "delta")
+OPT_PARAM_KEYS = tuple(f"t{i}" for i in range(1, 10)) + ("c", "delta")
 # The value of a key that is not given. Stop and output keys default in
 # configs and flags alike, problem keys only as flags (a config names its
 # problem in full); a kind's key without an entry takes its generator's.
@@ -166,7 +166,7 @@ def assemble_params(regime: str, preset: Optional[str], params: dict,
     No step coefficients (opt may still pass delta, which picks t3) means
     the paper defaults. A preset takes no coefficients, except delta with
     paper-default in the opt regime. Explicit VI coefficients need alpha;
-    explicit opt coefficients need t1..t9, theta and c, and take no delta.
+    explicit opt coefficients need t1..t9 and c, and take no delta.
     The table preset resolves to None here: its entries depend on the
     method and the instance (presets.table_preset).
     """
@@ -196,12 +196,12 @@ def assemble_params(regime: str, preset: Optional[str], params: dict,
     if "delta" in params:
         raise ValueError("explicit opt coefficients take no delta: it only "
                          "picks t3 of the paper defaults")
-    missing = [k for k in OPT_PARAM_KEYS[:11] if k not in params]
+    missing = [k for k in OPT_PARAM_KEYS[:10] if k not in params]
     if missing:
-        raise ValueError(f"explicit opt coefficients need t1..t9, theta, c "
+        raise ValueError(f"explicit opt coefficients need t1..t9, c "
                          f"(missing {', '.join(missing)}) or a preset")
     return S.OptParams(t=tuple(params[f"t{i}"] for i in range(1, 10)),
-                       theta=params["theta"], c=params["c"]), False
+                       c=params["c"]), False
 
 
 class Plan(NamedTuple):
@@ -495,18 +495,20 @@ def _add_output_flags(sp):
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="viaccel",
+        prog="viaccel", allow_abbrev=False,
         description="Certified first-order solvers for strongly monotone "
                     "problems: generate instances, certify parameters, run "
                     "and compare methods.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # a flag spelled in part would be taken for the one it begins
+    add = partial(sub.add_parser, allow_abbrev=False)
 
-    g = sub.add_parser("generate", help="generate and serialize an instance")
+    g = add("generate", help="generate and serialize an instance")
     _add_key_flags(g, SECTION_KEYS["problem"][1:])
     g.add_argument("--out", help="default: <kind>-n<n>-seed<seed>.problem")
     g.set_defaults(func=cmd_generate)
 
-    ce = sub.add_parser("certify", help="check parameter feasibility and rate")
+    ce = add("certify", help="check parameter feasibility and rate")
     ce.add_argument("--regime", required=True, choices=list(C.REGIMES))
     ce.add_argument("--mu", type=float, required=True)
     ce.add_argument("--lip", type=float, required=True)
@@ -520,7 +522,7 @@ def make_parser() -> argparse.ArgumentParser:
     ce.add_argument("--tol", type=float, help="with --gap")
     ce.set_defaults(func=cmd_certify)
 
-    so = sub.add_parser("solve", help="run one method on a problem file")
+    so = add("solve", help="run one method on a problem file")
     so.add_argument("--problem", dest="file", required=True)
     so.add_argument("--method", required=True, choices=list(S.METHODS))
     so.add_argument("--preset", choices=list(PR.PRESETS))
@@ -528,7 +530,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_output_flags(so)
     so.set_defaults(func=cmd_solve)
 
-    cp = sub.add_parser("compare", help="run several methods and summarize")
+    cp = add("compare", help="run several methods and summarize")
     cp.add_argument("--config", help="takes only --out-dir and --strict")
     cp.add_argument("--problem", dest="file",
                     help="problem file; takes no generator flags")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -415,20 +415,6 @@ def estimate_constants(problem: MonotoneProblem):
 # ---------------------------------------------------------------------------
 # the stored form of each kind
 
-# Each problem kind's generator and its keys with their types: each key is
-# the name of a generator parameter, and one whose parameter has a default
-# is optional and, when not given, takes that default.
-KINDS = {
-    "linear-vi": (gen_linear_vi, dict(n=int, seed=int, target_sigma=float,
-                                      constrained=bool)),
-    "quadratic": (gen_quadratic, dict(n=int, seed=int, target_sigma=float)),
-    "logistic": (gen_logistic, dict(n=int, num_samples=int, lam=float,
-                                    seed=int)),
-    "bilinear-saddle": (gen_bilinear_saddle, dict(nx=int, ny=int, seed=int,
-                                                  mu_x=float, mu_y=float)),
-}
-
-
 def _build_linear_vi(diag, skew, offset) -> dict:
     return _linear_vi_operator(np.diag(diag) + skew, offset)
 
@@ -442,23 +428,28 @@ def _build_bilinear_saddle(n, bilinear, mu_x, mu_y) -> dict:
     return dict(operator=M.dot, meta={"bilinear": M[:nx, nx:]})
 
 
-# Beside each kind: its class, the shape of each meta.* block it stores (each
-# side n or a meta.* scalar; one the file does not store matches any length),
-# and the builder of the class's callables from the file's n and the blocks
-# and meta.* scalars its parameters name, with under "meta" any block it
-# holds in place of the parsed one (the saddle's coupling block, a view of
-# its operator matrix). A kind's meta.* scalars are its generator keys but
-# n, seed and num_samples; a file may omit those its builder does not name.
+# Beside each kind: its generator, its class, the shape of each meta.* block
+# it stores (each side n or a meta.* scalar; one the file does not store
+# matches any length), and the builder of the class's callables from the
+# file's n and the blocks and meta.* scalars its parameters name, with under
+# "meta" any block it holds in place of the parsed one (the saddle's coupling
+# block, a view of its operator matrix). A kind's meta.* scalars are its keys
+# but n, seed and num_samples; a file may omit those its builder does not name.
 LAYOUTS = {
-    "linear-vi": (MonotoneProblem, dict(diag=("n",), offset=("n",),
-                                        skew=("n", "n")), _build_linear_vi),
-    "quadratic": (SmoothObjective, dict(hessian=("n", "n"), linear=("n",)),
-                  _quadratic_functions),
-    "logistic": (SmoothObjective, dict(data=("num_samples", "n")),
-                 _logistic_functions),
-    "bilinear-saddle": (MonotoneProblem, dict(bilinear=("nx", "ny")),
-                        _build_bilinear_saddle),
+    "linear-vi": (gen_linear_vi, MonotoneProblem, dict(
+        diag=("n",), offset=("n",), skew=("n", "n")), _build_linear_vi),
+    "quadratic": (gen_quadratic, SmoothObjective, dict(
+        hessian=("n", "n"), linear=("n",)), _quadratic_functions),
+    "logistic": (gen_logistic, SmoothObjective, dict(
+        data=("num_samples", "n")), _logistic_functions),
+    "bilinear-saddle": (gen_bilinear_saddle, MonotoneProblem, dict(
+        bilinear=("nx", "ny")), _build_bilinear_saddle),
 }
+# Each kind's generator and its keys: its parameters with their types; one
+# whose parameter has a default is optional and, when not given, takes it.
+KINDS = {kind: (gen, {key: typ for key, typ in get_type_hints(gen).items()
+                      if key != "return"})
+         for kind, (gen, *_) in LAYOUTS.items()}
 # Each class's name in files and its attributes that a file stores after
 # class, kind and n, in the order written: the type of a scalar or the shape
 # of a block. A file may omit one whose constructor parameter has a default.
@@ -478,7 +469,7 @@ def schema(kind: str) -> dict:
     """Every entry a kind's problem file can store, in the order written
     (its `name = value` lines, then its blocks): name -> the type of a
     line's value, or the shape of a block as a tuple of side names."""
-    cls, blocks, _ = LAYOUTS[kind]
+    _, cls, blocks, _ = LAYOUTS[kind]
     meta = {key: typ for key, typ in KINDS[kind][1].items()
             if key not in ("n", "seed", "num_samples")}
     meta.update(blocks)
@@ -490,7 +481,7 @@ def _check(kind: str, values: dict) -> None:
     """Refuse entries (name -> value, None when not given) that lack one
     the kind needs, or whose n, numbers or meta.* block shapes do not fit;
     _parse_lines checks the class's blocks after the kind's builder."""
-    cls, blocks, build = LAYOUTS[kind]
+    _, cls, blocks, build = LAYOUTS[kind]
     params = inspect.signature(cls).parameters
     needed = ["class", "kind", "n"]
     needed += [name for name in CLASSES[cls][1]
@@ -531,7 +522,7 @@ def _problem_lines(obj: Union[MonotoneProblem, SmoothObjective]):
     """serialize_problem's lines, without newlines. Every entry is checked
     before this returns; the blocks are rendered as the lines are drawn,
     each row by one format string."""
-    if type(obj) is not LAYOUTS.get(obj.kind, (None,))[0]:
+    if type(obj) is not LAYOUTS.get(obj.kind, (None, None))[1]:
         raise ValueError(f"cannot serialize {type(obj).__name__} kind "
                          f"{obj.kind!r}")
     entries = schema(obj.kind)
@@ -643,7 +634,7 @@ def _parse_lines(lines) -> Union[MonotoneProblem, SmoothObjective]:
     if unknown:
         raise ValueError(f"unknown entry {unknown[0]} in a {kind} problem file")
 
-    cls, _, build = LAYOUTS[kind]
+    _, cls, _, build = LAYOUTS[kind]
     if values["class"] != CLASSES[cls][0]:
         raise ValueError(f"{kind} problems have class {CLASSES[cls][0]}, "
                          f"got {values['class']}")

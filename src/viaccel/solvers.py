@@ -85,14 +85,13 @@ class ViParams:
 class OptParams:
     """Coefficients for the two-sequence minimization scheme.
 
-    t holds the nine step coefficients t1..t9; theta is the intended
-    potential contraction amount, c the distance weight in the potential.
-    Construction checks only signs and finiteness; the consistency ties
-    between the fields are the certifier's job.
+    t holds the nine step coefficients t1..t9, c the distance weight in the
+    potential; the potential's contraction amount theta = 2 t9 c is derived
+    by the certifier. Construction checks only signs and finiteness; the
+    consistency ties between the fields are the certifier's job.
     """
 
     t: tuple
-    theta: float
     c: float
 
     def __post_init__(self):
@@ -102,10 +101,6 @@ class OptParams:
         for i, v in enumerate(t, start=1):
             _finite_nonneg(f"t{i}", v)
         object.__setattr__(self, "t", t)
-        th = float(self.theta)
-        if not (math.isfinite(th) and 0.0 < th <= 1.0):
-            raise ValueError("theta must lie in (0, 1]")
-        object.__setattr__(self, "theta", th)
         c = float(self.c)
         if not (math.isfinite(c) and c > 0.0):
             raise ValueError("c must be positive and finite")

@@ -183,8 +183,8 @@ def test_criterion_07_accelerated_minimization_bounds():
     sb = va.opt_state(obj, np.ones(20))
     for _ in range(100):
         sa = va.opt_stepper(obj, params, y_rule="p")(sa)
-        sb = oracles.step_opt_extra_point_simplified(obj, sb, params.theta,
-                                                     params.t[2])
+        sb = oracles.step_opt_extra_point_simplified(
+            obj, sb, math.sqrt(obj.sigma), params.t[2])
         scale = max(1.0, float(np.linalg.norm(sa.x_curr)))
         ok &= float(np.linalg.norm(sa.x_curr - sb.x_curr)) <= 1e-12 * scale
         ok &= float(np.linalg.norm(sa.v_curr - sb.v_curr)) <= 1e-12 * scale

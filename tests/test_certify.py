@@ -275,11 +275,22 @@ def test_restricted_large_tau_breaks_the_leading_line():
     assert math.isnan(cert.a) and math.isnan(cert.b)
 
 
+def test_restricted_names_line_2_when_b_reaches_a_only_after_the_division():
+    # all four exp2 lines hold, yet a = b once both are divided by 1 - u;
+    # b < a is line 2's conclusion t < s - u
+    p = va.ViParams(alpha=0.15640545432686062, eta=0.15640545432686062,
+                    beta=0.003324812616542958, gamma=0.003324812616542958,
+                    tau=0.0068228289313801435)
+    cert = va.certify_vi_restricted(1.0, 4.0, p)
+    assert cert.a == cert.b == 0.062950251883274563
+    assert not cert.feasible
+    assert cert.violated == ("exp2-line-2",)
+
+
 # --- strongly convex minimization regime ------------------------------------
 
 def test_opt_defaults_exact_tuple_for_kappa_four():
     p = C.default_params(C.REGIME_OPT, 1.0, 4.0)
-    assert p.theta == 0.5
     assert p.t[2] == 0.5  # delta
     assert p.c == 0.5
     assert p.t == (2.0 / 3.0, 1.0 / 3.0, 0.5, 2.0 / 9.0, 4.0 / 9.0,
@@ -314,7 +325,7 @@ def test_opt_weight_sum_violation_is_reported():
     base = C.default_params(C.REGIME_OPT, 1.0, 16.0)
     t = list(base.t)
     t[6] += 0.01
-    bad = va.OptParams(t=tuple(t), theta=base.theta, c=base.c)
+    bad = va.OptParams(t=tuple(t), c=base.c)
     cert = va.certify_opt(1.0, 16.0, bad)
     assert not cert.feasible
     assert "t7-t8-sum" in cert.violated
@@ -323,9 +334,7 @@ def test_opt_weight_sum_violation_is_reported():
 def test_opt_rejects_nonpositive_curvature_weight_at_construction():
     base = C.default_params(C.REGIME_OPT, 1.0, 16.0)
     with pytest.raises(ValueError):
-        va.OptParams(t=base.t, theta=base.theta, c=0.0)
-    with pytest.raises(ValueError):
-        va.OptParams(t=base.t, theta=0.0, c=base.c)
+        va.OptParams(t=base.t, c=0.0)
 
 
 # --- dispatcher, defaults, text rendering -----------------------------------
@@ -379,8 +388,9 @@ def _pinned_sets(rng):
         def scale(v):
             return v * rng.uniform(0.5, 2.0) if spread and rng.random() < 0.5 else v
         if regime == va.REGIME_OPT:
-            p = va.OptParams(t=[scale(v) for v in p.t],
-                             theta=min(1.0, scale(p.theta)), c=scale(p.c))
+            t = [scale(v) for v in p.t]
+            scale(1.0)  # a former theta draw, kept so later draws hold
+            p = va.OptParams(t=t, c=scale(p.c))
         else:
             p = va.ViParams(*(scale(getattr(p, k)) for k in VI_KEYS))
         yield regime, mu, lip, p
@@ -388,13 +398,25 @@ def _pinned_sets(rng):
         regime = rng.choice(va.REGIMES)
         if regime == va.REGIME_OPT:
             grid = (0.0, 0.25, 0.5, 1.0, 2.0)
-            p = va.OptParams(t=[rng.choice(grid) for _ in range(9)],
-                             theta=rng.choice((0.25, 1.0)),
-                             c=rng.choice((0.5, 2.0)))
+            t = [rng.choice(grid) for _ in range(9)]
+            rng.choice((0.25, 1.0))  # a former theta draw, kept likewise
+            p = va.OptParams(t=t, c=rng.choice((0.5, 2.0)))
         else:
             grid = (0.0, 1e-3, 0.1, 0.5, 1.0, 2.0)
             p = va.ViParams(*(rng.choice(grid) for _ in VI_KEYS))
         yield regime, 1.0, rng.choice((1.0, 16.0)), p
+
+
+def test_opt_rate_is_one_minus_two_t9_c():
+    """The opt certificate's theta is 2 t9 c, derived, on every feasible
+    opt set of a seeded sweep."""
+    feasible = 0
+    for regime, mu, lip, p in _pinned_sets(random.Random(35)):
+        cert = C.certify(regime, mu, lip, p)
+        if regime == va.REGIME_OPT and cert.feasible:
+            feasible += 1
+            assert cert.rate == 1.0 - 2.0 * p.t[8] * p.c
+    assert feasible >= 100
 
 
 def test_certificates_keep_their_bits():
@@ -403,7 +425,7 @@ def test_certificates_keep_their_bits():
     text = "".join(C.certify(*case).to_text()
                    for case in _pinned_sets(random.Random(2024)))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "6dea091c4536a89b2caa3b758c19e783ba914fb8fea6cf7da4fbcb1b35116e45"
+        "f1bc3aa3be3785238ae96bbd97f042c36be515c3ebb925cab5a5b2e8cdb08465"
 
 
 # --- iteration bounds --------------------------------------------------------

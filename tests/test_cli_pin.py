@@ -56,7 +56,7 @@ EXPLICIT = {  # coefficients of each mask, for solve with explicit flags
     "extra-point": ["--alpha", "0.03", "--beta", "0.1", "--gamma", "0.1",
                     "--eta", "0.03", "--tau", "0.005"],
     "opt-extra-point": ["--t", "0.9,0.1,0.5,0.03,6,7,0.8,0.2,0.05",
-                        "--theta", "0.05", "--c", "0.5"],
+                        "--c", "0.5"],
 }
 CONFIG = """\
 problem.kind = linear-vi
@@ -93,7 +93,6 @@ method.2.t6 = 7
 method.2.t7 = 0.8
 method.2.t8 = 0.2
 method.2.t9 = 0.05
-method.2.theta = 0.05
 method.2.c = 0.5
 method.3.name = extra-gradient
 method.3.preset = table
@@ -482,6 +481,12 @@ def test_corpus_is_large_and_covers_every_command():
     assert {argv[0] for argv in cmds} == {"generate", "certify", "solve",
                                           "compare"}
     assert len({key(argv) for argv in cmds}) == len(cmds)  # one entry each
+
+
+def test_readme_gives_the_tables_size():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    count = re.search(r"runs a corpus of\s+(\d+) `generate`", readme).group(1)
+    assert int(count) == len(json.loads(TABLE.read_text()))
 
 
 def test_cli_output_matches_the_recorded_table(tmp_path, monkeypatch):

@@ -343,7 +343,7 @@ def _method_entries(rng, i, method):
     if how in va.PRESETS:
         entries.append(f"method.{i}.preset = {how}")
     elif how == "explicit" and method == "opt-extra-point":
-        keys = OPT_PARAM_KEYS[:11] if rng.random() < 0.7 else \
+        keys = OPT_PARAM_KEYS[:10] if rng.random() < 0.7 else \
             rng.sample(OPT_PARAM_KEYS, 3)
         entries += [f"method.{i}.{key} = {rng.choice([0.05, 0.2, 0.5])}"
                     for key in keys]
@@ -439,8 +439,7 @@ def _coefficient(rng):
 @pytest.mark.parametrize("seed", range(30))
 def test_certify_on_extreme_coefficients_never_raises(seed, capsys):
     """Explicit coefficients over the float range: exit 0 or 3, or 2
-    exactly where the parameter types refuse a value (theta outside
-    (0, 1], c = 0)."""
+    exactly where the parameter types refuse a value (c = 0)."""
     rng = random.Random(7000 + seed)
     lo, hi = (math.log10(v) for v in C.CONSTANT_RANGE)
     for _ in range(100):
@@ -449,7 +448,7 @@ def test_certify_on_extreme_coefficients_never_raises(seed, capsys):
         lip = mu * 10.0 ** rng.uniform(0.0, hi - math.log10(mu))
         argv = ["certify", "--regime", regime, "--mu", format_float(mu),
                 "--lip", format_float(min(lip, 10.0 ** hi))]
-        keys = OPT_PARAM_KEYS[9:11] if regime == va.REGIME_OPT \
+        keys = OPT_PARAM_KEYS[9:10] if regime == va.REGIME_OPT \
             else VI_PARAM_KEYS
         values = {key: _coefficient(rng) for key in keys}
         refused = False
@@ -457,7 +456,6 @@ def test_certify_on_extreme_coefficients_never_raises(seed, capsys):
             values["t"] = ",".join(_coefficient(rng) for _ in range(9))
             try:
                 va.OptParams(t=[float(v) for v in values["t"].split(",")],
-                             theta=float(values["theta"]),
                              c=float(values["c"]))
             except ValueError:
                 refused = True

@@ -686,7 +686,7 @@ def test_refused_instances_write_no_file(tmp_path):
 def test_readme_documents_each_kinds_stored_entries():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("## File formats"):]
-    for kind, (cls, blocks, _) in P.LAYOUTS.items():
+    for kind, (_, cls, blocks, _) in P.LAYOUTS.items():
         row = re.search(rf"^ *\| `{kind}` \|(.*)$", section, re.M).group(1)
         class_name, scalars, stored = row.split("|")[:3]
         meta = {name: form for name, form in P.schema(kind).items()

@@ -50,17 +50,13 @@ def test_vi_params_validation():
 
 def test_opt_params_validation():
     t = (0.5, 0.5, 0.5, 0.2, 0.4, 1.3, 0.5, 0.5, 0.5)
-    va.OptParams(t=t, theta=1.0, c=0.5)  # theta may reach 1
+    va.OptParams(t=t, c=0.5)
     with pytest.raises(ValueError):
-        va.OptParams(t=t[:8], theta=0.5, c=0.5)
+        va.OptParams(t=t[:8], c=0.5)
     with pytest.raises(ValueError):
-        va.OptParams(t=t[:8] + (-0.1,), theta=0.5, c=0.5)
+        va.OptParams(t=t[:8] + (-0.1,), c=0.5)
     with pytest.raises(ValueError):
-        va.OptParams(t=t, theta=0.0, c=0.5)
-    with pytest.raises(ValueError):
-        va.OptParams(t=t, theta=1.5, c=0.5)
-    with pytest.raises(ValueError):
-        va.OptParams(t=t, theta=0.5, c=0.0)
+        va.OptParams(t=t, c=0.0)
     # delta, the paper defaults' inner step length t3, must lie in (0, 1)
     for delta in (0.0, 1.0):
         with pytest.raises(ValueError, match="delta"):
@@ -692,7 +688,7 @@ def test_opt_step_worked_example_both_y_rules():
 def test_simplified_opt_stepper_matches_generic():
     obj = va.gen_quadratic(10, 5, 0.02)
     prm = va.default_params(va.REGIME_OPT, obj.mu, obj.lip)
-    theta, delta = prm.theta, prm.t[2]
+    theta, delta = math.sqrt(obj.sigma), prm.t[2]
     x0 = np.ones(10)
     sa = va.opt_state(obj, x0.copy())
     sb = va.opt_state(obj, x0.copy())
