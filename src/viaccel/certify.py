@@ -50,9 +50,12 @@ class RateCertificate:
     theta_default the midpoint choice (a + b) / 2, and
     rate = 1 - (a - theta_default) the certified per-iteration contraction
     of the associated potential. ``violated`` lists the identifiers of the
-    failed constraint lines otherwise. ``guideline_flags`` carries
-    informational (non-normative) screening results. The restricted regime
-    additionally reports its intermediates s, t, u.
+    failed constraint lines otherwise. The restricted regime additionally
+    reports its intermediates s, t, u.
+
+    A run carrying the certified potential V has f_k - f* <= V_k <= rate^k V_0
+    (opt) or ||z_k - z*||^2 <= V_k <= rate^k V_0 (VI): the one endpoint rule
+    check_contraction applies, from rate and the run's own V_0.
     """
 
     regime: str
@@ -64,7 +67,6 @@ class RateCertificate:
     theta_default: float
     rate: float
     violated: tuple = ()
-    guideline_flags: tuple = ()
     s: Optional[float] = None
     t: Optional[float] = None
     u: Optional[float] = None
@@ -75,8 +77,7 @@ class RateCertificate:
                  f"feasible = {'true' if self.feasible else 'false'}"]
         lines += [f"{k} = {format_float(getattr(self, k))}" for k in
                   ("a", "b", "theta_lo", "theta_hi", "theta_default", "rate")]
-        lines += [f"violated = {','.join(self.violated)}",
-                  f"guideline_flags = {','.join(self.guideline_flags)}"]
+        lines.append(f"violated = {','.join(self.violated)}")
         if self.s is not None:
             lines += [f"{k} = {format_float(getattr(self, k))}"
                       for k in ("s", "t", "u")]
@@ -141,12 +142,9 @@ def _vi_verdict(regime: str, lines: dict, a: float, b: float, fallback: str,
     which can only be float disagreement with the leading line ``fallback``,
     and an empty momentum window (``theta-window``). Otherwise theta_default
     is the midpoint (a + b) / 2 and rate = 1 - (a - theta_default). The
-    guideline flags and the regime's auxiliaries ride along either way.
+    regime's auxiliaries ride along either way.
     """
     violated = [name for name, holds in lines.items() if not holds]
-    flags = [name for name, holds in (("guideline-a-range", 0.0 < a < 1.0),
-                                      ("guideline-b-window", 0.0 <= b < a))
-             if not holds]
     if not violated and not 0.0 <= b < a < 1.0:
         violated = [fallback]
     if not violated:
@@ -156,19 +154,18 @@ def _vi_verdict(regime: str, lines: dict, a: float, b: float, fallback: str,
             # a float-level guard so the window is honest about rounding
             violated = ["theta-window"]
     if violated:
-        return _infeasible(regime, violated, a=a, b=b, flags=flags, **aux)
+        return _infeasible(regime, violated, a=a, b=b, **aux)
     theta = 0.5 * (a + b)
     return RateCertificate(regime=regime, feasible=True, a=a, b=b, theta_lo=lo,
                            theta_hi=hi, theta_default=theta, rate=1.0 - (a - theta),
-                           guideline_flags=tuple(flags), **aux)
+                           **aux)
 
 
-def _infeasible(regime: str, violated, a=math.nan, b=math.nan, flags=(), **aux):
+def _infeasible(regime: str, violated, a=math.nan, b=math.nan, **aux):
     return RateCertificate(
         regime=regime, feasible=False, a=a, b=b,
         theta_lo=math.nan, theta_hi=math.nan, theta_default=math.nan,
-        rate=math.nan, violated=tuple(violated), guideline_flags=tuple(flags),
-        **aux,
+        rate=math.nan, violated=tuple(violated), **aux,
     )
 
 

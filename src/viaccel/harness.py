@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import mul
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -118,8 +119,9 @@ def ogda_potential(problem: MonotoneProblem) -> Callable:
         V = ||z-z*||^2 + (z-z*) . (F(z_prev) - F(z)) / (L (1+sigma))
             + (1+2 sigma) / (2 (1+sigma)^2) ||z - z_prev||^2
 
-    satisfies (1+sigma) V_{k+1} <= V_k and V >= ||z-z*||^2 / 2, which yields
-    the distance bound ||z^k-z*||^2 <= 2 (1+sigma)^{-k} ||z^0-z*||^2.
+    satisfies (1+sigma) V_{k+1} <= V_k and V >= ||z-z*||^2 / 2, so
+    check_contraction's one endpoint rule bounds ||z^k-z*||^2 by
+    2 rate^k V_0 (scale 2 for ogda), where V_0 = ||z^0-z*||^2 at the start.
     """
     zs = problem.solution
     if zs is None:
@@ -161,11 +163,12 @@ class ContractionReport:
     """Outcome of comparing a trace against a certified rate.
 
     max_violation is max over checked steps of V_{k+1}/V_k - rate (negative
-    when the certificate holds with margin); violating_iters lists the
-    iteration indices whose step exceeded rate + rtol after the atol floor.
-    endpoint_excess reports the worst endpoint-bound violation for methods
-    with a distance or objective-gap endpoint guarantee, or None when no
-    endpoint check applies.
+    when the certificate holds with margin, inf at a non-finite potential);
+    violating_iters lists the iteration indices whose step exceeded
+    rate + rtol after the atol floor, or reached a non-finite potential.
+    endpoint_excess is the worst column_k - scale (rate + rtol)^k V_0 - atol
+    of the one endpoint rule (see check_contraction), inf when the column
+    holds a nan, or None when the trace does not record the column.
     """
 
     rate: float
@@ -181,14 +184,6 @@ class ContractionReport:
         )
 
 
-# Endpoint bounds by method (see check_contraction): the column whose k-th
-# entry must stay below 2 factor(sigma, k) times its first.
-_ENDPOINT_BOUNDS = {
-    "ogda": ("dist_sq", lambda sigma, k: (1.0 + sigma) ** (-k)),
-    "opt-extra-point": ("merit_aux", lambda sigma, k: (1.0 - math.sqrt(sigma)) ** k),
-}
-
-
 def check_contraction(trace: IterateTrace, cert, rtol: float = 1e-9,
                       atol: float = 0.0) -> ContractionReport:
     """Compare per-iteration potential decay against a certified rate, on a
@@ -196,16 +191,19 @@ def check_contraction(trace: IterateTrace, cert, rtol: float = 1e-9,
 
     For each consecutive pair with V_k > atol the step passes when
     V_{k+1} <= (rate + rtol) V_k + atol; a pair at the potential's exact
-    minimum (both below the floor) counts as ratio zero. The atol floor
-    exists for potentials built from objective gaps, whose float evaluation
-    is only accurate to machine precision times the objective scale near
-    the solution; pass atol = 0 (default) for squared-distance potentials.
-    Raises ValueError when the trace carries no potential data.
+    minimum (both below the floor) counts as ratio zero, and a step to or
+    from a non-finite potential fails. The atol floor exists for potentials
+    built from objective gaps, whose float evaluation is only accurate to
+    machine precision times the objective scale near the solution; pass
+    atol = 0 (default) for squared-distance potentials. Raises ValueError
+    when the trace carries no potential data.
 
-    Endpoint bounds are checked from trace metadata: the past-gradient
-    method must satisfy dist_sq_k <= 2 (1+sigma)^{-k} dist_sq_0 and the
-    optimization scheme merit_aux_k <= 2 (1-sqrt(sigma))^k merit_aux_0,
-    each with the same atol floor.
+    The one endpoint rule: the potential bounds a column from above, so
+    V_{k+1} <= rate V_k gives column_k <= scale (rate + rtol)^k V_0 + atol
+    at every k, with V_0 the trace's first potential value. The column is
+    merit_aux (f - f*) for an objective run (its meta carries f_star) and
+    dist_sq otherwise; scale is 2 for ogda, whose potential bounds half the
+    squared distance, and 1 otherwise.
     """
     rate = cert.rate
     pot = trace.column("potential")
@@ -216,23 +214,26 @@ def check_contraction(trace: IterateTrace, cert, rtol: float = 1e-9,
     violating = []
     for k in range(len(pot) - 1):
         vk, vn = pot[k], pot[k + 1]
-        if not vk > atol:
-            if vn <= vk + atol:  # settled at the minimum: ratio 0
-                max_violation = max(max_violation, 0.0 - rate)
-            else:  # potential grew from (numerical) zero
-                max_violation = math.inf
-                violating.append(k)
-            continue
-        max_violation = max(max_violation, vn / vk - rate)
-        if vn > (rate + rtol) * vk + atol:
+        if not (math.isfinite(vk) and math.isfinite(vn)) or \
+                not vk > atol and vn > vk + atol:
+            # a non-finite potential, or growth from (numerical) zero
+            max_violation = math.inf
             violating.append(k)
+        elif not vk > atol:  # settled at the minimum: ratio 0
+            max_violation = max(max_violation, 0.0 - rate)
+        else:
+            max_violation = max(max_violation, vn / vk - rate)
+            if vn > (rate + rtol) * vk + atol:
+                violating.append(k)
 
     endpoint = None
-    column, factor = _ENDPOINT_BOUNDS.get(trace.method, (None, None))
-    if column is not None and trace.column(column)[0] is not None:
-        v, sigma = trace.column(column), trace.meta["sigma"]
-        endpoint = max(v[k] - 2.0 * factor(sigma, k) * v[0] - atol
-                       for k in range(len(v)))
+    column = trace.column("merit_aux" if "f_star" in trace.meta else "dist_sq")
+    if column[0] is not None:
+        scale = 2.0 if trace.method == "ogda" else 1.0
+        bounds = accumulate(repeat(rate + rtol, len(column) - 1), mul,
+                            initial=scale * pot[0])
+        endpoint = max(math.inf if math.isnan(v) else v - bound - atol
+                       for v, bound in zip(column, bounds))
 
     return ContractionReport(
         rate=rate,

@@ -1262,14 +1262,12 @@ def test_readme_config_keys_are_the_tables_keys():
 
 
 def test_readme_lists_the_ids_certify_prints(monkeypatch):
-    """Every id a certifier prints under violated or guideline_flags, over
-    a seeded sweep of parameters (theta-window by an emptied window), is
-    the README's list for its regime, and no other id is listed."""
+    """Every id a certifier prints under violated, over a seeded sweep of
+    parameters (theta-window by an emptied window), is the README's list
+    for its regime, and no other id is listed."""
     section = README[README.index("The constraint ids each regime prints"):]
     listed = {regime: set(re.findall(r"`([a-z0-9-]+)`", ids)) for regime, ids
               in re.findall(r"^- `([a-z-]+)`: ((?:.|\n  )*)", section, re.M)}
-    guideline = section[section.index("under\n`guideline_flags`"):]
-    guideline = set(re.findall(r"`(guideline-[a-z-]+)`", guideline))
 
     def printed(cert, field):
         line = next(ln for ln in cert.to_text().splitlines()
@@ -1279,7 +1277,6 @@ def test_readme_lists_the_ids_certify_prints(monkeypatch):
     rng = np.random.default_rng(0)
     vi_values = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0])
     violated = {regime: set() for regime in va.REGIMES}
-    flags = {regime: set() for regime in va.REGIMES}
     for regime in va.REGIMES:
         for _ in range(500):
             if regime == va.REGIME_OPT:
@@ -1290,11 +1287,32 @@ def test_readme_lists_the_ids_certify_prints(monkeypatch):
                 params = va.ViParams(*rng.choice(vi_values, 5))
             cert = C.certify(regime, 1.0, rng.choice([1.0, 16.0]), params)
             violated[regime] |= printed(cert, "violated")
-            flags[regime] |= printed(cert, "guideline_flags")
     monkeypatch.setattr(C, "theta_interval", lambda a, b: (b, a))
     for regime in (va.REGIME_VI_UNRESTRICTED, va.REGIME_VI_RESTRICTED):
         cert = C.certify(regime, 1.0, 16.0, va.default_params(regime, 1.0, 16.0))
         violated[regime] |= printed(cert, "violated")
     assert violated == listed
-    assert flags == {va.REGIME_VI_UNRESTRICTED: guideline,
-                     va.REGIME_VI_RESTRICTED: guideline, va.REGIME_OPT: set()}
+
+
+def test_certify_prints_the_keys_readme_names(capsys):
+    """Each regime's certificate, feasible or not, prints the keys of
+    README's certify section in its order, and a feasible one with --gap
+    and --tol adds iteration_bound."""
+    keys = README[README.index("Prints the certificate as"):]
+    keys = keys[:keys.index("With `--gap`")]
+    common, aux = (re.findall(r"`(\w+)`", part)
+                   for part in keys.split("`vi-restricted` adds"))
+    for regime in va.REGIMES:
+        want = common + aux * (regime == va.REGIME_VI_RESTRICTED)
+        for flags, code, extra in (
+                (["--preset", "paper-default"], 0, []),
+                (["--preset", "paper-default", "--gap", "1", "--tol", "1e-8"],
+                 0, ["iteration_bound"]),
+                (["--t", "1,1,1,1,1,1,1,1,1", "--c", "1"]
+                 if regime == va.REGIME_OPT else ["--alpha", "1"], 3, [])):
+            capsys.readouterr()
+            assert main(["certify", "--regime", regime, "--mu", "1", "--lip",
+                         "10", *flags]) == code, (regime, flags)
+            printed = [ln.split(" = ")[0]
+                       for ln in capsys.readouterr().out.splitlines()]
+            assert printed == want + extra, (regime, flags)

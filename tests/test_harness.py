@@ -14,6 +14,7 @@ import oracles
 import viaccel as va
 import viaccel.certify as C
 import viaccel.problems as P
+from viaccel.cli import MethodSpec, build_method
 from viaccel.harness import CSV_HEADER, TRACE_FIELDS, IterateTrace
 
 
@@ -125,7 +126,7 @@ def test_check_contraction_passes_on_a_certified_run():
     assert report.checked_steps == 500
     assert report.violating_iters == ()
     assert report.max_violation <= 1e-9
-    assert report.endpoint_excess is None
+    assert report.endpoint_excess is not None and report.endpoint_excess <= 0.0
 
 
 def test_check_contraction_requires_potential_data():
@@ -153,6 +154,31 @@ def test_check_contraction_zero_potential_counts_as_settled():
     grown = _synthetic_trace([0.0, 1.0])
     bad = va.check_contraction(grown, _manual_cert(0.9))
     assert not bad.ok and bad.max_violation == math.inf
+
+
+def test_check_contraction_fails_a_non_finite_potential():
+    """nan > bound is false, so a non-finite potential is failed on its
+    own: the step that produced it, or the step from it, is named."""
+    report = va.check_contraction(_synthetic_trace([1.0, 0.5, math.nan]),
+                                  _manual_cert(0.9))
+    assert not report.ok
+    assert report.violating_iters == (1,)
+    assert report.max_violation == math.inf
+    for pot in ([1.0, math.inf, 0.5], [math.nan, 0.5, 0.25]):
+        report = va.check_contraction(_synthetic_trace(pot), _manual_cert(0.9))
+        assert not report.ok and report.violating_iters[0] == 0, pot
+
+
+def test_check_contraction_fails_a_nan_endpoint():
+    """A nan inside the endpoint column, which max would drop unless it
+    came first, fails the endpoint."""
+    tr = IterateTrace(method="ogda")
+    for k, (dsq, pot) in enumerate(zip([1.0, math.nan, 0.2],
+                                       [1.0, 0.5, 0.25])):
+        oracles.append_row(tr, k, 1.0, None, dsq, pot, 0)
+    report = va.check_contraction(tr, _manual_cert(0.9))
+    assert report.violating_iters == ()
+    assert report.endpoint_excess == math.inf and not report.ok
 
 
 def test_check_contraction_endpoint_bounds_for_past_gradient():
@@ -184,6 +210,66 @@ def test_check_contraction_endpoint_bounds_for_opt_scheme():
     report = va.check_contraction(tr, cert, atol=atol)
     assert report.ok
     assert report.endpoint_excess is not None and report.endpoint_excess <= 0.0
+
+
+def test_check_contraction_takes_the_endpoint_rate_from_the_certificate():
+    """A feasible opt setting at theta = sqrt(sigma)/4 and c = mu/8 holds at
+    every step; its endpoint holds at the certified rate 0.975, not at the
+    paper default's 2 (1 - sqrt(sigma))^k."""
+    obj = va.gen_quadratic(20, 0, 1e-2)
+    t3_6 = C.default_params(C.REGIME_OPT, obj.mu, obj.lip).t[2:6]  # delta 0.5
+    theta, c = math.sqrt(obj.sigma) / 4.0, obj.mu / 8.0
+    params = va.OptParams(t=(1.0 / (1.0 + theta), theta / (1.0 + theta), *t3_6,
+                             1.0 - theta, theta, theta / (2.0 * c)), c=c)
+    cert = va.certify_opt(obj.mu, obj.lip, params)
+    assert cert.feasible and cert.rate == 0.975
+    tr = va.run(obj, "opt-extra-point", params, np.ones(20),
+                va.StopRule(max_iter=400, residual_tol=1e-8),
+                potential=va.opt_potential(obj, c))
+    report = va.check_contraction(tr, cert,
+                                  atol=1e-12 * (1.0 + abs(obj.optimal_value)))
+    assert report.violating_iters == () and report.max_violation < -0.02
+    assert report.endpoint_excess <= 0.0 and report.ok
+
+
+def test_no_certified_run_fails_its_endpoint_alone():
+    """Over seeded feasible opt settings with c <= mu/2 on quadratics, and
+    paper-default extra-point runs (as solve builds them) on free and
+    orthant linear VIs and a saddle: a report whose every potential step
+    holds passes its endpoint, and every VI report has an endpoint check
+    that holds."""
+    rng = np.random.default_rng(0)
+    reports = []
+    while len(reports) < 20:
+        obj = va.gen_quadratic(int(rng.integers(4, 12)), int(rng.integers(1000)),
+                               float(rng.choice([1e-3, 1e-2, 0.05, 0.2])))
+        t3_6 = C.default_params(C.REGIME_OPT, obj.mu, obj.lip,
+                                rng.uniform(0.1, 0.9)).t[2:6]
+        theta = math.sqrt(obj.sigma) * rng.uniform(0.05, 1.0)
+        c = obj.mu * rng.uniform(0.02, 0.5)
+        # oec-t7-bound, t7-t8-sum and oec-t8c leave t8 in this window
+        t8 = rng.uniform(theta, min(1.0, obj.mu * theta / (2.0 * c)))
+        den = 1.0 - t8 * theta
+        params = va.OptParams(t=((1.0 - theta) / den, (1.0 - t8) * theta / den,
+                                 *t3_6, 1.0 - t8, t8, theta / (2.0 * c)), c=c)
+        cert = va.certify_opt(obj.mu, obj.lip, params)
+        if cert.feasible:
+            tr = va.run(obj, "opt-extra-point", params, np.ones(obj.dimension),
+                        va.StopRule(max_iter=2000, residual_tol=1e-9),
+                        potential=va.opt_potential(obj, c))
+            reports.append(va.check_contraction(
+                tr, cert, atol=1e-12 * (1.0 + abs(obj.optimal_value))))
+    targets = [va.gen_bilinear_saddle(3, 2, seed) for seed in range(2)]
+    targets += [va.gen_linear_vi(5, seed, 0.05, constrained=constrained)[0]
+                for seed in range(2) for constrained in (False, True)]
+    for target in targets:
+        plan = build_method(MethodSpec("extra-point", preset="paper-default"),
+                            target, {"max_iter": 20000, "tol": 1e-10})
+        vi_report = plan.check(plan.run())
+        assert vi_report.endpoint_excess <= 0.0, target.kind
+        reports.append(vi_report)
+    for report in reports:
+        assert report.violating_iters or report.endpoint_excess <= 0.0, report
 
 
 # --- one-step recursion audits ------------------------------------------------
